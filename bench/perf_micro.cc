@@ -147,6 +147,24 @@ BM_KernelOpenClose(benchmark::State& state)
 }
 BENCHMARK(BM_KernelOpenClose);
 
+/// Per-kernel boot cost: a fresh StrictModel plus Corpus::RegisterAll,
+/// destruction included — what every orchestrator worker, distill pass,
+/// DiffRunner side and fleet recovery pays. The shared driver tables are
+/// built by the first boot; every timed boot only allocates the thin
+/// per-kernel drivers over them. Items = boots.
+void
+BM_KernelBoot(benchmark::State& state)
+{
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  for (auto _ : state) {
+    vkernel::StrictModel kernel;
+    corpus.RegisterAll(&kernel);
+    benchmark::DoNotOptimize(kernel.devices().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KernelBoot);
+
 /// Steady-state coverage merge: per-program coverage deltas merged into
 /// an accumulated set that already contains them (the common case after
 /// warmup); items = merges.

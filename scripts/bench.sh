@@ -153,7 +153,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead' \
+  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -213,6 +213,15 @@ result = {
     "kernel_open_close": {
         "opens_per_sec": items_per_sec("BM_KernelOpenClose"),
         "ns_per_open_close": ns_per_item("BM_KernelOpenClose"),
+    },
+    # Kernel boot: a fresh StrictModel plus Corpus::RegisterAll
+    # and its teardown. The driver/socket tables are built once per
+    # process and shared, so a boot only allocates thin per-kernel drivers.
+    "kernel_boot": {
+        "us_per_boot": (
+            round(ns_per_item("BM_KernelBoot") / 1000.0, 2)
+            if ns_per_item("BM_KernelBoot") else None
+        ),
     },
     # Session persistence (PR 5): one in-memory suite-snapshot round trip
     # (serialize + parse of coverage, crashes, corpus, reproducers, trend

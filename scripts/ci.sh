@@ -34,10 +34,12 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # reports and tenant states at 1 and 4 supervisor threads (fleet_test),
 # and the differential oracle must render byte-identical divergence
 # reports at 1 and 4 DiffRunner workers and across session save/resume
-# (diff_test). Rerun through ctest so the gate stays in sync with the
-# suites instead of a hand-picked gtest filter.
+# (diff_test), and kernels booted concurrently from the shared boot image
+# must each reproduce the serial run (boot_image_test). Rerun through
+# ctest so the gate stays in sync with the suites instead of a
+# hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \
-    -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test)$')
+    -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test|boot_image_test)$')
 
 echo
 echo "== Fleet-recovery soak (armed fault plan) =="

@@ -1,5 +1,7 @@
 #include "drivers/corpus.h"
 
+#include <functional>
+
 #include "drivers/model_render.h"
 #include "drivers/model_runtime.h"
 #include "vnet/inet.h"
@@ -366,28 +368,62 @@ Corpus::BuildIndex() const
   return index;
 }
 
+namespace {
+
+/// One boot step: registers a thin per-kernel module over the immutable
+/// tables the step holds.
+using BootStep = std::function<void(vkernel::KernelModel*)>;
+
+/// The corpus boot image, one step per loaded module in registration
+/// order (devices, then socket families, each in corpus order). This is
+/// the klee-mc SysModel split: the tables are built here once per
+/// process, and each boot only runs the steps, allocating the per-kernel
+/// handler pools and vnet port spaces.
+std::vector<BootStep>
+BuildBootImage(const Corpus& corpus)
+{
+  std::vector<BootStep> steps;
+  for (const DeviceSpec& d : corpus.devices()) {
+    if (!d.loaded_in_syzbot || d.excluded) continue;
+    steps.push_back([tables = BuildDeviceTables(d)](vkernel::KernelModel* k) {
+      k->RegisterDevice(MakeModelDevice(tables));
+    });
+  }
+  for (const SocketSpec& s : corpus.sockets()) {
+    if (!s.loaded_in_syzbot || s.excluded) continue;
+    if (!s.vnet) {
+      steps.push_back(
+          [tables = BuildSocketTables(s)](vkernel::KernelModel* k) {
+            k->RegisterSocketFamily(MakeModelSocketFamily(tables));
+          });
+    } else if (s.id == "tcp") {
+      // Stateful vnet families; semantics follow each kernel's policy.
+      steps.push_back(
+          [tables = vnet::BuildTcpTables(s)](vkernel::KernelModel* k) {
+            k->RegisterSocketFamily(
+                vnet::MakeTcpFamily(tables, vnet::VnetPolicy::FromModel(k)));
+          });
+    } else {
+      steps.push_back(
+          [tables = vnet::BuildUdpTables(s)](vkernel::KernelModel* k) {
+            k->RegisterSocketFamily(
+                vnet::MakeUdpFamily(tables, vnet::VnetPolicy::FromModel(k)));
+          });
+    }
+  }
+  return steps;
+}
+
+}  // namespace
+
 void
 Corpus::RegisterAll(vkernel::KernelModel* kernel) const
 {
-  for (const auto& d : devices_) {
-    if (d.loaded_in_syzbot && !d.excluded) {
-      kernel->RegisterDevice(MakeModelDevice(&d));
-    }
-  }
-  for (const auto& s : sockets_) {
-    if (!s.loaded_in_syzbot || s.excluded) continue;
-    if (s.vnet) {
-      // Stateful vnet families; semantics follow the model's policy.
-      vnet::VnetPolicy policy = vnet::VnetPolicy::FromModel(kernel);
-      if (s.id == "tcp") {
-        kernel->RegisterSocketFamily(vnet::MakeTcpFamily(&s, policy));
-      } else {
-        kernel->RegisterSocketFamily(vnet::MakeUdpFamily(&s, policy));
-      }
-      continue;
-    }
-    kernel->RegisterSocketFamily(MakeModelSocketFamily(&s));
-  }
+  // Built by the first boot; a function-local static is initialized
+  // exactly once even when workers boot concurrently, and the image is
+  // read-only from then on, so every thread shares it without locking.
+  static const std::vector<BootStep> image = BuildBootImage(*this);
+  for (const BootStep& step : image) step(kernel);
 }
 
 }  // namespace kernelgpt::drivers

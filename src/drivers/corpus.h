@@ -43,7 +43,10 @@ class Corpus {
   /// "kernel codebase" input of Figure 4).
   ksrc::DefinitionIndex BuildIndex() const;
 
-  /// Registers runtime drivers for all loaded modules into a kernel.
+  /// Registers runtime drivers for all loaded modules into a kernel. The
+  /// first call builds every module's immutable tables once per process;
+  /// each call then only allocates thin per-kernel drivers over them, so
+  /// it is cheap and safe to call from concurrent worker threads.
   void RegisterAll(vkernel::KernelModel* kernel) const;
 
  private:

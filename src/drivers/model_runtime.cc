@@ -284,9 +284,10 @@ FillCmdRuntime(CmdRuntime* rt, const BlockLayout& blocks,
 /// opens and closes device files millions of times; pooling reuses both
 /// the handler object (its strings/vectors keep their capacity) and its
 /// shared_ptr control block, so a steady-state open costs zero
-/// allocations. Each DeviceRuntime/SocketRuntime owns one pool; the
-/// vkernel returns handlers through the HandlerRecycler hook when their
-/// last descriptor drops. Kernels are single-threaded, so no locking.
+/// allocations. Each per-kernel ModelDevice/ModelSocketFamily owns one
+/// pool; the vkernel returns handlers through the HandlerRecycler hook
+/// when their last descriptor drops. Kernels are single-threaded and
+/// never share a pool, so no locking.
 class HandlerPool : public vkernel::HandlerRecycler {
  public:
   void Recycle(std::shared_ptr<FileHandler> handler) override {
@@ -387,36 +388,52 @@ class CommandEngine {
   uint64_t next_out_ = 0;
 };
 
+/// One setsockopt/getsockopt option with its precomputed pseudo-commands.
+struct SockOptRuntime {
+  const SockOptSpec* opt = nullptr;
+  IoctlSpec set_pseudo;
+  IoctlSpec get_pseudo;
+  CmdRuntime set_rt;
+  CmdRuntime get_rt;
+  size_t get_need = 0;  ///< Kernel-filled buffer size for the get path.
+};
+
+/// One socket-level operation (bind/connect/...) with precomputed blocks.
+struct OpRuntime {
+  const SocketOpSpec* spec = nullptr;
+  uint64_t op_block = 0;
+  std::vector<uint64_t> check_blocks;
+  std::vector<uint64_t> deep_block_ids;
+  int macro_idx = -1;
+  int bug_prior_idx = -1;
+};
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Device side
+// Immutable tables (built once per spec, shared by every kernel)
 // ---------------------------------------------------------------------------
 
-/// Per-device precomputed tables, built once per ModelDevice (i.e. once
-/// per kernel boot) and shared by every file the device opens.
-struct DeviceRuntime {
+struct DeviceTables {
   const DeviceSpec* dev;
   BlockLayout blocks;  ///< Dense per-module block ids (spec order).
   uint64_t open_block;
-  MacroIndex macros;
   std::unordered_map<const HandlerSpec*, std::vector<CmdRuntime>> handlers;
-  /// Recycled ModelFile objects (primary and secondary handlers share
-  /// it; Reset rebinds the command table). Mutable: acquisition happens
-  /// through the const DeviceRuntime* the files hold.
-  mutable HandlerPool pool;
 
-  explicit DeviceRuntime(const DeviceSpec* d)
+  explicit DeviceTables(const DeviceSpec* d)
       : dev(d),
         blocks(BlockLayout::ForDevice(*d)),
         open_block(blocks.IdOf("open", "", 0)) {
-    BuildHandler(&d->primary);
-    for (const auto& h : d->secondary) BuildHandler(&h);
+    MacroIndex macros;
+    BuildHandler(&d->primary, &macros);
+    for (const auto& h : d->secondary) BuildHandler(&h, &macros);
   }
 
-  void BuildHandler(const HandlerSpec* h) {
+  void BuildHandler(const HandlerSpec* h, MacroIndex* macros) {
     std::vector<CmdRuntime>& cmds = handlers[h];
     cmds.resize(h->ioctls.size());
     for (size_t i = 0; i < h->ioctls.size(); ++i) {
-      FillCmdRuntime(&cmds[i], blocks, h->ioctls[i], dev->structs, &macros);
+      FillCmdRuntime(&cmds[i], blocks, h->ioctls[i], dev->structs, macros);
       cmds[i].match_value = FullCommandValue(*dev, h->ioctls[i]);
     }
   }
@@ -427,13 +444,106 @@ struct DeviceRuntime {
   }
 };
 
-std::shared_ptr<FileHandler> AcquireModelFile(const DeviceRuntime* rt,
+struct SocketTables {
+  const SocketSpec* sock;
+  BlockLayout blocks;  ///< Dense per-module block ids (spec order).
+  uint64_t create_block;
+  std::vector<CmdRuntime> ioctls;
+  std::vector<SockOptRuntime> sockopts;
+  const StructSpec* addr_spec = nullptr;
+  StructLayout addr_layout;
+  OpRuntime bind, connect, sendto, recvfrom, listen, accept;
+
+  explicit SocketTables(const SocketSpec* s)
+      : sock(s),
+        blocks(BlockLayout::ForSocket(*s)),
+        create_block(blocks.IdOf("create", "", 0)) {
+    MacroIndex macros;
+    ioctls.resize(s->ioctls.size());
+    for (size_t i = 0; i < s->ioctls.size(); ++i) {
+      FillCmdRuntime(&ioctls[i], blocks, s->ioctls[i], s->structs, &macros);
+      ioctls[i].match_value = SocketCommandValue(s->ioctls[i]);
+    }
+
+    // resize() up front: CmdRuntime::cmd points at the sibling pseudo
+    // spec, so elements must never relocate after FillCmdRuntime.
+    sockopts.resize(s->sockopts.size());
+    for (size_t i = 0; i < s->sockopts.size(); ++i) {
+      SockOptRuntime& so = sockopts[i];
+      so.opt = &s->sockopts[i];
+      so.set_pseudo = PseudoCommand(*so.opt, /*set=*/true);
+      so.get_pseudo = PseudoCommand(*so.opt, /*set=*/false);
+      FillCmdRuntime(&so.set_rt, blocks, so.set_pseudo, s->structs, &macros);
+      FillCmdRuntime(&so.get_rt, blocks, so.get_pseudo, s->structs, &macros);
+      so.get_need = StructByteSize(so.opt->arg_struct, s->structs);
+    }
+
+    if (!s->addr_struct.empty()) {
+      addr_spec = FindStructIn(s->structs, s->addr_struct);
+      if (addr_spec) addr_layout = ComputeLayout(*addr_spec, s->structs);
+    }
+
+    BuildOp(&bind, "bind", s->bind, &macros);
+    BuildOp(&connect, "connect", s->connect, &macros);
+    BuildOp(&sendto, "sendto", s->sendto, &macros);
+    BuildOp(&recvfrom, "recvfrom", s->recvfrom, &macros);
+    BuildOp(&listen, "listen", s->listen, &macros);
+    BuildOp(&accept, "accept", s->accept, &macros);
+  }
+
+  void BuildOp(OpRuntime* rt, const char* op, const SocketOpSpec& spec,
+               MacroIndex* macros) {
+    rt->spec = &spec;
+    rt->op_block = blocks.IdOf("op", op, 0);
+    uint32_t idx = 1;
+    for (const CheckSpec& check : spec.checks) {
+      rt->check_blocks.push_back(blocks.IdOf(
+          std::string("op-check-") + op, check.field, idx++));
+    }
+    for (int i = 0; i < spec.deep_blocks; ++i) {
+      rt->deep_block_ids.push_back(blocks.IdOf(
+          std::string("op-deep-") + op, "", static_cast<uint32_t>(i)));
+    }
+    rt->macro_idx = macros->Add(op);
+    if (spec.bug && spec.bug->trigger == BugSpec::Trigger::kSequence) {
+      rt->bug_prior_idx = macros->Add(spec.bug->prior_cmd);
+    }
+  }
+
+  IoctlSpec PseudoCommand(const SockOptSpec& opt, bool set) const {
+    IoctlSpec pseudo;
+    pseudo.macro = (set ? "SET_" : "GET_") + opt.macro;
+    pseudo.arg_struct = opt.arg_struct;
+    pseudo.checks = set ? opt.checks : std::vector<CheckSpec>{};
+    pseudo.deep_blocks = opt.deep_blocks;
+    pseudo.bug = set ? opt.bug : std::nullopt;
+    return pseudo;
+  }
+
+  uint64_t SocketCommandValue(const IoctlSpec& cmd) const {
+    uint64_t size = StructByteSize(cmd.arg_struct, sock->structs);
+    char r = (cmd.ioc_dir == 'r' || cmd.ioc_dir == 'b') ? 'r' : '-';
+    char w = (cmd.ioc_dir == 'w' || cmd.ioc_dir == 'b') ? 'w' : '-';
+    if (cmd.ioc_dir == 'n') size = 0;
+    return ksrc::IoctlNumber(r, w, 0x89, cmd.nr, size);  // SIOC family.
+  }
+};
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Device side (per kernel)
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<FileHandler> AcquireModelFile(const DeviceTables* tables,
+                                              HandlerPool* pool,
                                               const HandlerSpec* handler);
 
 class ModelFile : public FileHandler {
  public:
-  ModelFile(const DeviceRuntime* rt, const HandlerSpec* handler)
-      : rt_(rt), cmds_(rt->CmdsOf(handler)) {}
+  ModelFile(const DeviceTables* tables, HandlerPool* pool,
+            const HandlerSpec* handler)
+      : rt_(tables), pool_(pool), cmds_(tables->CmdsOf(handler)) {}
 
   /// Restores freshly-opened state on a pooled object (same observable
   /// behaviour as constructing a new ModelFile for `handler`).
@@ -466,7 +576,7 @@ class ModelFile : public FileHandler {
       const HandlerSpec* sub =
           rt_->dev->FindHandler(match->cmd->creates_handler);
       if (!sub) return -vkernel::kEINVAL;
-      return kernel.InstallFile(AcquireModelFile(rt_, sub));
+      return kernel.InstallFile(AcquireModelFile(rt_, pool_, sub));
     }
     return engine_.RunCommand(*match, arg, ctx, &executed_, &release_bomb_,
                               &release_title_);
@@ -493,7 +603,8 @@ class ModelFile : public FileHandler {
     return nullptr;
   }
 
-  const DeviceRuntime* rt_;
+  const DeviceTables* rt_;
+  HandlerPool* pool_;  ///< The owning ModelDevice's pool (sub-handlers).
   const std::vector<CmdRuntime>* cmds_;
   CommandEngine engine_;
   ExecutedSet executed_;
@@ -504,152 +615,49 @@ class ModelFile : public FileHandler {
 /// Pool-aware ModelFile construction: reuses a recycled object when one
 /// is available, otherwise allocates and tags it with the pool.
 std::shared_ptr<FileHandler>
-AcquireModelFile(const DeviceRuntime* rt, const HandlerSpec* handler)
+AcquireModelFile(const DeviceTables* tables, HandlerPool* pool,
+                 const HandlerSpec* handler)
 {
-  if (std::shared_ptr<FileHandler> pooled = rt->pool.Take()) {
+  if (std::shared_ptr<FileHandler> pooled = pool->Take()) {
     static_cast<ModelFile*>(pooled.get())->Reset(handler);
     return pooled;
   }
-  std::shared_ptr<ModelFile> file = std::make_shared<ModelFile>(rt, handler);
-  file->set_recycler(&rt->pool);
+  std::shared_ptr<ModelFile> file =
+      std::make_shared<ModelFile>(tables, pool, handler);
+  file->set_recycler(pool);
   return file;
 }
 
+/// The per-kernel half of a device: shared tables plus this kernel's
+/// pool of recycled ModelFile objects (primary and secondary handlers
+/// share it; Reset rebinds the command table).
 class ModelDevice : public vkernel::DeviceDriver {
  public:
-  explicit ModelDevice(const DeviceSpec* dev) : dev_(dev), runtime_(dev) {}
+  explicit ModelDevice(std::shared_ptr<const DeviceTables> tables)
+      : tables_(std::move(tables)) {}
 
-  std::string Name() const override { return dev_->id; }
-  std::string NodePath() const override { return dev_->dev_node; }
+  std::string Name() const override { return tables_->dev->id; }
+  std::string NodePath() const override { return tables_->dev->dev_node; }
 
   std::shared_ptr<FileHandler> Open(KernelModel& kernel,
                                     long* err) override {
     (void)err;
-    kernel.context().Cover(runtime_.open_block);
-    return AcquireModelFile(&runtime_, &dev_->primary);
+    kernel.context().Cover(tables_->open_block);
+    return AcquireModelFile(tables_.get(), &pool_, &tables_->dev->primary);
   }
 
  private:
-  const DeviceSpec* dev_;
-  DeviceRuntime runtime_;
+  std::shared_ptr<const DeviceTables> tables_;
+  HandlerPool pool_;
 };
 
 // ---------------------------------------------------------------------------
-// Socket side
+// Socket side (per kernel)
 // ---------------------------------------------------------------------------
-
-/// One setsockopt/getsockopt option with its precomputed pseudo-commands
-/// (the old code rebuilt the pseudo IoctlSpec — string concatenation and
-/// vector copies included — on every call).
-struct SockOptRuntime {
-  const SockOptSpec* opt = nullptr;
-  IoctlSpec set_pseudo;
-  IoctlSpec get_pseudo;
-  CmdRuntime set_rt;
-  CmdRuntime get_rt;
-  size_t get_need = 0;  ///< Kernel-filled buffer size for the get path.
-};
-
-/// One socket-level operation (bind/connect/...) with precomputed blocks.
-struct OpRuntime {
-  const SocketOpSpec* spec = nullptr;
-  uint64_t op_block = 0;
-  std::vector<uint64_t> check_blocks;
-  std::vector<uint64_t> deep_block_ids;
-  int macro_idx = -1;
-  int bug_prior_idx = -1;
-};
-
-/// Per-family precomputed tables, shared by every socket it creates.
-struct SocketRuntime {
-  const SocketSpec* sock;
-  BlockLayout blocks;  ///< Dense per-module block ids (spec order).
-  uint64_t create_block;
-  MacroIndex macros;
-  std::vector<CmdRuntime> ioctls;
-  std::vector<SockOptRuntime> sockopts;
-  const StructSpec* addr_spec = nullptr;
-  StructLayout addr_layout;
-  OpRuntime bind, connect, sendto, recvfrom, listen, accept;
-  /// Recycled ModelSocket objects (see DeviceRuntime::pool).
-  mutable HandlerPool pool;
-
-  explicit SocketRuntime(const SocketSpec* s)
-      : sock(s),
-        blocks(BlockLayout::ForSocket(*s)),
-        create_block(blocks.IdOf("create", "", 0)) {
-    ioctls.resize(s->ioctls.size());
-    for (size_t i = 0; i < s->ioctls.size(); ++i) {
-      FillCmdRuntime(&ioctls[i], blocks, s->ioctls[i], s->structs, &macros);
-      ioctls[i].match_value = SocketCommandValue(s->ioctls[i]);
-    }
-
-    // resize() up front: CmdRuntime::cmd points at the sibling pseudo
-    // spec, so elements must never relocate after FillCmdRuntime.
-    sockopts.resize(s->sockopts.size());
-    for (size_t i = 0; i < s->sockopts.size(); ++i) {
-      SockOptRuntime& so = sockopts[i];
-      so.opt = &s->sockopts[i];
-      so.set_pseudo = PseudoCommand(*so.opt, /*set=*/true);
-      so.get_pseudo = PseudoCommand(*so.opt, /*set=*/false);
-      FillCmdRuntime(&so.set_rt, blocks, so.set_pseudo, s->structs, &macros);
-      FillCmdRuntime(&so.get_rt, blocks, so.get_pseudo, s->structs, &macros);
-      so.get_need = StructByteSize(so.opt->arg_struct, s->structs);
-    }
-
-    if (!s->addr_struct.empty()) {
-      addr_spec = FindStructIn(s->structs, s->addr_struct);
-      if (addr_spec) addr_layout = ComputeLayout(*addr_spec, s->structs);
-    }
-
-    BuildOp(&bind, "bind", s->bind);
-    BuildOp(&connect, "connect", s->connect);
-    BuildOp(&sendto, "sendto", s->sendto);
-    BuildOp(&recvfrom, "recvfrom", s->recvfrom);
-    BuildOp(&listen, "listen", s->listen);
-    BuildOp(&accept, "accept", s->accept);
-  }
-
-  void BuildOp(OpRuntime* rt, const char* op, const SocketOpSpec& spec) {
-    rt->spec = &spec;
-    rt->op_block = blocks.IdOf("op", op, 0);
-    uint32_t idx = 1;
-    for (const CheckSpec& check : spec.checks) {
-      rt->check_blocks.push_back(blocks.IdOf(
-          std::string("op-check-") + op, check.field, idx++));
-    }
-    for (int i = 0; i < spec.deep_blocks; ++i) {
-      rt->deep_block_ids.push_back(blocks.IdOf(
-          std::string("op-deep-") + op, "", static_cast<uint32_t>(i)));
-    }
-    rt->macro_idx = macros.Add(op);
-    if (spec.bug && spec.bug->trigger == BugSpec::Trigger::kSequence) {
-      rt->bug_prior_idx = macros.Add(spec.bug->prior_cmd);
-    }
-  }
-
-  IoctlSpec PseudoCommand(const SockOptSpec& opt, bool set) const {
-    IoctlSpec pseudo;
-    pseudo.macro = (set ? "SET_" : "GET_") + opt.macro;
-    pseudo.arg_struct = opt.arg_struct;
-    pseudo.checks = set ? opt.checks : std::vector<CheckSpec>{};
-    pseudo.deep_blocks = opt.deep_blocks;
-    pseudo.bug = set ? opt.bug : std::nullopt;
-    return pseudo;
-  }
-
-  uint64_t SocketCommandValue(const IoctlSpec& cmd) const {
-    uint64_t size = StructByteSize(cmd.arg_struct, sock->structs);
-    char r = (cmd.ioc_dir == 'r' || cmd.ioc_dir == 'b') ? 'r' : '-';
-    char w = (cmd.ioc_dir == 'w' || cmd.ioc_dir == 'b') ? 'w' : '-';
-    if (cmd.ioc_dir == 'n') size = 0;
-    return ksrc::IoctlNumber(r, w, 0x89, cmd.nr, size);  // SIOC family.
-  }
-};
 
 class ModelSocket : public vkernel::SocketHandler {
  public:
-  explicit ModelSocket(const SocketRuntime* rt) : rt_(rt) {}
+  explicit ModelSocket(const SocketTables* rt) : rt_(rt) {}
 
   /// Restores freshly-created state on a pooled object.
   void Reset() {
@@ -778,63 +786,90 @@ class ModelSocket : public vkernel::SocketHandler {
     return 0;
   }
 
-  const SocketRuntime* rt_;
+  const SocketTables* rt_;
   CommandEngine engine_;
   ExecutedSet executed_;
   bool release_bomb_ = false;
   std::string release_title_;
 };
 
+/// The per-kernel half of a socket family: shared tables plus this
+/// kernel's pool of recycled ModelSocket objects.
 class ModelSocketFamily : public vkernel::SocketFamily {
  public:
-  explicit ModelSocketFamily(const SocketSpec* sock)
-      : sock_(sock), runtime_(sock) {}
+  explicit ModelSocketFamily(std::shared_ptr<const SocketTables> tables)
+      : tables_(std::move(tables)) {}
 
-  std::string Name() const override { return sock_->id; }
-  uint64_t Domain() const override { return sock_->domain; }
+  std::string Name() const override { return tables_->sock->id; }
+  uint64_t Domain() const override { return tables_->sock->domain; }
 
   std::shared_ptr<vkernel::SocketHandler> Create(uint64_t type,
                                                  uint64_t protocol,
                                                  KernelModel& kernel,
                                                  long* err) override {
-    if (sock_->sock_type != 0 && type != sock_->sock_type) {
+    const SocketSpec& spec = *tables_->sock;
+    if (spec.sock_type != 0 && type != spec.sock_type) {
       *err = -vkernel::kEINVAL;
       return nullptr;
     }
-    if (sock_->protocol != 0 && protocol != sock_->protocol) {
+    if (spec.protocol != 0 && protocol != spec.protocol) {
       *err = -vkernel::kEINVAL;
       return nullptr;
     }
-    kernel.context().Cover(runtime_.create_block);
-    if (std::shared_ptr<FileHandler> pooled = runtime_.pool.Take()) {
+    kernel.context().Cover(tables_->create_block);
+    if (std::shared_ptr<FileHandler> pooled = pool_.Take()) {
       auto* sock = static_cast<ModelSocket*>(pooled.get());
       sock->Reset();
       return std::shared_ptr<vkernel::SocketHandler>(std::move(pooled),
                                                      sock);
     }
     std::shared_ptr<ModelSocket> sock =
-        std::make_shared<ModelSocket>(&runtime_);
-    sock->set_recycler(&runtime_.pool);
+        std::make_shared<ModelSocket>(tables_.get());
+    sock->set_recycler(&pool_);
     return sock;
   }
 
  private:
-  const SocketSpec* sock_;
-  SocketRuntime runtime_;
+  std::shared_ptr<const SocketTables> tables_;
+  HandlerPool pool_;
 };
 
 }  // namespace
 
+std::shared_ptr<const DeviceTables>
+BuildDeviceTables(const DeviceSpec& dev)
+{
+  return std::make_shared<DeviceTables>(&dev);
+}
+
+std::shared_ptr<const SocketTables>
+BuildSocketTables(const SocketSpec& sock)
+{
+  return std::make_shared<SocketTables>(&sock);
+}
+
+std::unique_ptr<vkernel::DeviceDriver>
+MakeModelDevice(std::shared_ptr<const DeviceTables> tables)
+{
+  return std::make_unique<ModelDevice>(std::move(tables));
+}
+
+std::unique_ptr<vkernel::SocketFamily>
+MakeModelSocketFamily(std::shared_ptr<const SocketTables> tables)
+{
+  return std::make_unique<ModelSocketFamily>(std::move(tables));
+}
+
 std::unique_ptr<vkernel::DeviceDriver>
 MakeModelDevice(const DeviceSpec* dev)
 {
-  return std::make_unique<ModelDevice>(dev);
+  return MakeModelDevice(BuildDeviceTables(*dev));
 }
 
 std::unique_ptr<vkernel::SocketFamily>
 MakeModelSocketFamily(const SocketSpec* sock)
 {
-  return std::make_unique<ModelSocketFamily>(sock);
+  return MakeModelSocketFamily(BuildSocketTables(*sock));
 }
 
 }  // namespace kernelgpt::drivers

@@ -81,11 +81,32 @@ class BlockLayout {
 /// by tests to bound observed coverage.
 size_t MaxBlocksOf(const DeviceSpec& dev);
 
-/// Creates a virtual-kernel driver interpreting `dev`. The spec must
-/// outlive the kernel (corpus specs are stored in a registry).
-std::unique_ptr<vkernel::DeviceDriver> MakeModelDevice(const DeviceSpec* dev);
+/// The immutable half of a device runtime: the BlockLayout ids and the
+/// per-handler command tables (resolved arg structs and layouts, match
+/// values, block ids, macro indices). Nothing in it changes after it is
+/// built, so one copy is shared read-only by every kernel — and every
+/// worker thread — that registers the device. The spec must outlive it.
+struct DeviceTables;
 
-/// Creates a virtual-kernel socket family interpreting `sock`.
+/// The immutable half of a declarative socket family runtime: ioctl and
+/// sockopt pseudo-command tables, op blocks and the addr-struct layout.
+struct SocketTables;
+
+std::shared_ptr<const DeviceTables> BuildDeviceTables(const DeviceSpec& dev);
+std::shared_ptr<const SocketTables> BuildSocketTables(const SocketSpec& sock);
+
+/// Creates the per-kernel half of a driver over shared tables: the only
+/// module-level state it owns is its handler pool, so registering one
+/// allocates a single small object (see Corpus::RegisterAll).
+std::unique_ptr<vkernel::DeviceDriver> MakeModelDevice(
+    std::shared_ptr<const DeviceTables> tables);
+std::unique_ptr<vkernel::SocketFamily> MakeModelSocketFamily(
+    std::shared_ptr<const SocketTables> tables);
+
+/// Standalone-spec constructors: build private tables for `dev`/`sock`,
+/// then the per-kernel driver over them. The spec must outlive the
+/// kernel (corpus specs are stored in a registry).
+std::unique_ptr<vkernel::DeviceDriver> MakeModelDevice(const DeviceSpec* dev);
 std::unique_ptr<vkernel::SocketFamily> MakeModelSocketFamily(
     const SocketSpec* sock);
 

@@ -73,15 +73,22 @@ struct ModelSide {
   std::unique_ptr<Executor> executor;
 };
 
+/// A fresh, unbooted model from `factory`, or the built-in personality
+/// of that side (strict baseline, permissive subject) when it is null.
+std::unique_ptr<vkernel::KernelModel>
+MakeModel(const vkernel::ModelFactory& factory, bool subject)
+{
+  if (factory) return factory();
+  return subject ? vkernel::MakePermissiveModel() : vkernel::MakeStrictModel();
+}
+
 ModelSide
 BuildSide(const vkernel::ModelFactory& factory,
           const std::function<void(vkernel::KernelModel*)>& boot,
           bool subject, const SpecLibrary* lib)
 {
   ModelSide side;
-  side.model = factory ? factory()
-                       : (subject ? vkernel::MakePermissiveModel()
-                                  : vkernel::MakeStrictModel());
+  side.model = MakeModel(factory, subject);
   if (boot) boot(side.model.get());
   side.executor = std::make_unique<Executor>(side.model.get(), lib);
   return side;
@@ -207,14 +214,10 @@ DiffReport
 DiffRunner::Run(util::Span<const Prog> corpus) const
 {
   DiffReport report;
-  {
-    // Model names come from throwaway instances so the parallel phase
-    // does not need a shared model.
-    ModelSide base = BuildSide(options_.baseline, nullptr, false, lib_);
-    ModelSide subj = BuildSide(options_.subject, nullptr, true, lib_);
-    report.baseline_name = base.model->ModelName();
-    report.subject_name = subj.model->ModelName();
-  }
+  // Names come from unbooted models, so the parallel phase needs no
+  // shared model.
+  report.baseline_name = MakeModel(options_.baseline, false)->ModelName();
+  report.subject_name = MakeModel(options_.subject, true)->ModelName();
   report.programs = corpus.size();
   if (corpus.empty()) return report;
 

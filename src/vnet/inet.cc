@@ -228,20 +228,84 @@ BuildOptRt(const BlockLayout& blocks, const SockOptSpec& opt,
   return rt;
 }
 
+/// The tables both vnet families read, built once per spec: the addr
+/// layout, the socket-level op blocks, each sockopt's blocks bound to
+/// its row of the family's static sock_ops table, and the family's edge
+/// blocks. Never mutated after FillInetTables, so kernels on different
+/// threads share one copy.
+struct InetTables {
+  const SocketSpec* spec = nullptr;
+  BlockLayout blocks;
+  uint64_t create_block = 0;
+  StructLayout addr_layout;
+  bool have_addr = false;
+  OpRt bind, connect, sendto, recvfrom, listen, accept;
+  std::vector<OptRt> opts;
+  std::vector<uint64_t> edges;  ///< Indexed by TcpEdge / UdpEdge.
+};
+
+template <typename Ops, size_t kOps, size_t kEdges>
+void
+FillInetTables(InetTables* t, const SocketSpec& spec, BlockLayout blocks,
+               const Ops (&sock_ops)[kOps],
+               const char* const (&edge_names)[kEdges])
+{
+  t->spec = &spec;
+  t->blocks = std::move(blocks);
+  t->create_block = t->blocks.IdOf("create", "", 0);
+  if (const drivers::StructSpec* addr = spec.FindStruct(spec.addr_struct)) {
+    t->addr_layout = drivers::ComputeLayout(*addr, spec.structs);
+    t->have_addr = true;
+  }
+  t->bind = BuildOpRt(t->blocks, "bind", spec.bind);
+  t->connect = BuildOpRt(t->blocks, "connect", spec.connect);
+  t->sendto = BuildOpRt(t->blocks, "sendto", spec.sendto);
+  t->recvfrom = BuildOpRt(t->blocks, "recvfrom", spec.recvfrom);
+  t->listen = BuildOpRt(t->blocks, "listen", spec.listen);
+  t->accept = BuildOpRt(t->blocks, "accept", spec.accept);
+  for (const SockOptSpec& opt : spec.sockopts) {
+    OptRt rt = BuildOptRt(t->blocks, opt, spec);
+    for (size_t i = 0; i < kOps; ++i) {
+      if (opt.macro == sock_ops[i].macro) {
+        rt.ops_index = static_cast<int>(i);
+        break;
+      }
+    }
+    if (rt.ops_index < 0) {
+      util::Panic("vnet: " + spec.id +
+                  " sockopt missing from sock_ops table: " + opt.macro);
+    }
+    t->opts.push_back(std::move(rt));
+  }
+  for (const char* name : edge_names) {
+    t->edges.push_back(t->blocks.IdOf("edge", name, 0));
+  }
+}
+
 /// Runs the generic pre-op validation: addr-struct presence/size and the
 /// spec's checks (claiming their blocks). Returns 0 or negative errno.
 long
-RunChecks(const OpRt& rt, const Buffer& addr, const StructLayout& layout,
-          bool have_layout, ExecContext& ctx)
+RunChecks(const InetTables& t, const OpRt& rt, const Buffer& addr,
+          ExecContext& ctx)
 {
   const SocketOpSpec& spec = *rt.spec;
-  if (!have_layout || spec.checks.empty()) return 0;
-  if (addr.size() < layout.total_size) return -vkernel::kEFAULT;
+  if (!t.have_addr || spec.checks.empty()) return 0;
+  if (addr.size() < t.addr_layout.total_size) return -vkernel::kEFAULT;
   for (size_t k = 0; k < spec.checks.size(); ++k) {
-    if (!CheckOk(spec.checks[k], addr, layout)) return -vkernel::kEINVAL;
+    if (!CheckOk(spec.checks[k], addr, t.addr_layout)) {
+      return -vkernel::kEINVAL;
+    }
     ctx.Cover(rt.check_blocks[k]);
   }
   return 0;
+}
+
+/// Port field of a sockaddr argument; 0 when the spec has no addr struct.
+uint16_t
+PortOf(const InetTables& t, const Buffer& addr)
+{
+  if (!t.have_addr) return 0;
+  return static_cast<uint16_t>(ReadField(addr, t.addr_layout, "port"));
 }
 
 void
@@ -250,13 +314,24 @@ CoverAll(const std::vector<uint64_t>& blocks, ExecContext& ctx)
   for (uint64_t b : blocks) ctx.Cover(b);
 }
 
+constexpr int kTcpStateCount = 10;
+
+}  // namespace
+
+struct TcpTables : InetTables {
+  uint64_t trans[kTcpStateCount][kTcpStateCount] = {};
+};
+
+struct UdpTables : InetTables {};
+
+namespace {
+
 // ---------------------------------------------------------------------------
 // TCP
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kTcpPortSeed = 0x7c90a11c0de00001ULL;
 constexpr uint64_t kUdpPortSeed = 0x7c90a11c0de00002ULL;
-constexpr int kTcpStateCount = 10;
 
 /// One TCP endpoint. Shared between the owning fd handler, the peer's
 /// weak link, a listener's accept queue, and the family's half-closed
@@ -340,63 +415,26 @@ const TcpOptOps kTcpSockOps[] = {
      [](const TcpConn& c) { return static_cast<uint64_t>(c.backlog); }},
 };
 
+/// The per-kernel half of the TCP family: the policy, the port namespace
+/// and the endpoint maps, over shared TcpTables.
 class TcpFamily : public vkernel::SocketFamily {
  public:
-  TcpFamily(const SocketSpec* spec, VnetPolicy policy)
-      : spec_(spec),
-        policy_(policy),
-        blocks_(TcpBlockLayout(*spec)),
-        create_block_(blocks_.IdOf("create", "", 0)),
-        ports_(kTcpPortSeed) {
-    const drivers::StructSpec* addr = spec->FindStruct(spec->addr_struct);
-    if (addr) {
-      addr_layout_ = drivers::ComputeLayout(*addr, spec->structs);
-      have_addr_ = true;
-    }
-    bind_ = BuildOpRt(blocks_, "bind", spec->bind);
-    connect_ = BuildOpRt(blocks_, "connect", spec->connect);
-    sendto_ = BuildOpRt(blocks_, "sendto", spec->sendto);
-    recvfrom_ = BuildOpRt(blocks_, "recvfrom", spec->recvfrom);
-    listen_ = BuildOpRt(blocks_, "listen", spec->listen);
-    accept_ = BuildOpRt(blocks_, "accept", spec->accept);
-    for (const SockOptSpec& opt : spec->sockopts) {
-      OptRt rt = BuildOptRt(blocks_, opt, *spec);
-      rt.ops_index = -1;
-      for (size_t i = 0; i < sizeof(kTcpSockOps) / sizeof(kTcpSockOps[0]);
-           ++i) {
-        if (opt.macro == kTcpSockOps[i].macro) {
-          rt.ops_index = static_cast<int>(i);
-          break;
-        }
-      }
-      if (rt.ops_index < 0) {
-        util::Panic("vnet: tcp sockopt missing from sock_ops table: " +
-                    opt.macro);
-      }
-      opts_.push_back(std::move(rt));
-    }
-    for (const TransitionTuple& t : kTcpTransitions) {
-      trans_[static_cast<int>(t.from)][static_cast<int>(t.to)] =
-          blocks_.IdOf("trans", TransitionDetail(t), 0);
-    }
-    for (int e = 0; e < kTcpEdgeCount; ++e) {
-      edges_[e] = blocks_.IdOf("edge", kTcpEdgeNames[e], 0);
-    }
-  }
+  TcpFamily(std::shared_ptr<const TcpTables> tables, VnetPolicy policy)
+      : t_(std::move(tables)), policy_(policy), ports_(kTcpPortSeed) {}
 
-  std::string Name() const override { return spec_->id; }
-  uint64_t Domain() const override { return spec_->domain; }
+  std::string Name() const override { return t_->spec->id; }
+  uint64_t Domain() const override { return t_->spec->domain; }
 
   std::shared_ptr<vkernel::SocketHandler> Create(uint64_t type,
                                                  uint64_t protocol,
                                                  KernelModel& kernel,
                                                  long* err) override {
-    if (type != spec_->sock_type ||
-        (protocol != 0 && protocol != spec_->protocol)) {
+    if (type != t_->spec->sock_type ||
+        (protocol != 0 && protocol != t_->spec->protocol)) {
       *err = -vkernel::kEINVAL;
       return nullptr;
     }
-    kernel.context().Cover(create_block_);
+    kernel.context().Cover(t_->create_block);
     return std::make_shared<TcpSocket>(this, std::make_shared<TcpConn>());
   }
 
@@ -411,8 +449,8 @@ class TcpFamily : public vkernel::SocketFamily {
   // -- Op implementations (called by TcpSocket) ----------------------------
 
   long DoBind(TcpSocket& s, const Buffer& addr, ExecContext& ctx) {
-    ctx.Cover(bind_.op_block);
-    long rc = RunChecks(bind_, addr, addr_layout_, have_addr_, ctx);
+    ctx.Cover(t_->bind.op_block);
+    long rc = RunChecks(*t_, t_->bind, addr, ctx);
     if (rc != 0) return rc;
     TcpConn& c = s.conn();
     if (c.state != TcpState::kClosed) return -vkernel::kEINVAL;
@@ -421,7 +459,7 @@ class TcpFamily : public vkernel::SocketFamily {
       FreePort(s.conn_ptr());
       Edge(kTcpBindRebound, ctx);
     }
-    uint16_t port = PortOf(addr);
+    uint16_t port = PortOf(*t_, addr);
     if (port == 0) {
       port = ports_.AllocateEphemeral();
       if (port == 0) return -vkernel::kEADDRINUSE;
@@ -444,12 +482,12 @@ class TcpFamily : public vkernel::SocketFamily {
     bound_[port] = s.conn_ptr();
     c.local_port = port;
     c.owns_port = true;
-    CoverAll(bind_.deep_blocks, ctx);
+    CoverAll(t_->bind.deep_blocks, ctx);
     return 0;
   }
 
   long DoListen(TcpSocket& s, ExecContext& ctx) {
-    ctx.Cover(listen_.op_block);
+    ctx.Cover(t_->listen.op_block);
     TcpConn& c = s.conn();
     switch (c.state) {
       case TcpState::kClosed: {
@@ -463,7 +501,7 @@ class TcpFamily : public vkernel::SocketFamily {
         }
         bound_[c.local_port] = s.conn_ptr();
         Trans(c, TcpState::kListen, ctx);
-        CoverAll(listen_.deep_blocks, ctx);
+        CoverAll(t_->listen.deep_blocks, ctx);
         return 0;
       }
       case TcpState::kListen:
@@ -476,8 +514,8 @@ class TcpFamily : public vkernel::SocketFamily {
   }
 
   long DoConnect(TcpSocket& s, const Buffer& addr, ExecContext& ctx) {
-    ctx.Cover(connect_.op_block);
-    long rc = RunChecks(connect_, addr, addr_layout_, have_addr_, ctx);
+    ctx.Cover(t_->connect.op_block);
+    long rc = RunChecks(*t_, t_->connect, addr, ctx);
     if (rc != 0) return rc;
     TcpConn& c = s.conn();
     switch (c.state) {
@@ -501,7 +539,7 @@ class TcpFamily : public vkernel::SocketFamily {
       c.owns_port = true;
       Edge(kTcpConnectAutobind, ctx);
     }
-    uint16_t dest = PortOf(addr);
+    uint16_t dest = PortOf(*t_, addr);
     std::shared_ptr<TcpConn> listener;
     auto it = bound_.find(dest);
     if (it != bound_.end()) listener = it->second.lock();
@@ -529,13 +567,13 @@ class TcpFamily : public vkernel::SocketFamily {
     c.remote_port = dest;
     listener->accept_q.push_back(std::move(peer));
     Trans(c, TcpState::kEstablished, ctx);
-    CoverAll(connect_.deep_blocks, ctx);
+    CoverAll(t_->connect.deep_blocks, ctx);
     return 0;
   }
 
   long DoAccept(TcpSocket& s, KernelModel& kernel) {
     ExecContext& ctx = kernel.context();
-    ctx.Cover(accept_.op_block);
+    ctx.Cover(t_->accept.op_block);
     TcpConn& c = s.conn();
     switch (c.state) {
       case TcpState::kListen: {
@@ -544,7 +582,7 @@ class TcpFamily : public vkernel::SocketFamily {
         c.accept_q.pop_front();
         long fd = kernel.InstallSocket(
             std::make_shared<TcpSocket>(this, std::move(conn)));
-        CoverAll(accept_.deep_blocks, ctx);
+        CoverAll(t_->accept.deep_blocks, ctx);
         return fd;
       }
       case TcpState::kClosed:
@@ -555,7 +593,7 @@ class TcpFamily : public vkernel::SocketFamily {
   }
 
   long DoSend(TcpSocket& s, const Buffer& data, ExecContext& ctx) {
-    ctx.Cover(sendto_.op_block);
+    ctx.Cover(t_->sendto.op_block);
     TcpConn& c = s.conn();
     if (c.state != TcpState::kEstablished &&
         c.state != TcpState::kCloseWait) {
@@ -574,12 +612,12 @@ class TcpFamily : public vkernel::SocketFamily {
       return -vkernel::kEAGAIN;
     }
     peer->rx.insert(peer->rx.end(), data.data(), data.data() + data.size());
-    CoverAll(sendto_.deep_blocks, ctx);
+    CoverAll(t_->sendto.deep_blocks, ctx);
     return static_cast<long>(data.size());
   }
 
   long DoRecv(TcpSocket& s, Buffer* data, ExecContext& ctx) {
-    ctx.Cover(recvfrom_.op_block);
+    ctx.Cover(t_->recvfrom.op_block);
     TcpConn& c = s.conn();
     if (c.state != TcpState::kEstablished &&
         c.state != TcpState::kCloseWait) {
@@ -599,14 +637,14 @@ class TcpFamily : public vkernel::SocketFamily {
       for (size_t i = 0; i < n; ++i) data->bytes[i] = c.rx[i];
     }
     c.rx.erase(c.rx.begin(), c.rx.begin() + static_cast<long>(n));
-    CoverAll(recvfrom_.deep_blocks, ctx);
+    CoverAll(t_->recvfrom.deep_blocks, ctx);
     return static_cast<long>(n);
   }
 
   long DoSetSockOpt(TcpSocket& s, uint64_t level, uint64_t optname,
                     const Buffer& val, ExecContext& ctx) {
-    if (level != spec_->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const OptRt& rt : opts_) {
+    if (level != t_->spec->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const OptRt& rt : t_->opts) {
       if (!rt.opt->settable || rt.opt->value != optname) continue;
       ctx.Cover(rt.set_block);
       if (val.size() < rt.layout.total_size) return -vkernel::kEFAULT;
@@ -626,8 +664,8 @@ class TcpFamily : public vkernel::SocketFamily {
 
   long DoGetSockOpt(TcpSocket& s, uint64_t level, uint64_t optname,
                     Buffer* val, ExecContext& ctx) {
-    if (level != spec_->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const OptRt& rt : opts_) {
+    if (level != t_->spec->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const OptRt& rt : t_->opts) {
       if (!rt.opt->gettable || rt.opt->value != optname) continue;
       ctx.Cover(rt.get_block);
       if (val && val->size() < rt.layout.total_size) {
@@ -710,13 +748,11 @@ class TcpFamily : public vkernel::SocketFamily {
     }
   }
 
-  const VnetPolicy& policy() const { return policy_; }
-
  private:
-  void Edge(TcpEdge e, ExecContext& ctx) { ctx.Cover(edges_[e]); }
+  void Edge(TcpEdge e, ExecContext& ctx) { ctx.Cover(t_->edges[e]); }
 
   void Trans(TcpConn& c, TcpState to, ExecContext& ctx) {
-    ctx.Cover(trans_[static_cast<int>(c.state)][static_cast<int>(to)]);
+    ctx.Cover(t_->trans[static_cast<int>(c.state)][static_cast<int>(to)]);
     c.state = to;
   }
 
@@ -725,11 +761,6 @@ class TcpFamily : public vkernel::SocketFamily {
     ctx.Crash(std::string(kViolationPrefix) + "tcp " + op + " in " +
               TcpStateName(state));
     return -vkernel::kEINVAL;
-  }
-
-  uint16_t PortOf(const Buffer& addr) const {
-    if (!have_addr_) return 0;
-    return static_cast<uint16_t>(ReadField(addr, addr_layout_, "port"));
   }
 
   static void WriteFieldTo(Buffer* buf, const StructLayout& layout,
@@ -757,17 +788,8 @@ class TcpFamily : public vkernel::SocketFamily {
     conn->owns_port = false;
   }
 
-  const SocketSpec* spec_;
+  std::shared_ptr<const TcpTables> t_;
   VnetPolicy policy_;
-  BlockLayout blocks_;
-  uint64_t create_block_;
-  StructLayout addr_layout_;
-  bool have_addr_ = false;
-  OpRt bind_, connect_, sendto_, recvfrom_, listen_, accept_;
-  std::vector<OptRt> opts_;
-  uint64_t trans_[kTcpStateCount][kTcpStateCount] = {};
-  uint64_t edges_[kTcpEdgeCount] = {};
-
   PortSpace ports_;
   /// Port -> endpoint for inbound connection lookup (listeners and
   /// explicitly bound sockets).
@@ -884,10 +906,29 @@ UdpBlockLayout(const SocketSpec& spec)
   return layout;
 }
 
+std::shared_ptr<const TcpTables>
+BuildTcpTables(const SocketSpec& spec)
+{
+  auto t = std::make_shared<TcpTables>();
+  FillInetTables(t.get(), spec, TcpBlockLayout(spec), kTcpSockOps,
+                 kTcpEdgeNames);
+  for (const TransitionTuple& tr : kTcpTransitions) {
+    t->trans[static_cast<int>(tr.from)][static_cast<int>(tr.to)] =
+        t->blocks.IdOf("trans", TransitionDetail(tr), 0);
+  }
+  return t;
+}
+
+std::unique_ptr<vkernel::SocketFamily>
+MakeTcpFamily(std::shared_ptr<const TcpTables> tables, VnetPolicy policy)
+{
+  return std::make_unique<TcpFamily>(std::move(tables), policy);
+}
+
 std::unique_ptr<vkernel::SocketFamily>
 MakeTcpFamily(const SocketSpec* spec, VnetPolicy policy)
 {
-  return std::make_unique<TcpFamily>(spec, policy);
+  return MakeTcpFamily(BuildTcpTables(*spec), policy);
 }
 
 // ---------------------------------------------------------------------------
@@ -957,57 +998,26 @@ const UdpOptOps kUdpSockOps[] = {
      [](const UdpSockState& s) { return static_cast<uint64_t>(s.rx.size()); }},
 };
 
+/// The per-kernel half of the UDP family: the policy, the port namespace
+/// and the receiver map, over shared UdpTables.
 class UdpFamily : public vkernel::SocketFamily {
  public:
-  UdpFamily(const SocketSpec* spec, VnetPolicy policy)
-      : spec_(spec),
-        policy_(policy),
-        blocks_(UdpBlockLayout(*spec)),
-        create_block_(blocks_.IdOf("create", "", 0)),
-        ports_(kUdpPortSeed) {
-    const drivers::StructSpec* addr = spec->FindStruct(spec->addr_struct);
-    if (addr) {
-      addr_layout_ = drivers::ComputeLayout(*addr, spec->structs);
-      have_addr_ = true;
-    }
-    bind_ = BuildOpRt(blocks_, "bind", spec->bind);
-    connect_ = BuildOpRt(blocks_, "connect", spec->connect);
-    sendto_ = BuildOpRt(blocks_, "sendto", spec->sendto);
-    recvfrom_ = BuildOpRt(blocks_, "recvfrom", spec->recvfrom);
-    for (const SockOptSpec& opt : spec->sockopts) {
-      OptRt rt = BuildOptRt(blocks_, opt, *spec);
-      rt.ops_index = -1;
-      for (size_t i = 0; i < sizeof(kUdpSockOps) / sizeof(kUdpSockOps[0]);
-           ++i) {
-        if (opt.macro == kUdpSockOps[i].macro) {
-          rt.ops_index = static_cast<int>(i);
-          break;
-        }
-      }
-      if (rt.ops_index < 0) {
-        util::Panic("vnet: udp sockopt missing from sock_ops table: " +
-                    opt.macro);
-      }
-      opts_.push_back(std::move(rt));
-    }
-    for (int e = 0; e < kUdpEdgeCount; ++e) {
-      edges_[e] = blocks_.IdOf("edge", kUdpEdgeNames[e], 0);
-    }
-  }
+  UdpFamily(std::shared_ptr<const UdpTables> tables, VnetPolicy policy)
+      : t_(std::move(tables)), policy_(policy), ports_(kUdpPortSeed) {}
 
-  std::string Name() const override { return spec_->id; }
-  uint64_t Domain() const override { return spec_->domain; }
+  std::string Name() const override { return t_->spec->id; }
+  uint64_t Domain() const override { return t_->spec->domain; }
 
   std::shared_ptr<vkernel::SocketHandler> Create(uint64_t type,
                                                  uint64_t protocol,
                                                  KernelModel& kernel,
                                                  long* err) override {
-    if (type != spec_->sock_type ||
-        (protocol != 0 && protocol != spec_->protocol)) {
+    if (type != t_->spec->sock_type ||
+        (protocol != 0 && protocol != t_->spec->protocol)) {
       *err = -vkernel::kEINVAL;
       return nullptr;
     }
-    kernel.context().Cover(create_block_);
+    kernel.context().Cover(t_->create_block);
     return std::make_shared<UdpSocket>(this);
   }
 
@@ -1021,15 +1031,15 @@ class UdpFamily : public vkernel::SocketFamily {
   // -- Op implementations --------------------------------------------------
 
   long DoBind(UdpSocket& s, const Buffer& addr, ExecContext& ctx) {
-    ctx.Cover(bind_.op_block);
-    long rc = RunChecks(bind_, addr, addr_layout_, have_addr_, ctx);
+    ctx.Cover(t_->bind.op_block);
+    long rc = RunChecks(*t_, t_->bind, addr, ctx);
     if (rc != 0) return rc;
     if (s.st.local_port != 0) {
       if (!policy_.rebind_ok) return -vkernel::kEINVAL;
       Unbind(s);
       Edge(kUdpBindRebound, ctx);
     }
-    uint16_t port = PortOf(addr);
+    uint16_t port = PortOf(*t_, addr);
     if (port == 0) {
       port = ports_.AllocateEphemeral();
       if (port == 0) return -vkernel::kEADDRINUSE;
@@ -1041,15 +1051,15 @@ class UdpFamily : public vkernel::SocketFamily {
     ports_.Bind(port);
     bound_[port] = &s;
     s.st.local_port = port;
-    CoverAll(bind_.deep_blocks, ctx);
+    CoverAll(t_->bind.deep_blocks, ctx);
     return 0;
   }
 
   long DoConnect(UdpSocket& s, const Buffer& addr, ExecContext& ctx) {
-    ctx.Cover(connect_.op_block);
-    long rc = RunChecks(connect_, addr, addr_layout_, have_addr_, ctx);
+    ctx.Cover(t_->connect.op_block);
+    long rc = RunChecks(*t_, t_->connect, addr, ctx);
     if (rc != 0) return rc;
-    uint16_t port = PortOf(addr);
+    uint16_t port = PortOf(*t_, addr);
     if (port == 0) {
       // AF_UNSPEC-style dissolve: back to unconnected.
       s.st.connected = false;
@@ -1059,16 +1069,16 @@ class UdpFamily : public vkernel::SocketFamily {
     }
     s.st.connected = true;
     s.st.peer_port = port;
-    CoverAll(connect_.deep_blocks, ctx);
+    CoverAll(t_->connect.deep_blocks, ctx);
     return 0;
   }
 
   long DoSend(UdpSocket& s, const Buffer& data, const Buffer& addr,
               ExecContext& ctx) {
-    ctx.Cover(sendto_.op_block);
-    long rc = RunChecks(sendto_, addr, addr_layout_, have_addr_, ctx);
+    ctx.Cover(t_->sendto.op_block);
+    long rc = RunChecks(*t_, t_->sendto, addr, ctx);
     if (rc != 0) return rc;
-    uint16_t dest = PortOf(addr);
+    uint16_t dest = PortOf(*t_, addr);
     if (dest == 0) {
       if (!s.st.connected) {
         Edge(kUdpSendNoAddr, ctx);
@@ -1087,12 +1097,12 @@ class UdpFamily : public vkernel::SocketFamily {
     }
     rc = Deliver(dest, data.data(), data.size(), ctx);
     if (rc != 0) return rc;
-    CoverAll(sendto_.deep_blocks, ctx);
+    CoverAll(t_->sendto.deep_blocks, ctx);
     return static_cast<long>(data.size());
   }
 
   long DoRecv(UdpSocket& s, Buffer* data, ExecContext& ctx) {
-    ctx.Cover(recvfrom_.op_block);
+    ctx.Cover(t_->recvfrom.op_block);
     if (s.st.rx.empty()) return -vkernel::kEAGAIN;
     std::vector<uint8_t> dgram = std::move(s.st.rx.front());
     s.st.rx.pop_front();
@@ -1100,14 +1110,14 @@ class UdpFamily : public vkernel::SocketFamily {
       data->Resize(dgram.size());
       for (size_t i = 0; i < dgram.size(); ++i) data->bytes[i] = dgram[i];
     }
-    CoverAll(recvfrom_.deep_blocks, ctx);
+    CoverAll(t_->recvfrom.deep_blocks, ctx);
     return static_cast<long>(dgram.size());
   }
 
   long DoSetSockOpt(UdpSocket& s, uint64_t level, uint64_t optname,
                     const Buffer& val, ExecContext& ctx) {
-    if (level != spec_->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const OptRt& rt : opts_) {
+    if (level != t_->spec->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const OptRt& rt : t_->opts) {
       if (!rt.opt->settable || rt.opt->value != optname) continue;
       ctx.Cover(rt.set_block);
       if (val.size() < rt.layout.total_size) return -vkernel::kEFAULT;
@@ -1132,8 +1142,8 @@ class UdpFamily : public vkernel::SocketFamily {
 
   long DoGetSockOpt(UdpSocket& s, uint64_t level, uint64_t optname,
                     Buffer* val, ExecContext& ctx) {
-    if (level != spec_->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const OptRt& rt : opts_) {
+    if (level != t_->spec->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const OptRt& rt : t_->opts) {
       if (!rt.opt->gettable || rt.opt->value != optname) continue;
       ctx.Cover(rt.get_block);
       if (val) {
@@ -1169,12 +1179,7 @@ class UdpFamily : public vkernel::SocketFamily {
   }
 
  private:
-  void Edge(UdpEdge e, ExecContext& ctx) { ctx.Cover(edges_[e]); }
-
-  uint16_t PortOf(const Buffer& addr) const {
-    if (!have_addr_) return 0;
-    return static_cast<uint16_t>(ReadField(addr, addr_layout_, "port"));
-  }
+  void Edge(UdpEdge e, ExecContext& ctx) { ctx.Cover(t_->edges[e]); }
 
   /// Queues a datagram at the receiver bound to `dest`. Queue overflow
   /// drops silently (UDP semantics); no receiver refuses.
@@ -1213,16 +1218,8 @@ class UdpFamily : public vkernel::SocketFamily {
     s.st.local_port = 0;
   }
 
-  const SocketSpec* spec_;
+  std::shared_ptr<const UdpTables> t_;
   VnetPolicy policy_;
-  BlockLayout blocks_;
-  uint64_t create_block_;
-  StructLayout addr_layout_;
-  bool have_addr_ = false;
-  OpRt bind_, connect_, sendto_, recvfrom_;
-  std::vector<OptRt> opts_;
-  uint64_t edges_[kUdpEdgeCount] = {};
-
   PortSpace ports_;
   /// Port -> live receiver. Entries are erased on Release/rebind, so
   /// the raw pointer never dangles (the kernel is single-threaded).
@@ -1288,10 +1285,25 @@ UdpSocket::StateBrief() const
 
 }  // namespace
 
+std::shared_ptr<const UdpTables>
+BuildUdpTables(const SocketSpec& spec)
+{
+  auto t = std::make_shared<UdpTables>();
+  FillInetTables(t.get(), spec, UdpBlockLayout(spec), kUdpSockOps,
+                 kUdpEdgeNames);
+  return t;
+}
+
+std::unique_ptr<vkernel::SocketFamily>
+MakeUdpFamily(std::shared_ptr<const UdpTables> tables, VnetPolicy policy)
+{
+  return std::make_unique<UdpFamily>(std::move(tables), policy);
+}
+
 std::unique_ptr<vkernel::SocketFamily>
 MakeUdpFamily(const SocketSpec* spec, VnetPolicy policy)
 {
-  return std::make_unique<UdpFamily>(spec, policy);
+  return MakeUdpFamily(BuildUdpTables(*spec), policy);
 }
 
 }  // namespace kernelgpt::vnet

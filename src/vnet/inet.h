@@ -50,13 +50,34 @@ struct VnetPolicy {
 drivers::BlockLayout TcpBlockLayout(const drivers::SocketSpec& spec);
 drivers::BlockLayout UdpBlockLayout(const drivers::SocketSpec& spec);
 
-/// Creates the stateful TCP family interpreting `spec` (must be the
+/// The immutable half of a vnet family: the spec's addr layout, op,
+/// sockopt and edge blocks (plus the transition blocks for TCP). Built
+/// once per spec and shared read-only by every kernel and worker thread;
+/// the per-kernel family holds only the policy, the port namespace and
+/// the bound/half-closed endpoint maps. The spec must outlive it.
+struct TcpTables;
+struct UdpTables;
+
+/// Builds the tables of the stateful TCP family for `spec` (must be the
 /// corpus "tcp" spec shape: AF_INET, SOCK_STREAM, addr struct with
-/// family/port fields). The spec must outlive the family.
+/// family/port fields).
+std::shared_ptr<const TcpTables> BuildTcpTables(
+    const drivers::SocketSpec& spec);
+
+/// Builds the tables of the stateful UDP family for `spec`.
+std::shared_ptr<const UdpTables> BuildUdpTables(
+    const drivers::SocketSpec& spec);
+
+/// Creates a per-kernel TCP/UDP family over shared tables.
+std::unique_ptr<vkernel::SocketFamily> MakeTcpFamily(
+    std::shared_ptr<const TcpTables> tables, VnetPolicy policy);
+std::unique_ptr<vkernel::SocketFamily> MakeUdpFamily(
+    std::shared_ptr<const UdpTables> tables, VnetPolicy policy);
+
+/// Standalone-spec constructors: build private tables for `spec`, then
+/// the per-kernel family over them. The spec must outlive the family.
 std::unique_ptr<vkernel::SocketFamily> MakeTcpFamily(
     const drivers::SocketSpec* spec, VnetPolicy policy);
-
-/// Creates the stateful UDP family interpreting `spec`.
 std::unique_ptr<vkernel::SocketFamily> MakeUdpFamily(
     const drivers::SocketSpec* spec, VnetPolicy policy);
 

@@ -101,6 +101,17 @@ TEST_F(DiffTest, StrictVsStrictHasZeroDivergences)
   EXPECT_EQ(report.subject_name, "strict");
 }
 
+TEST_F(DiffTest, EmptyCorpusReportStillNamesBothModels)
+{
+  SpecLibrary lib = DmLibrary();
+  DiffOptions options;
+  options.boot = Boot;
+  const std::vector<Prog> none;
+  EXPECT_EQ(DiffRunner(&lib, options).Run(none).Render(),
+            "differential report: strict vs permissive\n"
+            "programs=0 diverging=0 unique=0\n");
+}
+
 TEST_F(DiffTest, StrictVsPermissiveFindsMinimizedDivergences)
 {
   SpecLibrary lib = GroundTruthLibrary();
