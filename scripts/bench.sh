@@ -153,7 +153,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead' \
+  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -182,6 +182,13 @@ def items_per_sec(name):
 def ns_per_item(name):
     b = means.get(name)
     return round(1e9 / b["items_per_second"], 2) if b and b["items_per_second"] else None
+
+def ms_per_iteration(name):
+    b = means.get(name)
+    if not b:
+        return None
+    scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[b["time_unit"]]
+    return round(b["real_time"] * scale, 2)
 
 result = {
     "schema": "kernelgpt-bench/1",
@@ -285,6 +292,13 @@ result = {
             if items_per_sec("BM_DiffRunnerOverhead/0")
             and items_per_sec("BM_DiffRunnerOverhead/1") else None
         ),
+    },
+    # Spec generation: one ExperimentContext built from scratch (corpus
+    # index, handler extraction, then KernelGpt generation with
+    # validation and repair plus the SyzDescribe baseline for every
+    # loaded module), wall time per context.
+    "spec_generation": {
+        "ms_per_context": ms_per_iteration("BM_FullGenerationPipeline"),
     },
     # Between-campaign corpus distillation (PR 3): dedup + batched replay
     # + greedy cover + crash minimization, per merged-corpus program.

@@ -62,6 +62,17 @@ SplitArgs(std::string_view text)
   return out;
 }
 
+/// The entity `map` records for `name` among `files`, or nullptr.
+template <typename T, typename Map>
+const T*
+Lookup(const std::vector<CFile>& files, const Map& map,
+       std::vector<T> CFile::*kind, const std::string& name)
+{
+  auto it = map.find(name);
+  if (it == map.end()) return nullptr;
+  return &(files[it->second.file].*kind)[it->second.entity];
+}
+
 }  // namespace
 
 void
@@ -73,48 +84,53 @@ DefinitionIndex::AddSource(const std::string& source, const std::string& path)
 void
 DefinitionIndex::AddFile(CFile file)
 {
+  const auto f = static_cast<uint32_t>(files_.size());
+  // emplace keeps an existing entry: the first file wins, and within it
+  // the first entity.
+  auto add_first = [f](SlotMap& map, const auto& entities) {
+    for (size_t i = 0; i < entities.size(); ++i) {
+      map.emplace(entities[i].name, Slot{f, static_cast<uint32_t>(i)});
+    }
+  };
+  add_first(structs_, file.structs);
+  add_first(vars_, file.vars);
+  add_first(macros_, file.macros);
+  // Only a file's first match counts. It replaces an earlier file's entry
+  // unless that entry has a body: definitions beat forward declarations.
+  for (size_t i = 0; i < file.functions.size(); ++i) {
+    const Slot slot{f, static_cast<uint32_t>(i)};
+    auto [it, inserted] = functions_.emplace(file.functions[i].name, slot);
+    if (inserted || it->second.file == f) continue;
+    const Slot held = it->second;
+    if (files_[held.file].functions[held.entity].body_text.empty()) {
+      it->second = slot;
+    }
+  }
   files_.push_back(std::move(file));
 }
 
 const CStructDef*
 DefinitionIndex::FindStruct(const std::string& name) const
 {
-  for (const auto& f : files_) {
-    if (const CStructDef* s = f.FindStruct(name)) return s;
-  }
-  return nullptr;
+  return Lookup(files_, structs_, &CFile::structs, name);
 }
 
 const CFunction*
 DefinitionIndex::FindFunction(const std::string& name) const
 {
-  // Prefer definitions with bodies over forward declarations.
-  const CFunction* fallback = nullptr;
-  for (const auto& f : files_) {
-    if (const CFunction* fn = f.FindFunction(name)) {
-      if (!fn->body_text.empty()) return fn;
-      fallback = fn;
-    }
-  }
-  return fallback;
+  return Lookup(files_, functions_, &CFile::functions, name);
 }
 
 const CVarDef*
 DefinitionIndex::FindVar(const std::string& name) const
 {
-  for (const auto& f : files_) {
-    if (const CVarDef* v = f.FindVar(name)) return v;
-  }
-  return nullptr;
+  return Lookup(files_, vars_, &CFile::vars, name);
 }
 
 const CMacro*
 DefinitionIndex::FindMacro(const std::string& name) const
 {
-  for (const auto& f : files_) {
-    if (const CMacro* m = f.FindMacro(name)) return m;
-  }
-  return nullptr;
+  return Lookup(files_, macros_, &CFile::macros, name);
 }
 
 EntityKind

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ksrc/cast.h"
@@ -32,6 +33,13 @@ enum class EntityKind {
 };
 
 /// Index over all parsed files of the synthetic kernel.
+///
+/// Lookups by name are answered from per-kind maps that `AddFile` fills,
+/// so they cost one hash probe instead of a scan over every file. The
+/// maps hold (file, entity) positions rather than pointers, so a copied
+/// or moved index stays valid. An index is built completely before it is
+/// shared; after that it is only read, and concurrent lookups need no
+/// lock.
 class DefinitionIndex {
  public:
   DefinitionIndex() = default;
@@ -39,7 +47,10 @@ class DefinitionIndex {
   /// Parses `source` and adds the file to the index.
   void AddSource(const std::string& source, const std::string& path);
 
-  /// Adds an already-parsed file.
+  /// Adds an already-parsed file. For structs, variables and macros the
+  /// first file that defines a name wins, and within it the first entity.
+  /// For functions the first file whose first match has a body wins; when
+  /// no file has one, the last forward declaration does.
   void AddFile(CFile file);
 
   /// Resolves macro values that need cross-entity information (_IOC forms
@@ -94,10 +105,21 @@ class DefinitionIndex {
   syzlang::ConstTable BuildConstTable() const;
 
  private:
+  /// Position of one entity: files_[file].<kind>[entity].
+  struct Slot {
+    uint32_t file;
+    uint32_t entity;
+  };
+  using SlotMap = std::unordered_map<std::string, Slot>;
+
   std::optional<uint64_t> EvalMacroText(const std::string& text,
                                         int depth) const;
 
   std::vector<CFile> files_;
+  SlotMap structs_;
+  SlotMap functions_;
+  SlotMap vars_;
+  SlotMap macros_;
 };
 
 /// Renders one struct definition to C text.

@@ -31,9 +31,7 @@ ParseIntLiteral(const std::string& text)
 void
 ConstTable::Define(const std::string& name, uint64_t value)
 {
-  auto [it, inserted] = values_.insert_or_assign(name, value);
-  (void)it;
-  if (inserted) names_.push_back(name);
+  values_.insert_or_assign(name, value);
 }
 
 std::optional<uint64_t>
@@ -49,14 +47,6 @@ bool
 ConstTable::Has(const std::string& name) const
 {
   return values_.count(name);
-}
-
-void
-ConstTable::Merge(const ConstTable& other)
-{
-  for (const auto& name : other.names_) {
-    Define(name, other.values_.at(name));
-  }
 }
 
 }  // namespace kernelgpt::syzlang

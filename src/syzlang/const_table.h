@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace kernelgpt::syzlang {
 
@@ -30,15 +29,8 @@ class ConstTable {
 
   size_t size() const { return values_.size(); }
 
-  /// All defined names in insertion order (for reports).
-  const std::vector<std::string>& Names() const { return names_; }
-
-  /// Merges `other` into this table (other wins on conflict).
-  void Merge(const ConstTable& other);
-
  private:
   std::unordered_map<std::string, uint64_t> values_;
-  std::vector<std::string> names_;
 };
 
 /// Parses a decimal or 0x-prefixed literal. Returns nullopt on non-numeric

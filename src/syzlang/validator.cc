@@ -21,7 +21,9 @@ SupportedSyscalls()
   return kSet;
 }
 
-/// Collected name environment for reference resolution.
+/// Collected name environment for reference resolution. `consts` holds
+/// only the spec's own `define`s; they shadow the caller's table, which
+/// is read in place rather than copied.
 struct Scope {
   std::unordered_set<std::string> resources;
   std::unordered_set<std::string> structs;
@@ -33,8 +35,7 @@ class ValidatorImpl {
  public:
   ValidatorImpl(const SpecFile& spec, const ConstTable& consts,
                 const SpecFile* externals, ValidationResult* out)
-      : spec_(spec), out_(out) {
-    scope_.consts.Merge(consts);
+      : spec_(spec), base_consts_(consts), out_(out) {
     scope_.resources.insert("fd");  // Builtin.
     CollectScope(spec_);
     if (externals) CollectScope(*externals);
@@ -160,9 +161,14 @@ class ValidatorImpl {
     }
   }
 
+  /// A local define first, then a literal or a name in the caller's table.
+  bool ConstDefined(const std::string& name) const {
+    return scope_.consts.Has(name) || base_consts_.Resolve(name);
+  }
+
   void CheckFlags(const FlagsDef& f) {
     for (const std::string& v : f.values) {
-      if (!scope_.consts.Resolve(v)) {
+      if (!ConstDefined(v)) {
         AddError(ErrorKind::kUnknownConst, f.name, v,
                  util::Format("flag value '%s' in %s is not defined",
                               v.c_str(), f.name.c_str()));
@@ -184,7 +190,7 @@ class ValidatorImpl {
         break;
       case TypeKind::kConst:
         CheckIntWidth(decl, t.bits);
-        if (!scope_.consts.Resolve(t.const_name)) {
+        if (!ConstDefined(t.const_name)) {
           AddError(ErrorKind::kUnknownConst, decl, t.const_name,
                    util::Format("const %s is not defined",
                                 t.const_name.c_str()));
@@ -294,6 +300,7 @@ class ValidatorImpl {
   }
 
   const SpecFile& spec_;
+  const ConstTable& base_consts_;
   Scope scope_;
   ValidationResult* out_;
 };

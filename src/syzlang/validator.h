@@ -62,7 +62,9 @@ struct ValidationResult {
 bool IsSupportedSyscall(const std::string& name);
 
 /// Validates `spec`. `consts` provides macro resolution (pass an empty
-/// table to require all constants be numeric literals or local defines).
+/// table to require all constants be numeric literals or local defines);
+/// it is read in place, never copied or modified, and a `define` in
+/// `spec` or `externals` shadows an entry of the same name.
 /// `externals` optionally supplies declarations (resources/structs/flags)
 /// that live in other spec files the target will be linked with.
 ValidationResult Validate(const SpecFile& spec, const ConstTable& consts,

@@ -141,7 +141,16 @@ Indent(std::string_view s, int n)
 size_t
 ApproxTokenCount(std::string_view s)
 {
-  size_t words = SplitWhitespace(s).size();
+  // Counts the words SplitWhitespace would return, in one pass and without
+  // allocating. The inline test equals std::isspace in the C locale, and
+  // nothing in the program calls setlocale.
+  size_t words = 0;
+  bool in_word = false;
+  for (char ch : s) {
+    const bool space = ch == ' ' || (ch >= '\t' && ch <= '\r');
+    words += !space && !in_word;
+    in_word = !space;
+  }
   // Blend word count with a character-based estimate; code-heavy text
   // tokenizes closer to 1 token / 3.5 chars.
   size_t by_chars = s.size() / 4;

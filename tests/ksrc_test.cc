@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "drivers/corpus.h"
 #include "ksrc/body_analysis.h"
 #include "ksrc/clexer.h"
 #include "ksrc/cparser.h"
@@ -262,6 +263,122 @@ TEST_F(DmIndexTest, UserCopyDetected)
   EXPECT_TRUE(copies[0].from_user);
   EXPECT_EQ(copies[0].type_name, "dm_ioctl");
   EXPECT_EQ(copies[0].dest_var, "param");
+}
+
+// The index's lookup rules as plain scans over its files in order: the
+// first file and first entity win, except that a function prefers the
+// first file whose first match has a body, else the last declaration.
+template <typename T>
+const T*
+ScanFirst(const DefinitionIndex& index, std::vector<T> CFile::*kind,
+          const std::string& name)
+{
+  for (const CFile& f : index.files()) {
+    for (const T& e : f.*kind) {
+      if (e.name == name) return &e;
+    }
+  }
+  return nullptr;
+}
+
+const CFunction*
+ScanFunction(const DefinitionIndex& index, const std::string& name)
+{
+  const CFunction* fallback = nullptr;
+  for (const CFile& f : index.files()) {
+    if (const CFunction* fn = f.FindFunction(name)) {
+      if (!fn->body_text.empty()) return fn;
+      fallback = fn;
+    }
+  }
+  return fallback;
+}
+
+TEST(DefinitionIndexTest, CorpusLookupsMatchALinearScan)
+{
+  const DefinitionIndex index = drivers::Corpus::Instance().BuildIndex();
+  size_t functions = 0, structs = 0, vars = 0, macros = 0;
+  for (const CFile& f : index.files()) {
+    for (const CFunction& fn : f.functions) {
+      ++functions;
+      EXPECT_EQ(index.FindFunction(fn.name), ScanFunction(index, fn.name))
+          << fn.name;
+    }
+    for (const CStructDef& s : f.structs) {
+      ++structs;
+      EXPECT_EQ(index.FindStruct(s.name),
+                ScanFirst(index, &CFile::structs, s.name))
+          << s.name;
+    }
+    for (const CVarDef& v : f.vars) {
+      ++vars;
+      EXPECT_EQ(index.FindVar(v.name), ScanFirst(index, &CFile::vars, v.name))
+          << v.name;
+    }
+    for (const CMacro& m : f.macros) {
+      ++macros;
+      EXPECT_EQ(index.FindMacro(m.name),
+                ScanFirst(index, &CFile::macros, m.name))
+          << m.name;
+    }
+  }
+  EXPECT_EQ(index.files().size(), 69u);
+  EXPECT_EQ(functions, 1044u);
+  EXPECT_EQ(structs, 221u);
+  EXPECT_EQ(vars, 127u);
+  EXPECT_EQ(macros, 1543u);
+  EXPECT_EQ(index.FindFunction("no_such_name"), nullptr);
+  EXPECT_EQ(index.FindStruct("no_such_name"), nullptr);
+  EXPECT_EQ(index.FindVar("no_such_name"), nullptr);
+  EXPECT_EQ(index.FindMacro("no_such_name"), nullptr);
+}
+
+TEST(DefinitionIndexTest, LookupRulesSurviveCopyAndMove)
+{
+  DefinitionIndex index;
+  index.AddSource(
+      "#define M 1\n"
+      "struct s { int first; };\n"
+      "static struct file_operations v = { .open = a_open, };\n"
+      "int foo(int x);\n"
+      "int only_decl(int x);\n",
+      "a.c");
+  index.AddSource(
+      "#define M 2\n"
+      "struct s { int second; };\n"
+      "static struct file_operations v = { .open = b_open, };\n"
+      "int foo(int x)\n{\n\treturn x;\n}\n",
+      "b.c");
+  index.AddSource(
+      "int foo(int x);\n"
+      "int only_decl(int y);\n"
+      "int same_file(void);\n"
+      "int same_file(void)\n{\n\treturn 0;\n}\n",
+      "c.c");
+  index.ResolveMacros();
+
+  auto check = [](const DefinitionIndex& idx) {
+    const std::vector<CFile>& files = idx.files();
+    ASSERT_EQ(files.size(), 3u);
+    // A definition beats forward declarations before and after it.
+    EXPECT_EQ(idx.FindFunction("foo"), &files[1].functions[0]);
+    // With no definition anywhere, the last declaration wins.
+    EXPECT_EQ(idx.FindFunction("only_decl"), &files[2].functions[1]);
+    // Only a file's first match counts, even if a later one has a body.
+    EXPECT_EQ(idx.FindFunction("same_file"), &files[2].functions[2]);
+    // Everything else: the first file that defines the name.
+    EXPECT_EQ(idx.FindStruct("s"), &files[0].structs[0]);
+    EXPECT_EQ(idx.FindVar("v"), &files[0].vars[0]);
+    EXPECT_EQ(idx.FindMacro("M"), &files[0].macros[0]);
+    EXPECT_EQ(idx.ConstValue("M"), 1u);
+    EXPECT_EQ(idx.Classify("foo"), EntityKind::kFunction);
+  };
+  check(index);
+  const DefinitionIndex copy(index);
+  check(copy);
+  EXPECT_NE(copy.FindStruct("s"), index.FindStruct("s"));
+  const DefinitionIndex moved(std::move(index));
+  check(moved);
 }
 
 TEST(SizeofTypeNameTest, Variants)

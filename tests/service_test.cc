@@ -11,6 +11,7 @@
 #include "spec_gen/service.h"
 #include "syzlang/printer.h"
 #include "util/fault.h"
+#include "util/rng.h"
 
 namespace kernelgpt::spec_gen {
 namespace {
@@ -153,6 +154,33 @@ TEST_F(ServiceTest, FansOutAcrossAllRegisteredBackends)
   }
   EXPECT_GT(flaky->report.queries, strong->report.queries);
   EXPECT_GT(flaky->report.input_tokens, strong->report.input_tokens);
+}
+
+TEST_F(ServiceTest, AllBackendsOutputIsPinned)
+{
+  // Every registered backend over every extracted handler at one thread:
+  // backend names, rendered specs, statuses and token totals hash to a
+  // recorded constant, so a speed change to the generation path cannot
+  // move a single byte of its output unnoticed.
+  ServiceOptions options;
+  options.backends = llm::BackendRegistry::Default().Names();
+  ServiceResult result = Run(options);
+  uint64_t h = 0;
+  size_t spec_bytes = 0;
+  for (const BackendRun& run : result.runs) {
+    h = util::HashCombine(h, util::StableHash(run.backend));
+    for (const HandlerGeneration& gen : run.generations) {
+      const std::string text = syzlang::Print(gen.spec);
+      spec_bytes += text.size();
+      h = util::HashCombine(h, util::StableHash(text));
+      h = util::HashCombine(h, static_cast<uint64_t>(gen.status));
+    }
+    h = util::HashCombine(h, run.report.input_tokens);
+    h = util::HashCombine(h, run.report.output_tokens);
+  }
+  EXPECT_EQ(result.runs.size(), 6u);
+  EXPECT_EQ(spec_bytes, 655131u);
+  EXPECT_EQ(h, 16891162494850828956ULL);
 }
 
 TEST_F(ServiceTest, UnknownBackendIsReportedNotGenerated)

@@ -180,14 +180,43 @@ TEST(ConstTableTest, ResolvesLiteralsAndNames)
   EXPECT_FALSE(t.Resolve("MISSING").has_value());
 }
 
-TEST(ConstTableTest, MergePrefersOther)
+TEST(ConstTableTest, DefineOverwrites)
 {
-  ConstTable a;
-  a.Define("X", 1);
-  ConstTable b;
-  b.Define("X", 2);
-  a.Merge(b);
-  EXPECT_EQ(a.Resolve("X"), 2u);
+  ConstTable t;
+  t.Define("X", 1);
+  t.Define("X", 2);
+  EXPECT_EQ(t.Resolve("X"), 2u);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(ValidatorTest, LocalDefinesShadowTheCallerTableWithoutWritingIt)
+{
+  // The caller's table is read in place: a spec-local define of the same
+  // name shadows it, a define only the spec has still resolves, and
+  // neither leaks into the table.
+  ConstTable base;
+  base.Define("SHARED", 1);
+  base.Define("BASE_ONLY", 3);
+  ParseResult r = Parse(
+      "define SHARED 2\n"
+      "define LOCAL_ONLY 4\n"
+      "bits = SHARED, LOCAL_ONLY, BASE_ONLY\n"
+      "resource fd_x[fd]\n"
+      "ioctl$A(fd fd_x, cmd const[SHARED], arg flags[bits, int32])\n"
+      "ioctl$B(fd fd_x, cmd const[LOCAL_ONLY], arg const[BASE_ONLY])\n"
+      "ioctl$C(fd fd_x, cmd const[NOT_DEFINED], arg const[0x10])\n");
+  ASSERT_TRUE(r.ok());
+  ValidationResult v = Validate(r.spec, base);
+  ASSERT_EQ(v.errors.size(), 1u)
+      << (v.errors.empty() ? "" : v.errors[0].message);
+  EXPECT_EQ(v.errors[0].kind, ErrorKind::kUnknownConst);
+  EXPECT_EQ(v.errors[0].decl, "ioctl$C");
+  EXPECT_EQ(v.errors[0].subject, "NOT_DEFINED");
+
+  EXPECT_EQ(base.size(), 2u);
+  EXPECT_EQ(base.Resolve("SHARED"), 1u);
+  EXPECT_EQ(base.Resolve("BASE_ONLY"), 3u);
+  EXPECT_FALSE(base.Has("LOCAL_ONLY"));
 }
 
 TEST(ValidatorTest, CleanSpecValidates)

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 
+#include "drivers/corpus.h"
+#include "drivers/model_render.h"
 #include "util/fault.h"
 #include "util/fileio.h"
 #include "util/histogram.h"
@@ -165,6 +168,34 @@ TEST(StringsTest, ApproxTokenCountScalesWithLength)
   size_t large = ApproxTokenCount(std::string(4000, 'a'));
   EXPECT_LT(small, 10u);
   EXPECT_GE(large, 900u);
+}
+
+TEST(StringsTest, ApproxTokenCountMatchesSplitWhitespace)
+{
+  // The one-pass count must equal the definition it replaced, byte for
+  // byte, on every kernel source the prompts quote and on the edges.
+  auto reference = [](const std::string& s) {
+    return std::max(SplitWhitespace(s).size(), s.size() / 4);
+  };
+  std::vector<std::string> inputs = {
+      "",
+      " \t\n\v\f\r  \n\n",
+      "a\tb", "a\nb", "a\vb", "a\fb", "a\rb",
+      "struct dm_ioctl { __u32 data_size; }",
+      "  leading and trailing  ",
+      "\x80\x81 caf\xc3\xa9 \xff\xfe\xa0word \x85next",
+      std::string(37, 'x') + "\t" + std::string(3, 'y'),
+  };
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  for (const auto& dev : corpus.devices()) {
+    inputs.push_back(drivers::RenderDeviceSource(dev));
+  }
+  for (const auto& sock : corpus.sockets()) {
+    inputs.push_back(drivers::RenderSocketSource(sock));
+  }
+  for (const std::string& s : inputs) {
+    EXPECT_EQ(ApproxTokenCount(s), reference(s)) << s.substr(0, 40);
+  }
 }
 
 TEST(TableTest, RendersAlignedColumns)
