@@ -66,8 +66,7 @@ BM_SyzlangRoundTrip(benchmark::State& state)
 }
 BENCHMARK(BM_SyzlangRoundTrip);
 
-/// Campaign throughput; arg 0 is the program budget, arg 1 the executor
-/// batch size (1 = legacy per-program kernel resets).
+/// Campaign throughput; the arg is the program budget.
 void
 BM_FuzzThroughput(benchmark::State& state)
 {
@@ -79,13 +78,12 @@ BM_FuzzThroughput(benchmark::State& state)
     fuzzer::CampaignOptions options;
     options.seed = 42;
     options.program_budget = static_cast<int>(state.range(0));
-    options.batch_size = static_cast<int>(state.range(1));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_FuzzThroughput)->Args({2000, 1})->Args({2000, 32});
+BENCHMARK(BM_FuzzThroughput)->Arg(2000);
 
 /// End-to-end dispatched-call cost: replays a fixed program set (no
 /// generation or mutation) through Executor::Run, so each item is one
@@ -229,7 +227,7 @@ BM_CoverageHit(benchmark::State& state)
 }
 BENCHMARK(BM_CoverageHit);
 
-/// Between-campaign distillation cost: one pass (dedup + batched replay
+/// Between-campaign distillation cost: one pass (dedup + replay
 /// for signatures + greedy cover + crash minimization) over the merged
 /// corpus of a fixed 4-worker campaign; items = input corpus programs, so
 /// items/sec is distillation throughput per merged-corpus program.
@@ -511,13 +509,12 @@ BM_NetStackThroughput(benchmark::State& state)
     fuzzer::CampaignOptions options;
     options.seed = 42;
     options.program_budget = static_cast<int>(state.range(0));
-    options.batch_size = static_cast<int>(state.range(1));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_NetStackThroughput)->Args({2000, 1})->Args({2000, 32});
+BENCHMARK(BM_NetStackThroughput)->Arg(2000);
 
 /// Raw state-transition cost: one full TCP lifecycle per item — create
 /// the pair, bind/listen/connect/accept across the loopback, then tear
@@ -532,7 +529,6 @@ BM_NetStateTransition(benchmark::State& state)
   vkernel::Coverage cov;
   const std::vector<uint8_t> addr = {2, 0, 5, 0, 0, 0, 0, 0};
   const vkernel::Buffer baddr = vkernel::Buffer::View(addr);
-  kernel.BeginBatch();
   kernel.BeginProgram();
   for (auto _ : state) {
     vkernel::ExecContext ctx(&cov);
@@ -553,7 +549,6 @@ BM_NetStateTransition(benchmark::State& state)
     vkernel::ExecContext ctx(&cov);
     kernel.EndProgram(ctx);
   }
-  kernel.EndBatch();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetStateTransition);

@@ -104,7 +104,6 @@ RunCell(const fuzzer::SpecLibrary& lib, uint64_t seed,
   fuzzer::OrchestratorOptions options;
   options.campaign.seed = seed;
   options.campaign.program_budget = kBudget;
-  options.campaign.batch_size = 32;
   options.campaign.seed_corpus = std::move(seeds);
   options.num_workers = kWorkers;
   options.sync_interval = 256;

@@ -112,7 +112,6 @@ main(int argc, char** argv)
 
   fuzzer::OrchestratorOptions orchestrator;
   orchestrator.campaign.program_budget = 20000;
-  orchestrator.campaign.batch_size = 32;
   orchestrator.num_workers = workers;
   orchestrator.sync_interval = 256;
 

@@ -60,7 +60,6 @@ MakeSession(int rounds)
 {
   fuzzer::OrchestratorOptions orchestrator;
   orchestrator.campaign.program_budget = kBudgetPerRound;
-  orchestrator.campaign.batch_size = 32;
   orchestrator.num_workers = kWorkers;
   orchestrator.sync_interval = 256;
   return fuzzer::Session(fuzzer::SessionOptions()

@@ -10,8 +10,11 @@
 #   Re-measures fuzz throughput (higher is better), the coverage merge
 #   path, and the snapshot round trip (both lower is better) and fails
 #   (exit 1) when any metric regresses more than BENCH_TOLERANCE_PCT
-#   percent (default 25) past the baseline. Override the tolerance for
-#   noisy shared runners, e.g. BENCH_TOLERANCE_PCT=40 in CI.
+#   percent (default 25) past the baseline, or when nothing could be
+#   compared. Override the tolerance for noisy shared runners, e.g.
+#   BENCH_TOLERANCE_PCT=40 in CI. Fuzz throughput is read from the
+#   baseline's fuzz_throughput.execs_per_sec, or from the older
+#   execs_per_sec_unbatched key of earlier trajectory files.
 #
 # Env: BUILD_DIR (default: build), BENCH_TOLERANCE_PCT (default: 25)
 set -euo pipefail
@@ -94,12 +97,12 @@ def ns_of(run_name):
 # name so old build trees still gate.
 snapshot_ns = ns_of("BM_SnapshotSaveLoad/1") or ns_of("BM_SnapshotSaveLoad")
 
+fuzz = baseline.get("fuzz_throughput", {})
+fuzz_execs = fuzz.get("execs_per_sec", fuzz.get("execs_per_sec_unbatched"))
+
 # (label, measured value, baseline value, higher_is_better)
 checks = [
-    ("execs/sec (batch 1)", means.get("BM_FuzzThroughput/2000/1"),
-     baseline["fuzz_throughput"].get("execs_per_sec_unbatched"), True),
-    ("execs/sec (batch 32)", means.get("BM_FuzzThroughput/2000/32"),
-     baseline["fuzz_throughput"].get("execs_per_sec_batch32"), True),
+    ("fuzz execs/sec", means.get("BM_FuzzThroughput/2000"), fuzz_execs, True),
     ("merge ns (256 blocks)", ns_of("BM_CoverageMerge/256"),
      baseline.get("coverage_merge", {}).get("ns_per_merge_256_blocks"),
      False),
@@ -153,7 +156,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline' \
+  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -196,8 +199,14 @@ result = {
     "source": "scripts/bench.sh (bench/perf_micro.cc, google-benchmark mean of 3 reps)",
     "context": raw.get("context", {}),
     "fuzz_throughput": {
-        "execs_per_sec_unbatched": items_per_sec("BM_FuzzThroughput/2000/1"),
-        "execs_per_sec_batch32": items_per_sec("BM_FuzzThroughput/2000/32"),
+        "execs_per_sec": items_per_sec("BM_FuzzThroughput/2000"),
+    },
+    # The same campaign loop over the vnet TCP/UDP specs alone, and one
+    # full TCP lifecycle (socket pair, bind/listen/connect/accept, close
+    # through TIME_WAIT, per-program reset) driven straight at the kernel.
+    "net_stack": {
+        "execs_per_sec": items_per_sec("BM_NetStackThroughput/2000"),
+        "ns_per_tcp_lifecycle": ns_per_item("BM_NetStateTransition"),
     },
     # Full replay cost per dispatched syscall (opcode switch + kernel +
     # driver-model handler + coverage), not the switch in isolation.
@@ -300,8 +309,8 @@ result = {
     "spec_generation": {
         "ms_per_context": ms_per_iteration("BM_FullGenerationPipeline"),
     },
-    # Between-campaign corpus distillation (PR 3): dedup + batched replay
-    # + greedy cover + crash minimization, per merged-corpus program.
+    # Between-campaign corpus distillation: dedup + replay + greedy
+    # cover + crash minimization, per merged-corpus program.
     "distill": {
         "corpus_programs_per_sec": items_per_sec("BM_Distill"),
         "us_per_corpus_program": (

@@ -35,9 +35,10 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # and the differential oracle must render byte-identical divergence
 # reports at 1 and 4 DiffRunner workers and across session save/resume
 # (diff_test), and kernels booted concurrently from the shared boot image
-# must each reproduce the serial run (boot_image_test). Rerun through
-# ctest so the gate stays in sync with the suites instead of a
-# hand-picked gtest filter.
+# must each reproduce the serial run while every program behaves on a
+# long-lived kernel exactly as on a freshly booted one (boot_image_test).
+# Rerun through ctest so the gate stays in sync with the suites instead
+# of a hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \
     -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test|boot_image_test)$')
 

@@ -1,5 +1,7 @@
 #include "drivers/model_runtime.h"
 
+#include <stdexcept>
+
 #include "ksrc/cparser.h"
 #include "util/rng.h"
 #include "vkernel/coverage.h"
@@ -10,17 +12,6 @@ using vkernel::Buffer;
 using vkernel::ExecContext;
 using vkernel::FileHandler;
 using vkernel::KernelModel;
-
-uint64_t
-BlockId(const std::string& module, const std::string& role,
-        const std::string& detail, uint32_t index)
-{
-  uint64_t h = util::StableHash(module);
-  h = util::HashCombine(h, util::StableHash(role));
-  h = util::HashCombine(h, util::StableHash(detail));
-  h = util::HashCombine(h, index);
-  return h;
-}
 
 namespace {
 
@@ -60,7 +51,11 @@ BlockLayout::IdOf(const std::string& role, const std::string& detail,
                   uint32_t index) const
 {
   auto it = slots_.find(TupleKey(role, detail, index));
-  if (it == slots_.end()) return BlockId(module_, role, detail, index);
+  if (it == slots_.end()) {
+    throw std::logic_error("BlockLayout::IdOf: module '" + module_ +
+                           "' has no block (" + role + ", " + detail + ", " +
+                           std::to_string(index) + ")");
+  }
   return vkernel::MakeBlockId(base_, it->second);
 }
 

@@ -19,13 +19,6 @@
 
 namespace kernelgpt::drivers {
 
-/// Legacy hash-scattered coverage block id for a (module, role, detail,
-/// index) tuple. Every component is hashed, so one module's blocks land
-/// on unrelated coverage pages. Kept as the fallback for tuples outside
-/// any spec's BlockLayout; new code should resolve ids through a layout.
-uint64_t BlockId(const std::string& module, const std::string& role,
-                 const std::string& detail, uint32_t index);
-
 /// Dense per-module block-id layout (PR 9). Walks a spec in the
 /// canonical runtime-build order, assigning each (role, detail, index)
 /// tuple a sequential local index, so a module's blocks pack into
@@ -46,8 +39,9 @@ class BlockLayout {
   /// pseudo-commands (set then get), then the socket-level ops.
   static BlockLayout ForSocket(const SocketSpec& sock);
 
-  /// Dense id of a (role, detail, index) tuple. Tuples the spec walk
-  /// never assigned fall back to the legacy hash-scattered BlockId.
+  /// Dense id of a (role, detail, index) tuple. A tuple the spec walk
+  /// (or Extend) never assigned is a registration error: throws
+  /// std::logic_error naming the module and the tuple.
   uint64_t IdOf(const std::string& role, const std::string& detail,
                 uint32_t index) const;
 
@@ -66,8 +60,8 @@ class BlockLayout {
  private:
   explicit BlockLayout(const std::string& module);
 
-  /// Records the next walk tuple (first assignment wins, matching the
-  /// legacy hash semantics where identical tuples shared one id).
+  /// Records the next walk tuple (first assignment wins: identical
+  /// tuples share one id).
   void Assign(const std::string& role, const std::string& detail,
               uint32_t index);
 

@@ -18,7 +18,6 @@ PrimeCorpus(const CampaignOptions& options, const CampaignState& state)
 {
   if (options.seed_corpus.empty()) return 0;
   size_t replayed = 0;
-  state.executor->BeginBatch();
   for (const Prog& seed : options.seed_corpus) {
     if (seed.empty()) continue;
     state.executor->Run(seed, state.coverage);
@@ -27,7 +26,6 @@ PrimeCorpus(const CampaignOptions& options, const CampaignState& state)
       state.corpus->push_back(seed);
     }
   }
-  state.executor->EndBatch();
   return replayed;
 }
 
@@ -36,12 +34,6 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
                  int n, std::vector<Prog>* interesting_out)
 {
   std::vector<Prog>& corpus = *state.corpus;
-  // Programs cannot be materialized up front (generation and admission
-  // depend on each prior execution), so batching opens a kernel batch
-  // window around `batch_size` consecutive executions instead.
-  const int batch_size = options.batch_size;
-  const bool batched = batch_size > 1;
-  int in_window = 0;
   for (int i = 0; i < n; ++i) {
     Prog prog;
     if (!corpus.empty() && state.rng->Chance(options.mutate_prob)) {
@@ -52,12 +44,7 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
     }
     if (prog.empty()) continue;
 
-    if (batched && in_window == 0) state.executor->BeginBatch();
     ExecResult exec = state.executor->Run(prog, state.coverage);
-    if (batched && ++in_window >= batch_size) {
-      state.executor->EndBatch();
-      in_window = 0;
-    }
     ++*state.programs_executed;
     if (exec.crashed) {
       (*state.crashes)[exec.crash_title]++;
@@ -67,7 +54,6 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
       AdmitToCorpus(options, state.rng, &corpus, std::move(prog));
     }
   }
-  if (batched && in_window > 0) state.executor->EndBatch();
 }
 
 CampaignResult

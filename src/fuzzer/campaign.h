@@ -1,7 +1,8 @@
 /// \file
 /// The coverage-guided fuzzing loop: maintains a seed corpus, alternates
 /// generation and mutation, and aggregates coverage and deduplicated
-/// crashes — the measurement harness behind Tables 3, 5, and 6.
+/// crashes — the measurement harness behind Tables 3, 5, and 6. Every
+/// program runs from the kernel's per-program reset (Executor::Run).
 
 #ifndef KERNELGPT_FUZZER_CAMPAIGN_H_
 #define KERNELGPT_FUZZER_CAMPAIGN_H_
@@ -25,17 +26,9 @@ struct CampaignOptions {
   double mutate_prob = 0.7;
   /// Seed-corpus capacity.
   size_t corpus_cap = 256;
-  /// Programs per kernel batch window (syz-executor style). Inside a
-  /// window the kernel amortizes per-program module resets by resetting
-  /// only dirty modules; the window boundary restores the pristine state.
-  /// 1 (the default) closes the window after every program — exactly the
-  /// legacy per-program full reset, preserving the serial replay
-  /// guarantee. Results are identical for any value by construction; only
-  /// throughput changes.
-  int batch_size = 1;
   /// Initial seed programs (typically a distilled corpus from a previous
   /// campaign round). Before the fuzzing loop starts they are replayed
-  /// once (batched, no RNG consumed, not counted against program_budget)
+  /// once (no RNG consumed, not counted against program_budget)
   /// to prime coverage, and admitted to the corpus up to corpus_cap in
   /// order. Empty (the default) is bit-for-bit the legacy behavior.
   std::vector<Prog> seed_corpus;
@@ -88,9 +81,9 @@ void AdmitToCorpus(const CampaignOptions& options, util::Rng* rng,
                    std::vector<Prog>* corpus, Prog prog);
 
 /// Replays `options.seed_corpus` into `state` (coverage primed, seeds
-/// admitted to the corpus up to corpus_cap in order) inside one batch
-/// window. Consumes no RNG and counts nothing against the program
-/// budget, so seeding cannot perturb the fuzzing stream that follows.
+/// admitted to the corpus up to corpus_cap in order). Consumes no RNG
+/// and counts nothing against the program budget, so seeding cannot
+/// perturb the fuzzing stream that follows.
 /// Returns the number of seeds replayed. Crashes during replay are not
 /// re-counted — a seed corpus only carries coverage, not crash credit.
 size_t PrimeCorpus(const CampaignOptions& options, const CampaignState& state);

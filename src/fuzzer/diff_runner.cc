@@ -234,14 +234,10 @@ DiffRunner::Run(util::Span<const Prog> corpus) const
   auto worker_main = [&](size_t shard) {
     ModelSide base = BuildSide(options_.baseline, options_.boot, false, lib_);
     ModelSide subj = BuildSide(options_.subject, options_.boot, true, lib_);
-    base.executor->BeginBatch();
-    subj.executor->BeginBatch();
     for (size_t i = shard; i < corpus.size();
          i += static_cast<size_t>(workers)) {
       raw[i] = Evaluate(corpus[i], base, subj, *lib_);
     }
-    base.executor->EndBatch();
-    subj.executor->EndBatch();
   };
 
   if (workers == 1) {
@@ -281,12 +277,10 @@ DiffRunner::Run(util::Span<const Prog> corpus) const
 
   // Phase 3 (serial): shrink one reproducer per signature. The property
   // is "the models still disagree with this exact signature", evaluated
-  // on a dedicated executor pair inside one batch window.
+  // on a dedicated executor pair.
   if (options_.minimize && !report.divergences.empty()) {
     ModelSide base = BuildSide(options_.baseline, options_.boot, false, lib_);
     ModelSide subj = BuildSide(options_.subject, options_.boot, true, lib_);
-    base.executor->BeginBatch();
-    subj.executor->BeginBatch();
     for (Divergence& d : report.divergences) {
       MinimizeResult min =
           MinimizeWhile(d.repro, [&](const Prog& candidate) {
@@ -300,8 +294,6 @@ DiffRunner::Run(util::Span<const Prog> corpus) const
         d.minimized = true;
       }
     }
-    base.executor->EndBatch();
-    subj.executor->EndBatch();
   }
 
   for (Divergence& d : report.divergences) {

@@ -14,7 +14,6 @@ Distiller::Distiller(const SpecLibrary* lib, Orchestrator::BootFn boot,
                      DistillOptions options)
     : lib_(lib), boot_(std::move(boot)), options_(options)
 {
-  if (options_.batch_size < 1) options_.batch_size = 1;
 }
 
 DistillResult
@@ -41,27 +40,16 @@ Distiller::Distill(const std::vector<Prog>& merged) const
     candidates.push_back(prog);
   }
 
-  // -- 2. Batched replay for per-program coverage signatures ---------------
+  // -- 2. Replay for per-program coverage signatures -----------------------
   std::unique_ptr<vkernel::KernelModel> kernel =
       options_.model_factory ? options_.model_factory()
                              : vkernel::MakeStrictModel();
   if (boot_) boot_(kernel.get());
   Executor executor(kernel.get(), lib_);
 
-  std::vector<vkernel::Coverage> signatures(candidates.size());
-  std::vector<ExecResult> execs(candidates.size());
-  const size_t window = static_cast<size_t>(options_.batch_size);
-  for (size_t off = 0; off < candidates.size(); off += window) {
-    const size_t n = std::min(window, candidates.size() - off);
-    std::vector<vkernel::Coverage> chunk_sigs;
-    std::vector<ExecResult> chunk = executor.RunBatch(
-        util::Span<const Prog>(candidates.data() + off, n), &result.coverage,
-        &chunk_sigs);
-    for (size_t i = 0; i < n; ++i) {
-      signatures[off + i] = std::move(chunk_sigs[i]);
-      execs[off + i] = std::move(chunk[i]);
-    }
-  }
+  std::vector<vkernel::Coverage> signatures;
+  const std::vector<ExecResult> execs =
+      executor.RunBatch(candidates, &result.coverage, &signatures);
   result.stats.replayed = candidates.size();
 
   // -- 3. Greedy minimal covering subset -----------------------------------

@@ -1,8 +1,8 @@
 /// \file
 /// Between-campaign corpus distillation — the syzkaller corpus-minimization
 /// analog for the virtual kernel. Merged per-shard corpora grow without
-/// bound across campaign rounds; the distiller replays them through the
-/// batched executor to compute per-program coverage signatures, greedily
+/// bound across campaign rounds; the distiller replays them through
+/// Executor::RunBatch to compute per-program coverage signatures, greedily
 /// selects a minimal subset that reproduces the merged coverage exactly,
 /// and deduplicates crashes into one minimized reproducer per title. The
 /// distilled set re-seeds the next round's shards, so corpora stop growing
@@ -25,8 +25,6 @@ namespace kernelgpt::fuzzer {
 
 /// Distillation parameters.
 struct DistillOptions {
-  /// Programs per kernel batch window during signature replay.
-  int batch_size = 32;
   /// Drop structurally identical programs (by HashProg) before replay.
   bool dedupe_exact = true;
   /// Shrink one reproducer per crash title via MinimizeCrash.

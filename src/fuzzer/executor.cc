@@ -328,9 +328,7 @@ Executor::RunBatch(util::Span<const Prog> progs, vkernel::Coverage* total)
 {
   std::vector<ExecResult> results;
   results.reserve(progs.size());
-  BeginBatch();
   for (const Prog& prog : progs) results.push_back(Run(prog, total));
-  EndBatch();
   return results;
 }
 
@@ -343,7 +341,6 @@ Executor::RunBatch(util::Span<const Prog> progs, vkernel::Coverage* total,
   results.reserve(progs.size());
   signatures->clear();
   signatures->resize(progs.size());
-  BeginBatch();
   for (size_t i = 0; i < progs.size(); ++i) {
     // Each program runs against its own fresh bitmap (the signature);
     // the union and the total-relative new-block count are recovered by
@@ -352,7 +349,6 @@ Executor::RunBatch(util::Span<const Prog> progs, vkernel::Coverage* total,
     if (total) result.new_blocks = total->Merge((*signatures)[i]);
     results.push_back(std::move(result));
   }
-  EndBatch();
   return results;
 }
 

@@ -2,10 +2,11 @@
 /// Program execution against a virtual-kernel model: dispatches each call
 /// by the opcode its syscall resolved to at Finalize() time, threads
 /// resource results between calls, and collects coverage and crash
-/// outcomes. Argument bytes are passed to the model as zero-copy views;
-/// batches of programs can share one kernel batch window to amortize
-/// per-program reset work. The executor is written against the abstract
-/// vkernel::KernelModel, so the same program can run on any personality.
+/// outcomes. Argument bytes are passed to the model as zero-copy views.
+/// Every program starts from the kernel's one per-program reset
+/// (KernelModel::BeginProgram). The executor is written against the
+/// abstract vkernel::KernelModel, so the same program can run on any
+/// personality.
 
 #ifndef KERNELGPT_FUZZER_EXECUTOR_H_
 #define KERNELGPT_FUZZER_EXECUTOR_H_
@@ -63,10 +64,8 @@ class Executor {
   /// and end-of-program fd shape into `trace` (may be null).
   ExecResult Run(const Prog& prog, vkernel::Coverage* total, ExecTrace* trace);
 
-  /// Runs a batch of programs inside one kernel batch window, amortizing
-  /// per-program module resets. Per-program semantics (fresh fd table and
-  /// module state) are preserved, so results are identical to running
-  /// each program through Run() individually.
+  /// Runs each program through Run() in order, so results are identical
+  /// to running them individually.
   std::vector<ExecResult> RunBatch(util::Span<const Prog> progs,
                                    vkernel::Coverage* total);
 
@@ -78,12 +77,6 @@ class Executor {
   std::vector<ExecResult> RunBatch(util::Span<const Prog> progs,
                                    vkernel::Coverage* total,
                                    std::vector<vkernel::Coverage>* signatures);
-
-  /// Opens/closes a kernel batch window around a streaming sequence of
-  /// Run() calls (the campaign loop cannot materialize its programs up
-  /// front because generation depends on prior results).
-  void BeginBatch() { kernel_->BeginBatch(); }
-  void EndBatch() { kernel_->EndBatch(); }
 
   /// The model this executor drives (for reports that name it).
   vkernel::KernelModel* model() const { return kernel_; }

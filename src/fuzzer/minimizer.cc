@@ -102,22 +102,11 @@ MinimizeCrash(vkernel::KernelModel* kernel, const SpecLibrary& lib,
 }
 
 MinimizeResult
-MinimizeCrash(Executor* executor_ptr, const Prog& crashing,
+MinimizeCrash(Executor* executor, const Prog& crashing,
               const std::string& crash_title)
 {
-  Executor& executor = *executor_ptr;
-
-  // Minimization replays hundreds of near-identical candidates; one
-  // batch window amortizes the per-replay module resets. Closed by the
-  // scope guard on every return path.
-  executor.BeginBatch();
-  struct BatchGuard {
-    Executor* executor;
-    ~BatchGuard() { executor->EndBatch(); }
-  } batch_guard{&executor};
-
   return MinimizeWhile(crashing, [&](const Prog& candidate) {
-    ExecResult exec = executor.Run(candidate, nullptr);
+    ExecResult exec = executor->Run(candidate, nullptr);
     return exec.crashed && exec.crash_title == crash_title;
   });
 }

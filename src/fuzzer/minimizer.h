@@ -46,8 +46,7 @@ MinimizeResult MinimizeCrash(vkernel::KernelModel* kernel,
 
 /// Same, reusing a caller-owned executor — the distiller minimizes one
 /// reproducer per crash title and would otherwise rebuild an executor
-/// (and its scratch buffers) for every title. The executor must not have
-/// a batch window open; the minimizer opens and closes its own.
+/// (and its scratch buffers) for every title.
 MinimizeResult MinimizeCrash(Executor* executor, const Prog& crashing,
                              const std::string& crash_title);
 

@@ -1,6 +1,6 @@
 /// \file
 /// Minimal contiguous-range view (C++17 has no std::span). Used by the
-/// batched executor to accept programs from any contiguous container
+/// executor's RunBatch to accept programs from any contiguous container
 /// without copying or templating the API.
 
 #ifndef KERNELGPT_UTIL_SPAN_H_

@@ -263,9 +263,6 @@ class DeviceDriver {
   /// opens (the kernel's fd table is shared_ptr-based for dup()).
   virtual std::shared_ptr<FileHandler> Open(KernelModel& kernel,
                                             long* err) = 0;
-
-  /// Called between fuzz programs to reset module-global state.
-  virtual void ResetState() {}
 };
 
 /// A registered socket family (protocol module).
@@ -286,7 +283,8 @@ class SocketFamily {
                                                 KernelModel& kernel,
                                                 long* err) = 0;
 
-  /// Called between fuzz programs to reset module-global state.
+  /// Called by Kernel::BeginProgram before every program to reset
+  /// module-global state (bound-port tables...).
   virtual void ResetState() {}
 
   /// Normalized observable module-global state (bound-port tables,

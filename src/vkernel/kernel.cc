@@ -1,10 +1,5 @@
 #include "vkernel/kernel.h"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "util/fault.h"
-
 namespace kernelgpt::vkernel {
 
 uint64_t
@@ -34,16 +29,13 @@ Buffer::WriteScalar(size_t offset, size_t size, uint64_t value)
 void
 Kernel::RegisterDevice(std::unique_ptr<DeviceDriver> driver)
 {
-  device_by_path_.emplace(driver->NodePath(),
-                          std::make_pair(driver.get(), devices_.size()));
-  device_dirty_.push_back(0);
+  device_by_path_.emplace(driver->NodePath(), driver.get());
   devices_.push_back(std::move(driver));
 }
 
 void
 Kernel::RegisterSocketFamily(std::unique_ptr<SocketFamily> family)
 {
-  family_dirty_.push_back(0);
   families_.push_back(std::move(family));
 }
 
@@ -51,7 +43,7 @@ DeviceDriver*
 Kernel::FindDeviceByPath(std::string_view path) const
 {
   auto it = device_by_path_.find(path);
-  return it == device_by_path_.end() ? nullptr : it->second.first;
+  return it == device_by_path_.end() ? nullptr : it->second;
 }
 
 SocketFamily*
@@ -64,77 +56,10 @@ Kernel::FindFamilyByDomain(uint64_t domain) const
 }
 
 void
-Kernel::MarkDeviceDirty(size_t index)
-{
-  if (!device_dirty_[index]) {
-    device_dirty_[index] = 1;
-    dirty_devices_.push_back(index);
-  }
-}
-
-void
-Kernel::MarkFamilyDirty(size_t index)
-{
-  if (!family_dirty_[index]) {
-    family_dirty_[index] = 1;
-    dirty_families_.push_back(index);
-  }
-}
-
-void
-Kernel::ResetModules(bool dirty_only)
-{
-  if (dirty_only) {
-    for (size_t i : dirty_devices_) {
-      devices_[i]->ResetState();
-      device_dirty_[i] = 0;
-    }
-    for (size_t i : dirty_families_) {
-      families_[i]->ResetState();
-      family_dirty_[i] = 0;
-    }
-  } else {
-    for (auto& d : devices_) d->ResetState();
-    for (auto& f : families_) f->ResetState();
-    std::fill(device_dirty_.begin(), device_dirty_.end(), 0);
-    std::fill(family_dirty_.begin(), family_dirty_.end(), 0);
-  }
-  dirty_devices_.clear();
-  dirty_families_.clear();
-}
-
-void
 Kernel::BeginProgram()
 {
   fds_.Clear();
-  ResetModules(/*dirty_only=*/in_batch_);
-}
-
-void
-Kernel::BeginBatch()
-{
-  KERNELGPT_FAULT_POINT("vkernel.begin_batch", policy_.name);
-  // Documented precondition, now enforced: a batch window may only open
-  // on a pristine kernel. A nested window or a window opened mid-program
-  // (live descriptors) would let dirty-entry state — and pooled handlers
-  // the recycler never saw back — leak across program boundaries.
-  if (in_batch_) {
-    throw std::logic_error(
-        "Kernel::BeginBatch: batch window already open (missing EndBatch)");
-  }
-  if (!fds_.empty()) {
-    throw std::logic_error(
-        "Kernel::BeginBatch: fd table not pristine (batch opened "
-        "mid-program; descriptors from the running program would leak)");
-  }
-  in_batch_ = true;
-}
-
-void
-Kernel::EndBatch()
-{
-  in_batch_ = false;
-  ResetModules(/*dirty_only=*/false);
+  for (auto& f : families_) f->ResetState();
 }
 
 void
@@ -240,10 +165,7 @@ Kernel::Openat(std::string_view path, uint64_t flags, ExecContext& ctx)
   if (it == device_by_path_.end()) {
     return SyscallResult::Err(policy_.unknown_path_errno);
   }
-  DeviceDriver* driver = it->second.first;
-  // Open may mutate module state even when it fails, so the module is
-  // dirty from here on regardless of the outcome.
-  MarkDeviceDirty(it->second.second);
+  DeviceDriver* driver = it->second;
   long err = 0;
   std::shared_ptr<FileHandler> handler = driver->Open(*this, &err);
   if (!handler) return SyscallResult::FromRaw(err != 0 ? err : -kENODEV);
@@ -338,11 +260,9 @@ Kernel::Socket(uint64_t domain, uint64_t type, uint64_t protocol,
   // that accepts (type, protocol) wins, like the kernel's create loop.
   bool domain_seen = false;
   long err = 0;
-  for (size_t i = 0; i < families_.size(); ++i) {
-    const auto& family = families_[i];
+  for (const auto& family : families_) {
     if (family->Domain() != domain) continue;
     domain_seen = true;
-    MarkFamilyDirty(i);
     std::shared_ptr<SocketHandler> handler =
         family->Create(type, protocol, *this, &err);
     if (handler) {

@@ -84,8 +84,8 @@ struct KernelPolicy {
 /// Single-threaded virtual kernel instance.
 ///
 /// Drivers and socket families are registered once; BeginProgram() resets
-/// per-program state (fd table and module state) between fuzz programs,
-/// like rebooting a lightweight VM snapshot.
+/// per-program state (fd table and socket-family state) between fuzz
+/// programs, like rebooting a lightweight VM snapshot.
 class Kernel : public KernelModel {
  public:
   Kernel() = default;
@@ -116,28 +116,14 @@ class Kernel : public KernelModel {
 
   // -- Program lifecycle ---------------------------------------------------
 
-  /// Resets the fd table and per-program module state. Outside a batch
-  /// window every module is reset (the legacy full reset); inside one,
-  /// only modules actually touched since their last reset are — the
-  /// batched executor's amortization. Both orders are observable-state
-  /// equivalent because resetting an untouched module is a no-op.
+  /// Resets per-program state: clears the fd table and calls
+  /// ResetState() on every socket family (the vnet TCP/UDP port spaces).
+  /// Device drivers keep no module-global state between programs; their
+  /// per-file state lives in handlers that EndProgram releases.
   void BeginProgram() override;
 
   /// Closes all remaining descriptors (releasing driver objects).
   void EndProgram(ExecContext& ctx) override;
-
-  /// Opens a batch window: BeginProgram() switches to dirty-module-only
-  /// resets until EndBatch(). Must be called with the kernel pristine
-  /// (freshly booted, or after a completed program / closed batch);
-  /// misuse — a nested batch, or a batch opened mid-program while
-  /// descriptors are live — is enforced with a cheap always-on check
-  /// that throws std::logic_error (fault site "vkernel.begin_batch").
-  void BeginBatch() override;
-
-  /// Closes the batch window and restores the pristine state with one
-  /// full module reset, so any dirty-tracking miss cannot leak past a
-  /// batch boundary.
-  void EndBatch() override;
 
   // -- Syscalls ------------------------------------------------------------
 
@@ -190,20 +176,7 @@ class Kernel : public KernelModel {
   /// Node path -> device, built at registration so Openat resolves with
   /// one transparent lookup instead of a linear NodePath() string scan.
   /// std::less<> enables string_view lookups without a temporary string.
-  std::map<std::string, std::pair<DeviceDriver*, size_t>, std::less<>>
-      device_by_path_;
-
-  /// Modules touched since their last ResetState() (indices into
-  /// devices_ / families_). Drives the dirty-only reset inside batches.
-  std::vector<size_t> dirty_devices_;
-  std::vector<size_t> dirty_families_;
-  std::vector<char> device_dirty_;
-  std::vector<char> family_dirty_;
-  bool in_batch_ = false;
-
-  void MarkDeviceDirty(size_t index);
-  void MarkFamilyDirty(size_t index);
-  void ResetModules(bool dirty_only);
+  std::map<std::string, DeviceDriver*, std::less<>> device_by_path_;
 
   /// Per-program descriptor table; numbering is owned by the policy's
   /// FdLayout (the strict unified layout reproduces the historical

@@ -5,10 +5,11 @@
 /// (strict vs. permissive semantics, model-vN vs. model-vN+1) and
 /// divergence becomes a finding — the klee-mc SysModel pattern.
 ///
-/// A model exposes boot-time registration, the program/batch lifecycle,
-/// typed syscall wrappers returning SyscallResult, and one uniform
-/// `Syscall(op, args, ctx)` entry the opcode dispatcher drives. Each
-/// model owns its virtual-fd space through an FdTable (fd_table.h).
+/// A model exposes boot-time registration, the program lifecycle (one
+/// reset per program, in BeginProgram), typed syscall wrappers returning
+/// SyscallResult, and one uniform `Syscall(op, args, ctx)` entry the
+/// opcode dispatcher drives. Each model owns its virtual-fd space
+/// through an FdTable (fd_table.h).
 
 #ifndef KERNELGPT_VKERNEL_MODEL_H_
 #define KERNELGPT_VKERNEL_MODEL_H_
@@ -127,8 +128,6 @@ class KernelModel {
 
   virtual void BeginProgram() = 0;
   virtual void EndProgram(ExecContext& ctx) = 0;
-  virtual void BeginBatch() = 0;
-  virtual void EndBatch() = 0;
 
   // -- Typed syscalls ------------------------------------------------------
 

@@ -9,6 +9,9 @@
 //  - isolation: state one kernel leaves behind (a bound port, TIME_WAIT
 //    residue, a pooled handler, a sequence-bug prior) never shows up in
 //    another kernel booted from the same tables;
+//  - reset: every program run on one long-lived kernel behaves exactly
+//    as on a kernel booted just for it, so Kernel::BeginProgram resets
+//    everything a program can leave behind;
 //  - concurrency: 8 threads booting and running the same seeded batch
 //    each reproduce the serial result. Run this suite under
 //    -fsanitize=thread to check the shared tables.
@@ -142,9 +145,11 @@ BootStandalone(vkernel::KernelModel* kernel)
 /// Everything observable about one program execution.
 struct Outcome {
   std::string results;  ///< "retval/errno" per call slot.
+  std::string end_shape;  ///< "files/sockets" open at end of program.
   std::vector<uint64_t> blocks;
   std::string crash;
   std::string module_state;
+  size_t calls_executed = 0;
 };
 
 Outcome
@@ -158,10 +163,24 @@ RunOne(Executor* executor, const Prog& prog)
     out.results += std::to_string(r.retval) + "/" +
                    std::to_string(r.verrno) + " ";
   }
+  out.end_shape = std::to_string(trace.end_shape.files_open) + "/" +
+                  std::to_string(trace.end_shape.sockets_open);
   out.blocks = cov.SortedBlocks();
   out.crash = res.crashed ? res.crash_title : "";
   out.module_state = trace.module_state;
+  out.calls_executed = res.calls_executed;
   return out;
+}
+
+void
+ExpectSameOutcome(const Outcome& x, const Outcome& y, const std::string& at)
+{
+  EXPECT_EQ(x.results, y.results) << at;
+  EXPECT_EQ(x.end_shape, y.end_shape) << at;
+  EXPECT_EQ(x.blocks, y.blocks) << at;
+  EXPECT_EQ(x.crash, y.crash) << at;
+  EXPECT_EQ(x.module_state, y.module_state) << at;
+  EXPECT_EQ(x.calls_executed, y.calls_executed) << at;
 }
 
 const vkernel::KernelPolicy kPolicies[] = {vkernel::KernelPolicy::Strict(),
@@ -238,10 +257,7 @@ TEST(BootImageTest, SharedTablesMatchStandaloneConstructors)
     for (size_t i = 0; i < corpus.size(); ++i) {
       const Outcome x = RunOne(&a, corpus[i]);
       const Outcome y = RunOne(&b, corpus[i]);
-      EXPECT_EQ(x.results, y.results) << policy.name << " prog " << i;
-      EXPECT_EQ(x.blocks, y.blocks) << policy.name << " prog " << i;
-      EXPECT_EQ(x.crash, y.crash) << policy.name << " prog " << i;
-      EXPECT_EQ(x.module_state, y.module_state) << policy.name << " prog " << i;
+      ExpectSameOutcome(x, y, policy.name + " prog " + std::to_string(i));
       crashes += !x.crash.empty();
       stateful += !x.module_state.empty();
       for (uint64_t block : x.blocks) total.Hit(block);
@@ -249,6 +265,32 @@ TEST(BootImageTest, SharedTablesMatchStandaloneConstructors)
     // The corpus must actually reach drivers, crashes and vnet state.
     EXPECT_GT(total.Count(), 100u) << policy.name;
     EXPECT_GT(crashes, 0u) << policy.name;
+    EXPECT_GT(stateful, 0u) << policy.name;
+  }
+}
+
+TEST(BootImageTest, ProgramResetMatchesAFreshKernel)
+{
+  const SpecLibrary lib = GroundTruthLibrary();
+  const std::vector<Prog> corpus = MakeCorpus(lib, 23);
+
+  for (const vkernel::KernelPolicy& policy : kPolicies) {
+    // One kernel runs the whole corpus back to back; the reference boots
+    // a new kernel for every program.
+    vkernel::Kernel reused(policy);
+    Corpus::Instance().RegisterAll(&reused);
+    Executor reused_exec(&reused, &lib);
+    size_t stateful = 0;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      vkernel::Kernel fresh(policy);
+      Corpus::Instance().RegisterAll(&fresh);
+      Executor fresh_exec(&fresh, &lib);
+      const Outcome x = RunOne(&reused_exec, corpus[i]);
+      const Outcome y = RunOne(&fresh_exec, corpus[i]);
+      ExpectSameOutcome(x, y, policy.name + " prog " + std::to_string(i));
+      stateful += !x.module_state.empty();
+    }
+    // Programs must leave module state behind for the reset to clear.
     EXPECT_GT(stateful, 0u) << policy.name;
   }
 }

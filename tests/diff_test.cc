@@ -14,7 +14,6 @@
 #include "fuzzer/diff_runner.h"
 #include "fuzzer/generator.h"
 #include "fuzzer/session.h"
-#include "util/fault.h"
 #include "util/rng.h"
 #include "vkernel/kernel.h"
 
@@ -311,19 +310,6 @@ TEST_F(DiffTest, NetPolicyKnobsDivergeStrictVsPermissive)
   same.boot = Boot;
   DiffReport silent = DiffRunner(&lib, same).Run(corpus);
   EXPECT_TRUE(silent.divergences.empty()) << silent.Render();
-}
-
-TEST_F(DiffTest, BeginBatchFaultPointFires)
-{
-  ASSERT_TRUE(util::FaultInjector::Instance()
-                  .ArmFromSpec("site=vkernel.begin_batch,kind=throw")
-                  .ok());
-  vkernel::Kernel kernel;
-  EXPECT_THROW(kernel.BeginBatch(), util::InjectedFault);
-  util::FaultInjector::Instance().Disarm();
-  // Disarmed, the pristine window opens and closes normally.
-  kernel.BeginBatch();
-  kernel.EndBatch();
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ class FleetTest : public ::testing::Test {
   static OrchestratorOptions SmallRound() {
     OrchestratorOptions options;
     options.campaign.program_budget = 3000;
-    options.campaign.batch_size = 32;
     options.num_workers = 2;
     options.sync_interval = 150;
     return options;

@@ -1,7 +1,9 @@
-// Tests for the hot-path execution engine (PR 2): opcode dispatch parity
+// Tests for the hot-path execution engine: opcode dispatch parity
 // against the legacy string-comparison chain, dense-coverage equivalence
-// with set semantics, zero-copy buffer behaviour, and batched-executor
-// determinism (batch_size must never change results).
+// with set semantics, zero-copy buffer behaviour, RunBatch parity with
+// individual runs, and the 1-worker orchestrator's identity with the
+// serial campaign. The per-program reset is checked against a freshly
+// booted kernel in boot_image_test.
 
 #include <gtest/gtest.h>
 
@@ -300,35 +302,8 @@ TEST_F(HotPathTest, BufferViewReadsWithoutCopyAndMaterializesOnWrite)
 }
 
 // ---------------------------------------------------------------------------
-// Batched execution
+// Batch replay and campaign identity
 // ---------------------------------------------------------------------------
-
-TEST_F(HotPathTest, BatchSizeDoesNotChangeCampaignResults)
-{
-  SpecLibrary lib = SuiteLibrary();
-  CampaignOptions base;
-  base.seed = 4242;
-  base.program_budget = 6000;
-
-  auto run_with_batch = [&](int batch_size) {
-    vkernel::Kernel kernel;
-    Boot(&kernel);
-    CampaignOptions options = base;
-    options.batch_size = batch_size;
-    return RunCampaign(&kernel, lib, options);
-  };
-
-  CampaignResult unbatched = run_with_batch(1);
-  EXPECT_GT(unbatched.coverage.Count(), 0u);
-  for (int batch_size : {2, 32, 7919}) {
-    CampaignResult batched = run_with_batch(batch_size);
-    EXPECT_EQ(unbatched.coverage.blocks(), batched.coverage.blocks())
-        << "batch_size " << batch_size;
-    EXPECT_EQ(unbatched.crashes, batched.crashes);
-    EXPECT_EQ(unbatched.programs_executed, batched.programs_executed);
-    EXPECT_EQ(unbatched.corpus_size, batched.corpus_size);
-  }
-}
 
 TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
 {
@@ -362,13 +337,12 @@ TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
   EXPECT_EQ(cov_batch.blocks(), cov_single.blocks());
 }
 
-TEST_F(HotPathTest, BatchedOneWorkerOrchestratorStillBitIdenticalToSerial)
+TEST_F(HotPathTest, OneWorkerOrchestratorStillBitIdenticalToSerial)
 {
   SpecLibrary lib = SuiteLibrary();
   CampaignOptions campaign;
   campaign.seed = 314;
   campaign.program_budget = 4000;
-  campaign.batch_size = 16;
 
   vkernel::Kernel kernel;
   Boot(&kernel);

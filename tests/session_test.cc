@@ -62,7 +62,6 @@ class SessionTest : public ::testing::Test {
   static OrchestratorOptions SmallRound() {
     OrchestratorOptions options;
     options.campaign.program_budget = 6000;
-    options.campaign.batch_size = 32;
     options.num_workers = 2;
     options.sync_interval = 200;
     return options;

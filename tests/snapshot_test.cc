@@ -68,7 +68,6 @@ class SnapshotTest : public ::testing::Test {
     SessionOptions options;
     options.seed = 77;
     options.orchestrator.campaign.program_budget = 2500;
-    options.orchestrator.campaign.batch_size = 32;
     options.orchestrator.num_workers = 2;
     options.orchestrator.sync_interval = 200;
     return options;

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::vkernel {
@@ -362,26 +360,6 @@ TEST_F(PersonalityTest, BaseClassPointerDrivesEitherModel)
     EXPECT_EQ(model->FdTableShape(), (FdShape{0, 0}));
     model->BeginProgram();
   }
-}
-
-TEST_F(PersonalityTest, BeginBatchRejectsNestedWindow)
-{
-  strict_.BeginBatch();
-  EXPECT_THROW(strict_.BeginBatch(), std::logic_error);
-  strict_.EndBatch();
-}
-
-TEST_F(PersonalityTest, BeginBatchRejectsDirtyFdTable)
-{
-  ExecContext ctx(&cov_);
-  ASSERT_TRUE(strict_.Openat("/dev/testdev", 0, ctx).ok());
-  // Mid-program: descriptors from the running program would leak.
-  EXPECT_THROW(strict_.BeginBatch(), std::logic_error);
-  strict_.EndProgram(ctx);
-  // Pristine again: the window opens fine, and Run() having marked
-  // modules dirty earlier must NOT trip the check.
-  strict_.BeginBatch();
-  strict_.EndBatch();
 }
 
 TEST(CoverageTest, MergeAndDiff)

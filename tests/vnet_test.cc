@@ -3,10 +3,11 @@
 //    crashes;
 //  - illegal transitions raise the "state-machine violation" crash class
 //    with deterministic titles (distinct from errno returns);
-//  - ephemeral-port allocation is deterministic across program windows;
+//  - ephemeral-port allocation is deterministic across programs;
 //  - accept-backlog overflow refuses connections and claims its edge
 //    block;
-//  - batch windows reset the port namespace and socket state completely;
+//  - the per-program reset clears the port namespace and socket state
+//    completely;
 //  - module state shapes are slot-normalized (identical across fd
 //    layouts);
 //  - ground-truth net campaigns reach ESTABLISHED/TIME_WAIT coverage and
@@ -206,8 +207,8 @@ class VnetTest : public ::testing::Test {
 
 syzlang::ConstTable* VnetTest::consts_ = nullptr;
 
-/// One strict kernel booted with the full corpus, inside a program
-/// window, with its own coverage sink — the direct-drive harness.
+/// One strict kernel booted with the full corpus, with a program begun
+/// and its own coverage sink — the direct-drive harness.
 struct NetKernel {
   vkernel::Kernel kernel;
   vkernel::Coverage cov;
@@ -368,15 +369,14 @@ TEST_F(VnetTest, BacklogOverflowRefusesExtraConnections)
   EXPECT_FALSE(k.ctx.crashed());
 }
 
-TEST_F(VnetTest, BatchWindowResetIsPure)
+TEST_F(VnetTest, ProgramResetIsPure)
 {
   NetKernel k;
-  k.kernel.BeginBatch();
   const std::vector<uint8_t> addr = Addr(5);
 
   for (int round = 0; round < 2; ++round) {
-    // Fresh program inside the window: the previous round's binding and
-    // listener must be fully gone or re-binding port 5 would conflict.
+    // Fresh program: the previous round's binding and listener must be
+    // fully gone or re-binding port 5 would conflict.
     EXPECT_EQ(k.kernel.ModuleStateShape(), "") << "round " << round;
     long s = k.Sock(1, 6);
     EXPECT_TRUE(k.kernel.Bind(s, vkernel::Buffer::View(addr), k.ctx).ok())
@@ -386,7 +386,6 @@ TEST_F(VnetTest, BatchWindowResetIsPure)
     k.kernel.BeginProgram();
   }
   k.kernel.EndProgram(k.ctx);
-  k.kernel.EndBatch();
   EXPECT_FALSE(k.ctx.crashed()) << k.ctx.crash_title();
 }
 
@@ -422,7 +421,6 @@ TEST_F(VnetTest, CampaignReachesDeepStatesAndMinimizesViolations)
   OrchestratorOptions options;
   options.campaign.seed = 77;
   options.campaign.program_budget = 4000;
-  options.campaign.batch_size = 16;
   options.campaign.seed_corpus = NetSeeds(lib);
   options.sync_interval = 200;
 
@@ -471,7 +469,6 @@ TEST_F(VnetTest, SessionSaveResumeIsBitIdenticalOverNetCorpora)
   SpecLibrary lib = NetLibrary();
   OrchestratorOptions round;
   round.campaign.program_budget = 3000;
-  round.campaign.batch_size = 16;
   round.num_workers = 2;
   round.sync_interval = 200;
   SessionOptions base =
