@@ -145,7 +145,7 @@ BM_KernelOpenClose(benchmark::State& state)
 }
 BENCHMARK(BM_KernelOpenClose);
 
-/// Per-kernel boot cost: a fresh StrictModel plus Corpus::RegisterAll,
+/// Per-kernel boot cost: a fresh strict Kernel plus Corpus::RegisterAll,
 /// destruction included — what every orchestrator worker, distill pass,
 /// DiffRunner side and fleet recovery pays. The shared driver tables are
 /// built by the first boot; every timed boot only allocates the thin
@@ -155,7 +155,7 @@ BM_KernelBoot(benchmark::State& state)
 {
   const drivers::Corpus& corpus = drivers::Corpus::Instance();
   for (auto _ : state) {
-    vkernel::StrictModel kernel;
+    vkernel::Kernel kernel;
     corpus.RegisterAll(&kernel);
     benchmark::DoNotOptimize(kernel.devices().data());
   }
@@ -236,7 +236,7 @@ BM_Distill(benchmark::State& state)
 {
   const auto& context = experiments::ExperimentContext::Default();
   fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
-  auto boot = [&context](vkernel::KernelModel* k) { context.BootKernel(k); };
+  auto boot = [&context](vkernel::Kernel* k) { context.BootKernel(k); };
 
   fuzzer::OrchestratorOptions options;
   options.campaign.seed = 42;
@@ -280,7 +280,7 @@ BM_DiffRunnerOverhead(benchmark::State& state)
 
   if (state.range(0) != 0) {
     fuzzer::DiffOptions options;
-    options.boot = [&context](vkernel::KernelModel* k) {
+    options.boot = [&context](vkernel::Kernel* k) {
       context.BootKernel(k);
     };
     options.minimize = false;
@@ -417,7 +417,7 @@ BM_OrchestratorThroughput(benchmark::State& state)
     options.campaign.program_budget = 2000;
     options.num_workers = static_cast<int>(state.range(0));
     benchmark::DoNotOptimize(fuzzer::RunShardedCampaign(
-        lib, [&context](vkernel::KernelModel* k) { context.BootKernel(k); },
+        lib, [&context](vkernel::Kernel* k) { context.BootKernel(k); },
         options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2000);
@@ -465,7 +465,7 @@ BM_FleetRoundOverhead(benchmark::State& state)
   util::FaultInjector::Instance().Disarm();
   const auto& context = experiments::ExperimentContext::Default();
   fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
-  auto boot = [&context](vkernel::KernelModel* k) { context.BootKernel(k); };
+  auto boot = [&context](vkernel::Kernel* k) { context.BootKernel(k); };
   fuzzer::SessionOptions options;
   options.WithSeed(42).WithProgramBudget(2000).WithWorkers(2);
   const bool fleet_mode = state.range(0) != 0;

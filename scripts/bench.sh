@@ -230,7 +230,7 @@ result = {
         "opens_per_sec": items_per_sec("BM_KernelOpenClose"),
         "ns_per_open_close": ns_per_item("BM_KernelOpenClose"),
     },
-    # Kernel boot: a fresh StrictModel plus Corpus::RegisterAll
+    # Kernel boot: a fresh strict Kernel plus Corpus::RegisterAll
     # and its teardown. The driver/socket tables are built once per
     # process and shared, so a boot only allocates thin per-kernel drivers.
     "kernel_boot": {

@@ -36,11 +36,14 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # reports at 1 and 4 DiffRunner workers and across session save/resume
 # (diff_test), and kernels booted concurrently from the shared boot image
 # must each reproduce the serial run while every program behaves on a
-# long-lived kernel exactly as on a freshly booted one (boot_image_test).
+# long-lived kernel exactly as on a freshly booted one (boot_image_test),
+# and the opcode dispatch must match the name-chain reference call for
+# call under both personalities while the parity stream's outcomes on
+# strict and permissive kernels hash to a pinned constant (hotpath_test).
 # Rerun through ctest so the gate stays in sync with the suites instead
 # of a hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \
-    -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test|boot_image_test)$')
+    -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test|boot_image_test|hotpath_test)$')
 
 echo
 echo "== Fleet-recovery soak (armed fault plan) =="

@@ -400,14 +400,12 @@ BuildBootImage(const Corpus& corpus)
       // Stateful vnet families; semantics follow each kernel's policy.
       steps.push_back(
           [tables = vnet::BuildTcpTables(s)](vkernel::KernelModel* k) {
-            k->RegisterSocketFamily(
-                vnet::MakeTcpFamily(tables, vnet::VnetPolicy::FromModel(k)));
+            k->RegisterSocketFamily(vnet::MakeTcpFamily(tables));
           });
     } else {
       steps.push_back(
           [tables = vnet::BuildUdpTables(s)](vkernel::KernelModel* k) {
-            k->RegisterSocketFamily(
-                vnet::MakeUdpFamily(tables, vnet::VnetPolicy::FromModel(k)));
+            k->RegisterSocketFamily(vnet::MakeUdpFamily(tables));
           });
     }
   }

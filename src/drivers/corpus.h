@@ -18,7 +18,7 @@
 
 #include "drivers/driver_model.h"
 #include "ksrc/definition_index.h"
-#include "vkernel/model.h"
+#include "vkernel/kernel.h"
 
 namespace kernelgpt::drivers {
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "drivers/driver_model.h"
-#include "vkernel/model.h"
+#include "vkernel/kernel.h"
 
 namespace kernelgpt::drivers {
 

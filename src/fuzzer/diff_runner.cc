@@ -216,8 +216,8 @@ DiffRunner::Run(util::Span<const Prog> corpus) const
   DiffReport report;
   // Names come from unbooted models, so the parallel phase needs no
   // shared model.
-  report.baseline_name = MakeModel(options_.baseline, false)->ModelName();
-  report.subject_name = MakeModel(options_.subject, true)->ModelName();
+  report.baseline_name = MakeModel(options_.baseline, false)->policy().name;
+  report.subject_name = MakeModel(options_.subject, true)->policy().name;
   report.programs = corpus.size();
   if (corpus.empty()) return report;
 

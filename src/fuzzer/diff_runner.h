@@ -1,9 +1,9 @@
 /// \file
 /// Differential execution oracle: runs every program of a corpus on two
-/// kernel personalities (baseline vs. subject, e.g. StrictModel vs.
-/// PermissiveModel) and reports normalized disagreements as findings —
-/// an oracle beyond crashes. Descriptor values are layout-dependent by
-/// design (models own their fd spaces), so fd-producing calls compare
+/// kernel personalities (baseline vs. subject, e.g. Kernel{Strict()} vs.
+/// Kernel{Permissive()}) and reports normalized disagreements as findings
+/// — an oracle beyond crashes. Descriptor values are layout-dependent by
+/// design (kernels own their fd spaces), so fd-producing calls compare
 /// (success, errno) and end-of-program fd-table *shapes* are compared
 /// instead of raw descriptor numbers.
 ///
@@ -21,7 +21,7 @@
 
 #include "fuzzer/executor.h"
 #include "util/span.h"
-#include "vkernel/model.h"
+#include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
 

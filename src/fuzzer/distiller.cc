@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "fuzzer/minimizer.h"
-#include "fuzzer/session.h"
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
@@ -91,51 +90,6 @@ Distiller::Distill(const std::vector<Prog>& merged) const
     result.stats.minimize_executions += minimized.executions;
     result.crash_reproducers[title] =
         minimized.reproduced ? std::move(minimized.prog) : *prog;
-  }
-  return result;
-}
-
-CampaignLoopResult
-RunCampaignLoop(const SpecLibrary& lib, Orchestrator::BootFn boot,
-                const CampaignLoopOptions& options)
-{
-  // Compatibility shim: the loop is now one hash-chain Session round
-  // schedule (campaign -> distill -> re-seed), bit-identical to the
-  // pre-Session inline loop. New code should drive fuzzer::Session
-  // directly — it adds persistence (Save/Resume), trend reports, and
-  // Status-based error reporting this legacy signature cannot surface.
-  CampaignLoopResult result;
-  SessionOptions session_options;
-  session_options.WithSeed(options.orchestrator.campaign.seed)
-      .WithRounds(std::max(options.rounds, 1))
-      .WithSchedule(SeedSchedule::kHashChain)
-      .WithCarryCorpus(true)
-      .WithDistill(true)
-      .WithOrchestrator(options.orchestrator)
-      .WithDistillOptions(options.distill);
-
-  Session session(session_options, std::move(boot));
-  static constexpr char kSuite[] = "loop";
-  if (!session.RegisterSuite(kSuite, &lib).ok() || !session.Run().ok()) {
-    // The legacy contract has no error channel; an unusable suite (e.g.
-    // an empty library) degrades to the empty result it always produced.
-    return result;
-  }
-
-  SuiteState& state = *session.Find(kSuite);
-  result.coverage = std::move(state.coverage);
-  result.crashes = std::move(state.crashes);
-  result.crash_reproducers = std::move(state.crash_reproducers);
-  result.corpus = std::move(state.corpus);
-  result.programs_executed = state.programs_executed;
-  for (RoundReport& report : state.rounds) {
-    CampaignRoundStats stats;
-    stats.merged_corpus = report.merged_corpus;
-    stats.distilled_corpus = report.distilled_corpus;
-    stats.coverage_blocks = report.cumulative_coverage;
-    stats.unique_crashes = report.cumulative_unique_crashes;
-    stats.epochs = std::move(report.epochs);
-    result.rounds.push_back(std::move(stats));
   }
   return result;
 }

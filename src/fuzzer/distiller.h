@@ -29,7 +29,7 @@ struct DistillOptions {
   bool dedupe_exact = true;
   /// Shrink one reproducer per crash title via MinimizeCrash.
   bool minimize_crashes = true;
-  /// Builds the private replay kernel (null: the reference StrictModel).
+  /// Builds the private replay kernel (null: a strict Kernel).
   vkernel::ModelFactory model_factory;
 };
 
@@ -73,50 +73,6 @@ class Distiller {
   Orchestrator::BootFn boot_;
   DistillOptions options_;
 };
-
-/// The "campaign of campaigns" loop: run a sharded campaign round, distill
-/// the merged corpora, re-seed the next round's shards with the distilled
-/// set, repeat.
-struct CampaignLoopOptions {
-  OrchestratorOptions orchestrator;  ///< Per-round settings (seed = round 0).
-  DistillOptions distill;
-  int rounds = 2;  ///< Orchestrator rounds; distillation runs between them.
-};
-
-/// Per-round corpus-lifecycle numbers.
-struct CampaignRoundStats {
-  size_t merged_corpus = 0;     ///< Shard corpora merged after the round.
-  size_t distilled_corpus = 0;  ///< Programs surviving distillation.
-  size_t coverage_blocks = 0;   ///< Cumulative union coverage after round.
-  size_t unique_crashes = 0;    ///< Cumulative unique crash titles.
-  std::vector<EpochStats> epochs;  ///< The round's sync schedule.
-};
-
-/// Accumulated outcome of a campaign loop.
-struct CampaignLoopResult {
-  vkernel::Coverage coverage;          ///< Union across all rounds.
-  std::map<std::string, int> crashes;  ///< Occurrences summed across rounds.
-  /// Union of per-round minimized reproducers (newest title wins — titles
-  /// are deterministic, so collisions are identical programs anyway).
-  std::map<std::string, Prog> crash_reproducers;
-  std::vector<Prog> corpus;            ///< Final distilled corpus.
-  size_t programs_executed = 0;
-  std::vector<CampaignRoundStats> rounds;
-};
-
-/// Runs `options.rounds` sharded campaign rounds with a distillation pass
-/// between consecutive rounds. Round r > 0 re-seeds every shard with the
-/// previous round's distilled corpus and decorrelates its RNG streams via
-/// util::HashCombine(seed, r). Deterministic end to end.
-///
-/// Compatibility shim since the Session redesign: this is exactly one
-/// hash-chain `fuzzer::Session` (see fuzzer/session.h), which adds
-/// Save/Resume persistence, per-round trend reports, and util::Status
-/// error reporting over this legacy signature. Prefer the Session API in
-/// new code.
-CampaignLoopResult RunCampaignLoop(const SpecLibrary& lib,
-                                   Orchestrator::BootFn boot,
-                                   const CampaignLoopOptions& options);
 
 }  // namespace kernelgpt::fuzzer
 

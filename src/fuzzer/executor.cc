@@ -6,14 +6,12 @@ namespace kernelgpt::fuzzer {
 
 using vkernel::Buffer;
 using vkernel::ExecContext;
-using vkernel::ModelOp;
-using vkernel::SyscallArgs;
 using vkernel::SyscallResult;
 
 namespace {
 
 /// Descriptor value no program state can produce; syscalls on it fail
-/// with the model's bad-fd errno, mirroring how a fuzzer's stale
+/// with the kernel's bad-fd errno, mirroring how a fuzzer's stale
 /// resource refs behave.
 constexpr long kInvalidFd = 999999;
 
@@ -68,7 +66,7 @@ BufferViewAt(const Call& call, size_t index)
 
 }  // namespace
 
-Executor::Executor(vkernel::KernelModel* kernel, const SpecLibrary* lib,
+Executor::Executor(vkernel::Kernel* kernel, const SpecLibrary* lib,
                    DispatchMode mode)
     : kernel_(kernel), lib_(lib), mode_(mode) {}
 
@@ -82,7 +80,6 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
     return call.args.empty() ? -1 : FdOf(call.args[0], results);
   };
 
-  SyscallArgs args;
   switch (op) {
     case SyscallOp::kOpen:
     case SyscallOp::kOpenat: {
@@ -90,105 +87,59 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
       if (path_idx >= call.args.size()) {
         return SyscallResult::Err(vkernel::kEINVAL);
       }
-      args.path = PathFrom(call.args[path_idx]);
-      args.a = ScalarOf(call, path_idx + 1);
-      return kernel_->Syscall(ModelOp::kOpenat, args, ctx);
+      return kernel_->Openat(PathFrom(call.args[path_idx]),
+                             ScalarOf(call, path_idx + 1), ctx);
     }
     case SyscallOp::kClose:
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kClose, args, ctx);
+      return kernel_->Close(fd0(), ctx);
     case SyscallOp::kDup:
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kDup, args, ctx);
+      return kernel_->Dup(fd0(), ctx);
     case SyscallOp::kIoctl: {
-      args.fd = fd0();
-      args.a = ScalarOf(call, 1);
       if (call.args.size() > 2 && call.args[2].kind == Arg::Kind::kBuffer) {
         Buffer buf = Buffer::View(call.args[2].bytes);
-        args.io = &buf;
-        return kernel_->Syscall(ModelOp::kIoctl, args, ctx);
+        return kernel_->Ioctl(fd0(), ScalarOf(call, 1), &buf, ctx);
       }
-      return kernel_->Syscall(ModelOp::kIoctl, args, ctx);
+      return kernel_->Ioctl(fd0(), ScalarOf(call, 1), nullptr, ctx);
     }
-    case SyscallOp::kRead: {
+    case SyscallOp::kRead:
       out_scratch_.bytes.assign(
           call.args.size() > 1 ? call.args[1].bytes.size() : 0, 0);
-      args.fd = fd0();
-      args.io = &out_scratch_;
-      return kernel_->Syscall(ModelOp::kRead, args, ctx);
-    }
-    case SyscallOp::kWrite: {
-      Buffer in = BufferViewAt(call, 1);
-      args.fd = fd0();
-      args.in = &in;
-      return kernel_->Syscall(ModelOp::kWrite, args, ctx);
-    }
+      return kernel_->Read(fd0(), &out_scratch_, ctx);
+    case SyscallOp::kWrite:
+      return kernel_->Write(fd0(), BufferViewAt(call, 1), ctx);
     case SyscallOp::kPoll:
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kPoll, args, ctx);
+      return kernel_->Poll(fd0(), ctx);
     case SyscallOp::kMmap:
-      args.fd = fd0();
-      args.a = ScalarOf(call, 1);
-      return kernel_->Syscall(ModelOp::kMmap, args, ctx);
+      return kernel_->Mmap(fd0(), ScalarOf(call, 1), ctx);
     case SyscallOp::kSocket:
-      args.a = ScalarOf(call, 0);
-      args.b = ScalarOf(call, 1);
-      args.c = ScalarOf(call, 2);
-      return kernel_->Syscall(ModelOp::kSocket, args, ctx);
-    case SyscallOp::kSetSockOpt: {
-      Buffer val = BufferViewAt(call, 3);
-      args.fd = fd0();
-      args.a = ScalarOf(call, 1);
-      args.b = ScalarOf(call, 2);
-      args.in = &val;
-      return kernel_->Syscall(ModelOp::kSetSockOpt, args, ctx);
-    }
+      return kernel_->Socket(ScalarOf(call, 0), ScalarOf(call, 1),
+                             ScalarOf(call, 2), ctx);
+    case SyscallOp::kSetSockOpt:
+      return kernel_->SetSockOpt(fd0(), ScalarOf(call, 1), ScalarOf(call, 2),
+                                 BufferViewAt(call, 3), ctx);
     case SyscallOp::kGetSockOpt: {
       // In/out: the user's bytes size the buffer, the kernel writes it.
       Buffer val = BufferViewAt(call, 3);
-      args.fd = fd0();
-      args.a = ScalarOf(call, 1);
-      args.b = ScalarOf(call, 2);
-      args.io = &val;
-      return kernel_->Syscall(ModelOp::kGetSockOpt, args, ctx);
+      return kernel_->GetSockOpt(fd0(), ScalarOf(call, 1), ScalarOf(call, 2),
+                                 &val, ctx);
     }
-    case SyscallOp::kBind: {
-      Buffer addr = BufferViewAt(call, 1);
-      args.fd = fd0();
-      args.addr = &addr;
-      return kernel_->Syscall(ModelOp::kBind, args, ctx);
-    }
-    case SyscallOp::kConnect: {
-      Buffer addr = BufferViewAt(call, 1);
-      args.fd = fd0();
-      args.addr = &addr;
-      return kernel_->Syscall(ModelOp::kConnect, args, ctx);
-    }
-    case SyscallOp::kSendTo: {
-      Buffer data = BufferViewAt(call, 1);
-      Buffer addr = BufferViewAt(call, 4);
-      args.fd = fd0();
-      args.in = &data;
-      args.addr = &addr;
-      return kernel_->Syscall(ModelOp::kSendTo, args, ctx);
-    }
-    case SyscallOp::kSendMsg: {
+    case SyscallOp::kBind:
+      return kernel_->Bind(fd0(), BufferViewAt(call, 1), ctx);
+    case SyscallOp::kConnect:
+      return kernel_->Connect(fd0(), BufferViewAt(call, 1), ctx);
+    case SyscallOp::kSendTo:
+      return kernel_->SendTo(fd0(), BufferViewAt(call, 1),
+                             BufferViewAt(call, 4), ctx);
+    case SyscallOp::kSendMsg:
       // sendmsg degrades to sendto with empty buffers.
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kSendTo, args, ctx);
-    }
-    case SyscallOp::kRecvFrom: {
+      return kernel_->SendTo(fd0(), Buffer(), Buffer(), ctx);
+    case SyscallOp::kRecvFrom:
       out_scratch_.bytes.clear();
-      args.fd = fd0();
-      args.io = &out_scratch_;
-      return kernel_->Syscall(ModelOp::kRecvFrom, args, ctx);
-    }
+      return kernel_->RecvFrom(fd0(), &out_scratch_, ctx);
     case SyscallOp::kListen:
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kListen, args, ctx);
+      return kernel_->Listen(fd0(), ctx);
     case SyscallOp::kAccept:
-      args.fd = fd0();
-      return kernel_->Syscall(ModelOp::kAccept, args, ctx);
+      return kernel_->Accept(fd0(), ctx);
     case SyscallOp::kUnknown:
       break;
   }

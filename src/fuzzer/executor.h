@@ -1,12 +1,12 @@
 /// \file
-/// Program execution against a virtual-kernel model: dispatches each call
-/// by the opcode its syscall resolved to at Finalize() time, threads
-/// resource results between calls, and collects coverage and crash
-/// outcomes. Argument bytes are passed to the model as zero-copy views.
-/// Every program starts from the kernel's one per-program reset
-/// (KernelModel::BeginProgram). The executor is written against the
-/// abstract vkernel::KernelModel, so the same program can run on any
-/// personality.
+/// Program execution against a virtual kernel: dispatches each call by
+/// the opcode its syscall resolved to at Finalize() time straight to the
+/// kernel's typed syscalls, threads resource results between calls, and
+/// collects coverage and crash outcomes. Argument bytes are passed to the
+/// kernel as zero-copy views. Every program starts from the kernel's one
+/// per-program reset (Kernel::BeginProgram). A personality is the
+/// kernel's KernelPolicy, so every personality runs through this one
+/// path.
 
 #ifndef KERNELGPT_FUZZER_EXECUTOR_H_
 #define KERNELGPT_FUZZER_EXECUTOR_H_
@@ -16,7 +16,7 @@
 
 #include "fuzzer/prog.h"
 #include "util/span.h"
-#include "vkernel/model.h"
+#include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
 
@@ -35,23 +35,23 @@ struct ExecResult {
 struct ExecTrace {
   std::vector<vkernel::SyscallResult> results;
   vkernel::FdShape end_shape;
-  /// Normalized per-module/socket state (KernelModel::ModuleStateShape)
+  /// Normalized per-module/socket state (Kernel::ModuleStateShape)
   /// at end of program, compared by the differential oracle after fd
   /// shapes.
   std::string module_state;
 };
 
-/// Executes programs on one kernel model, accumulating coverage.
+/// Executes programs on one kernel, accumulating coverage.
 class Executor {
  public:
-  /// How Run() resolves a call to a kernel operation. kOpcode is the hot
-  /// path (switch on the opcode precomputed by SpecLibrary::Finalize())
-  /// and drives the model's uniform Syscall() entry; kLegacyNames
-  /// re-compares the syscall name string per call against the typed
-  /// wrappers and exists as a debug-mode parity reference for tests.
+  /// How Run() resolves a call to a kernel syscall. kOpcode is the hot
+  /// path (switch on the opcode precomputed by SpecLibrary::Finalize());
+  /// kLegacyNames re-compares the syscall name string per call before
+  /// making the same typed call and exists as a debug-mode parity
+  /// reference for tests.
   enum class DispatchMode { kOpcode, kLegacyNames };
 
-  Executor(vkernel::KernelModel* kernel, const SpecLibrary* lib,
+  Executor(vkernel::Kernel* kernel, const SpecLibrary* lib,
            DispatchMode mode = DispatchMode::kOpcode);
 
   /// Runs one program from a fresh kernel program state. Coverage is
@@ -78,9 +78,6 @@ class Executor {
                                    vkernel::Coverage* total,
                                    std::vector<vkernel::Coverage>* signatures);
 
-  /// The model this executor drives (for reports that name it).
-  vkernel::KernelModel* model() const { return kernel_; }
-
  private:
   vkernel::SyscallResult Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
                                   const Call& call,
@@ -93,7 +90,7 @@ class Executor {
       const std::vector<vkernel::SyscallResult>& results,
       vkernel::ExecContext& ctx);
 
-  vkernel::KernelModel* kernel_;
+  vkernel::Kernel* kernel_;
   const SpecLibrary* lib_;
   DispatchMode mode_;
   /// Per-call results, reused across runs.

@@ -67,9 +67,9 @@ struct OrchestratorOptions {
   size_t min_broadcast_per_sync = 2;
   size_t max_broadcast_cap = 64;
 
-  /// Builds each worker's private kernel model (null: the reference
-  /// StrictModel). Worker results depend only on the model's semantics,
-  /// so any deterministic personality keeps the determinism guarantees.
+  /// Builds each worker's private kernel (null: a strict Kernel). Worker
+  /// results depend only on the kernel's policy, so any personality
+  /// keeps the determinism guarantees.
   vkernel::ModelFactory model_factory;
 };
 

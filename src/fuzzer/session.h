@@ -2,16 +2,16 @@
 /// The unified campaign-service API: one persistent object that owns spec
 /// suites, kernel boot, orchestrator/distiller wiring, and round
 /// scheduling — the syzkaller-manager analog for the whole fuzzing
-/// lifecycle (fuzz -> distill -> re-seed, round over round). The free
-/// functions it replaces (`RunCampaign`, `RunCampaignLoop`,
-/// `ExperimentContext::Fuzz`) remain as thin compatibility shims over a
-/// Session.
+/// lifecycle (fuzz -> distill -> re-seed, round over round). The
+/// experiment harness (`ExperimentContext::Fuzz`) drives a Session; the
+/// serial `RunCampaign` remains for single-kernel, single-round runs and
+/// as the reference the 1-worker orchestrator is checked against.
 ///
 /// A session schedules rounds deterministically from a single master
 /// seed. Two seed schedules cover the two historical pipelines:
 ///  - kHashChain: round r runs on HashCombine(seed, r) (r = 0 keeps the
 ///    seed) with the previous round's distilled corpus re-seeding every
-///    shard — the `RunCampaignLoop` corpus lifecycle.
+///    shard — the campaign-of-campaigns corpus lifecycle.
 ///  - kArithmetic: round r runs on seed + r * stride with independent
 ///    rounds — the experiment harness's repetition semantics.
 ///
@@ -105,8 +105,8 @@ struct SessionOptions {
   SnapshotCodec snapshot_codec = SnapshotCodec::kText;
 
   /// Differential oracle: when set, every round ends with a DiffRunner
-  /// pass comparing the session's model (orchestrator.model_factory,
-  /// default StrictModel) against this subject personality. The pass
+  /// pass comparing the session's kernel (orchestrator.model_factory,
+  /// default strict) against this subject personality. The pass
   /// runs over the round's resulting corpus PLUS `diff_probe_budget`
   /// freshly generated probe programs — the corpus alone is blind to
   /// kernel-level error paths (coverage is only recorded inside driver

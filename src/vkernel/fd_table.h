@@ -1,11 +1,11 @@
 /// \file
-/// Per-model virtual file-descriptor translation table, in the style of
-/// libriscv's FileDescriptors: each KernelModel owns its fd space and
-/// decides how virtual descriptor numbers are laid out. The reference
-/// (strict) layout allocates files and sockets from one monotonic
-/// counter starting at 3 — exactly the numbering the pre-refactor flat
-/// table produced — so unified-layout lookups stay a bounds check plus
-/// an index. Split layouts give files and sockets disjoint number
+/// Per-kernel virtual file-descriptor translation table, in the style of
+/// libriscv's FileDescriptors: each Kernel owns its fd space and its
+/// policy decides how virtual descriptor numbers are laid out. The
+/// reference (strict) layout allocates files and sockets from one
+/// monotonic counter starting at 3 — exactly the numbering the
+/// pre-refactor flat table produced — so unified-layout lookups stay a
+/// bounds check plus an index. Split layouts give files and sockets disjoint number
 /// ranges with independent counters, which exercises descriptor
 /// translation (lookups can no longer assume vfd == base + slot).
 
@@ -20,7 +20,7 @@
 
 namespace kernelgpt::vkernel {
 
-/// Where a model's virtual descriptor numbers start. Equal bases select
+/// Where a kernel's virtual descriptor numbers start. Equal bases select
 /// the unified (reference) layout; distinct bases give each class its
 /// own range and counter.
 struct FdLayout {
@@ -30,7 +30,7 @@ struct FdLayout {
   bool unified() const { return file_base == socket_base; }
 };
 
-/// Observable shape of a model's fd table: how many descriptors of each
+/// Observable shape of a kernel's fd table: how many descriptors of each
 /// class are still open. The differential oracle compares shapes (not
 /// raw descriptor values, which are layout-dependent by design).
 struct FdShape {

@@ -16,7 +16,11 @@
 
 namespace kernelgpt::vkernel {
 
-class KernelModel;
+class Kernel;
+
+/// Alias of the one concrete kernel type (kernel.h), under the name the
+/// fuzzing layers and handler hooks use.
+using KernelModel = Kernel;
 
 /// Userspace memory attached to a pointer argument. Direction handling is
 /// the executor's business; handlers read and write bytes freely.
@@ -129,10 +133,10 @@ class HandlerRecycler {
 
 /// Handler bound to one open file descriptor.
 ///
-/// Hooks receive the owning KernelModel; the per-execution context is
-/// reached through `kernel.context()` (valid for the hook's duration)
-/// instead of an `ExecContext&` threaded through every signature, so a
-/// new personality cannot forget to plumb it.
+/// Hooks receive the owning kernel; the per-execution context is reached
+/// through `kernel.context()` (valid for the hook's duration) and the
+/// personality through `kernel.policy()`, instead of either being
+/// threaded through every signature.
 class FileHandler {
  public:
   virtual ~FileHandler() = default;

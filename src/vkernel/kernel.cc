@@ -77,7 +77,7 @@ Kernel::RecycleIfPooled(std::shared_ptr<FileHandler> handler)
 void
 Kernel::EndProgram(ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   // Release in fd order (deterministic; the old hash table iterated in
   // unspecified order).
   for (auto& entry : fds_.entries()) {
@@ -160,7 +160,7 @@ SyscallResult
 Kernel::Openat(std::string_view path, uint64_t flags, ExecContext& ctx)
 {
   (void)flags;
-  set_context(&ctx);
+  ctx_ = &ctx;
   auto it = device_by_path_.find(path);
   if (it == device_by_path_.end()) {
     return SyscallResult::Err(policy_.unknown_path_errno);
@@ -175,7 +175,7 @@ Kernel::Openat(std::string_view path, uint64_t flags, ExecContext& ctx)
 SyscallResult
 Kernel::Close(long fd, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FdEntry* entry = fds_.Find(fd);
   if (!entry || !entry->handler) {
     if (policy_.close_invalid_fd_ok) return SyscallResult::Ok(0);
@@ -197,7 +197,7 @@ Kernel::Close(long fd, ExecContext& ctx)
 SyscallResult
 Kernel::Dup(long fd, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FdEntry* entry = fds_.Find(fd);
   if (!entry || !entry->handler) {
     return SyscallResult::Err(policy_.bad_fd_errno);
@@ -208,7 +208,7 @@ Kernel::Dup(long fd, ExecContext& ctx)
 SyscallResult
 Kernel::Ioctl(long fd, uint64_t cmd, Buffer* arg, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FileHandler* handler = LookupFd(fd);
   if (!handler) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(handler->Ioctl(cmd, arg, *this));
@@ -217,7 +217,7 @@ Kernel::Ioctl(long fd, uint64_t cmd, Buffer* arg, ExecContext& ctx)
 SyscallResult
 Kernel::Read(long fd, Buffer* out, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FileHandler* handler = LookupFd(fd);
   if (!handler) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(handler->Read(out, *this));
@@ -226,7 +226,7 @@ Kernel::Read(long fd, Buffer* out, ExecContext& ctx)
 SyscallResult
 Kernel::Write(long fd, const Buffer& in, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FileHandler* handler = LookupFd(fd);
   if (!handler) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(handler->Write(in, *this));
@@ -235,7 +235,7 @@ Kernel::Write(long fd, const Buffer& in, ExecContext& ctx)
 SyscallResult
 Kernel::Poll(long fd, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FileHandler* handler = LookupFd(fd);
   if (!handler) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(handler->Poll(*this));
@@ -244,7 +244,7 @@ Kernel::Poll(long fd, ExecContext& ctx)
 SyscallResult
 Kernel::Mmap(long fd, uint64_t length, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   FileHandler* handler = LookupFd(fd);
   if (!handler) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(handler->Mmap(length, *this));
@@ -254,7 +254,7 @@ SyscallResult
 Kernel::Socket(uint64_t domain, uint64_t type, uint64_t protocol,
                ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   // Several protocol modules can share one address family (e.g. the
   // Bluetooth BTPROTO_* sockets under AF_BLUETOOTH); the first module
   // that accepts (type, protocol) wins, like the kernel's create loop.
@@ -278,7 +278,7 @@ SyscallResult
 Kernel::SetSockOpt(long fd, uint64_t level, uint64_t optname,
                    const Buffer& val, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->SetSockOpt(level, optname, val, *this));
@@ -288,7 +288,7 @@ SyscallResult
 Kernel::GetSockOpt(long fd, uint64_t level, uint64_t optname, Buffer* val,
                    ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->GetSockOpt(level, optname, val, *this));
@@ -297,7 +297,7 @@ Kernel::GetSockOpt(long fd, uint64_t level, uint64_t optname, Buffer* val,
 SyscallResult
 Kernel::Bind(long fd, const Buffer& addr, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->Bind(addr, *this));
@@ -306,7 +306,7 @@ Kernel::Bind(long fd, const Buffer& addr, ExecContext& ctx)
 SyscallResult
 Kernel::Connect(long fd, const Buffer& addr, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->Connect(addr, *this));
@@ -316,7 +316,7 @@ SyscallResult
 Kernel::SendTo(long fd, const Buffer& data, const Buffer& addr,
                ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->SendTo(data, addr, *this));
@@ -325,7 +325,7 @@ Kernel::SendTo(long fd, const Buffer& data, const Buffer& addr,
 SyscallResult
 Kernel::RecvFrom(long fd, Buffer* data, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->RecvFrom(data, *this));
@@ -334,7 +334,7 @@ Kernel::RecvFrom(long fd, Buffer* data, ExecContext& ctx)
 SyscallResult
 Kernel::Listen(long fd, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->Listen(*this));
@@ -343,22 +343,22 @@ Kernel::Listen(long fd, ExecContext& ctx)
 SyscallResult
 Kernel::Accept(long fd, ExecContext& ctx)
 {
-  set_context(&ctx);
+  ctx_ = &ctx;
   SocketHandler* sock = LookupSocket(fd);
   if (!sock) return SyscallResult::Err(policy_.bad_fd_errno);
   return SyscallResult::FromRaw(sock->Accept(*this));
 }
 
-std::unique_ptr<KernelModel>
+std::unique_ptr<Kernel>
 MakeStrictModel()
 {
-  return std::make_unique<StrictModel>();
+  return std::make_unique<Kernel>(KernelPolicy::Strict());
 }
 
-std::unique_ptr<KernelModel>
+std::unique_ptr<Kernel>
 MakePermissiveModel()
 {
-  return std::make_unique<PermissiveModel>();
+  return std::make_unique<Kernel>(KernelPolicy::Permissive());
 }
 
 }  // namespace kernelgpt::vkernel

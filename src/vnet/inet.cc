@@ -23,18 +23,6 @@ using vkernel::Buffer;
 using vkernel::ExecContext;
 using vkernel::KernelModel;
 
-VnetPolicy
-VnetPolicy::FromModel(const vkernel::KernelModel* model)
-{
-  VnetPolicy p;
-  if (const auto* kernel = dynamic_cast<const vkernel::Kernel*>(model)) {
-    p.relisten_ok = kernel->policy().net_relisten_ok;
-    p.rebind_ok = kernel->policy().net_rebind_ok;
-    p.reuse_timewait_ok = kernel->policy().net_reuse_timewait_ok;
-  }
-  return p;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -415,12 +403,13 @@ const TcpOptOps kTcpSockOps[] = {
      [](const TcpConn& c) { return static_cast<uint64_t>(c.backlog); }},
 };
 
-/// The per-kernel half of the TCP family: the policy, the port namespace
-/// and the endpoint maps, over shared TcpTables.
+/// The per-kernel half of the TCP family: the port namespace and the
+/// endpoint maps, over shared TcpTables. The net_* knobs are read from
+/// the calling kernel's policy.
 class TcpFamily : public vkernel::SocketFamily {
  public:
-  TcpFamily(std::shared_ptr<const TcpTables> tables, VnetPolicy policy)
-      : t_(std::move(tables)), policy_(policy), ports_(kTcpPortSeed) {}
+  explicit TcpFamily(std::shared_ptr<const TcpTables> tables)
+      : t_(std::move(tables)), ports_(kTcpPortSeed) {}
 
   std::string Name() const override { return t_->spec->id; }
   uint64_t Domain() const override { return t_->spec->domain; }
@@ -448,14 +437,15 @@ class TcpFamily : public vkernel::SocketFamily {
 
   // -- Op implementations (called by TcpSocket) ----------------------------
 
-  long DoBind(TcpSocket& s, const Buffer& addr, ExecContext& ctx) {
+  long DoBind(TcpSocket& s, const Buffer& addr, KernelModel& kernel) {
+    ExecContext& ctx = kernel.context();
     ctx.Cover(t_->bind.op_block);
     long rc = RunChecks(*t_, t_->bind, addr, ctx);
     if (rc != 0) return rc;
     TcpConn& c = s.conn();
     if (c.state != TcpState::kClosed) return -vkernel::kEINVAL;
     if (c.local_port != 0) {
-      if (!policy_.rebind_ok) return -vkernel::kEINVAL;
+      if (!kernel.policy().net_rebind_ok) return -vkernel::kEINVAL;
       FreePort(s.conn_ptr());
       Edge(kTcpBindRebound, ctx);
     }
@@ -470,7 +460,7 @@ class TcpFamily : public vkernel::SocketFamily {
         return -vkernel::kEADDRINUSE;
       }
       if (ports_.InTimeWait(port)) {
-        if (!policy_.reuse_timewait_ok && !c.reuse_timewait) {
+        if (!kernel.policy().net_reuse_timewait_ok && !c.reuse_timewait) {
           Edge(kTcpBindTimewaitRefused, ctx);
           return -vkernel::kEADDRINUSE;
         }
@@ -486,7 +476,8 @@ class TcpFamily : public vkernel::SocketFamily {
     return 0;
   }
 
-  long DoListen(TcpSocket& s, ExecContext& ctx) {
+  long DoListen(TcpSocket& s, KernelModel& kernel) {
+    ExecContext& ctx = kernel.context();
     ctx.Cover(t_->listen.op_block);
     TcpConn& c = s.conn();
     switch (c.state) {
@@ -505,7 +496,7 @@ class TcpFamily : public vkernel::SocketFamily {
         return 0;
       }
       case TcpState::kListen:
-        if (!policy_.relisten_ok) return -vkernel::kEINVAL;
+        if (!kernel.policy().net_relisten_ok) return -vkernel::kEINVAL;
         Edge(kTcpListenAgain, ctx);
         return 0;
       default:
@@ -789,7 +780,6 @@ class TcpFamily : public vkernel::SocketFamily {
   }
 
   std::shared_ptr<const TcpTables> t_;
-  VnetPolicy policy_;
   PortSpace ports_;
   /// Port -> endpoint for inbound connection lookup (listeners and
   /// explicitly bound sockets).
@@ -817,7 +807,7 @@ TcpSocket::GetSockOpt(uint64_t level, uint64_t optname, Buffer* val,
 long
 TcpSocket::Bind(const Buffer& addr, KernelModel& kernel)
 {
-  return family_->DoBind(*this, addr, kernel.context());
+  return family_->DoBind(*this, addr, kernel);
 }
 
 long
@@ -842,7 +832,7 @@ TcpSocket::RecvFrom(Buffer* data, KernelModel& kernel)
 long
 TcpSocket::Listen(KernelModel& kernel)
 {
-  return family_->DoListen(*this, kernel.context());
+  return family_->DoListen(*this, kernel);
 }
 
 long
@@ -920,15 +910,15 @@ BuildTcpTables(const SocketSpec& spec)
 }
 
 std::unique_ptr<vkernel::SocketFamily>
-MakeTcpFamily(std::shared_ptr<const TcpTables> tables, VnetPolicy policy)
+MakeTcpFamily(std::shared_ptr<const TcpTables> tables)
 {
-  return std::make_unique<TcpFamily>(std::move(tables), policy);
+  return std::make_unique<TcpFamily>(std::move(tables));
 }
 
 std::unique_ptr<vkernel::SocketFamily>
-MakeTcpFamily(const SocketSpec* spec, VnetPolicy policy)
+MakeTcpFamily(const SocketSpec* spec)
 {
-  return MakeTcpFamily(BuildTcpTables(*spec), policy);
+  return MakeTcpFamily(BuildTcpTables(*spec));
 }
 
 // ---------------------------------------------------------------------------
@@ -998,12 +988,13 @@ const UdpOptOps kUdpSockOps[] = {
      [](const UdpSockState& s) { return static_cast<uint64_t>(s.rx.size()); }},
 };
 
-/// The per-kernel half of the UDP family: the policy, the port namespace
-/// and the receiver map, over shared UdpTables.
+/// The per-kernel half of the UDP family: the port namespace and the
+/// receiver map, over shared UdpTables. The net_* knobs are read from the
+/// calling kernel's policy.
 class UdpFamily : public vkernel::SocketFamily {
  public:
-  UdpFamily(std::shared_ptr<const UdpTables> tables, VnetPolicy policy)
-      : t_(std::move(tables)), policy_(policy), ports_(kUdpPortSeed) {}
+  explicit UdpFamily(std::shared_ptr<const UdpTables> tables)
+      : t_(std::move(tables)), ports_(kUdpPortSeed) {}
 
   std::string Name() const override { return t_->spec->id; }
   uint64_t Domain() const override { return t_->spec->domain; }
@@ -1030,12 +1021,13 @@ class UdpFamily : public vkernel::SocketFamily {
 
   // -- Op implementations --------------------------------------------------
 
-  long DoBind(UdpSocket& s, const Buffer& addr, ExecContext& ctx) {
+  long DoBind(UdpSocket& s, const Buffer& addr, KernelModel& kernel) {
+    ExecContext& ctx = kernel.context();
     ctx.Cover(t_->bind.op_block);
     long rc = RunChecks(*t_, t_->bind, addr, ctx);
     if (rc != 0) return rc;
     if (s.st.local_port != 0) {
-      if (!policy_.rebind_ok) return -vkernel::kEINVAL;
+      if (!kernel.policy().net_rebind_ok) return -vkernel::kEINVAL;
       Unbind(s);
       Edge(kUdpBindRebound, ctx);
     }
@@ -1219,7 +1211,6 @@ class UdpFamily : public vkernel::SocketFamily {
   }
 
   std::shared_ptr<const UdpTables> t_;
-  VnetPolicy policy_;
   PortSpace ports_;
   /// Port -> live receiver. Entries are erased on Release/rebind, so
   /// the raw pointer never dangles (the kernel is single-threaded).
@@ -1243,7 +1234,7 @@ UdpSocket::GetSockOpt(uint64_t level, uint64_t optname, Buffer* val,
 long
 UdpSocket::Bind(const Buffer& addr, KernelModel& kernel)
 {
-  return family_->DoBind(*this, addr, kernel.context());
+  return family_->DoBind(*this, addr, kernel);
 }
 
 long
@@ -1295,15 +1286,15 @@ BuildUdpTables(const SocketSpec& spec)
 }
 
 std::unique_ptr<vkernel::SocketFamily>
-MakeUdpFamily(std::shared_ptr<const UdpTables> tables, VnetPolicy policy)
+MakeUdpFamily(std::shared_ptr<const UdpTables> tables)
 {
-  return std::make_unique<UdpFamily>(std::move(tables), policy);
+  return std::make_unique<UdpFamily>(std::move(tables));
 }
 
 std::unique_ptr<vkernel::SocketFamily>
-MakeUdpFamily(const SocketSpec* spec, VnetPolicy policy)
+MakeUdpFamily(const SocketSpec* spec)
 {
-  return MakeUdpFamily(BuildUdpTables(*spec), policy);
+  return MakeUdpFamily(BuildUdpTables(*spec));
 }
 
 }  // namespace kernelgpt::vnet

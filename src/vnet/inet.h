@@ -29,19 +29,6 @@
 
 namespace kernelgpt::vnet {
 
-/// The network-semantics slice of a kernel personality. Mirrors the
-/// net_* knobs of vkernel::KernelPolicy; a separate struct so vnet does
-/// not depend on the concrete Kernel class at interface level.
-struct VnetPolicy {
-  bool relisten_ok = false;        ///< listen() on LISTEN succeeds.
-  bool rebind_ok = false;          ///< bind() on a bound socket rebinds.
-  bool reuse_timewait_ok = false;  ///< bind() to a TIME_WAIT port succeeds.
-
-  /// Extracts the net knobs from a model's policy when the model is the
-  /// reference Kernel engine; strict defaults otherwise.
-  static VnetPolicy FromModel(const vkernel::KernelModel* model);
-};
-
 /// Dense block layout of a vnet family: the spec's canonical ForSocket
 /// walk extended with the stack's transition ("trans", "FROM->TO") and
 /// edge ("edge", name) tuples, claimed in one fixed order. Tests and
@@ -53,8 +40,8 @@ drivers::BlockLayout UdpBlockLayout(const drivers::SocketSpec& spec);
 /// The immutable half of a vnet family: the spec's addr layout, op,
 /// sockopt and edge blocks (plus the transition blocks for TCP). Built
 /// once per spec and shared read-only by every kernel and worker thread;
-/// the per-kernel family holds only the policy, the port namespace and
-/// the bound/half-closed endpoint maps. The spec must outlive it.
+/// the per-kernel family holds only the port namespace and the
+/// bound/half-closed endpoint maps. The spec must outlive it.
 struct TcpTables;
 struct UdpTables;
 
@@ -68,18 +55,19 @@ std::shared_ptr<const TcpTables> BuildTcpTables(
 std::shared_ptr<const UdpTables> BuildUdpTables(
     const drivers::SocketSpec& spec);
 
-/// Creates a per-kernel TCP/UDP family over shared tables.
+/// Creates a per-kernel TCP/UDP family over shared tables. The family
+/// reads the net_* knobs of whichever kernel calls it (kernel.policy()).
 std::unique_ptr<vkernel::SocketFamily> MakeTcpFamily(
-    std::shared_ptr<const TcpTables> tables, VnetPolicy policy);
+    std::shared_ptr<const TcpTables> tables);
 std::unique_ptr<vkernel::SocketFamily> MakeUdpFamily(
-    std::shared_ptr<const UdpTables> tables, VnetPolicy policy);
+    std::shared_ptr<const UdpTables> tables);
 
 /// Standalone-spec constructors: build private tables for `spec`, then
 /// the per-kernel family over them. The spec must outlive the family.
 std::unique_ptr<vkernel::SocketFamily> MakeTcpFamily(
-    const drivers::SocketSpec* spec, VnetPolicy policy);
+    const drivers::SocketSpec* spec);
 std::unique_ptr<vkernel::SocketFamily> MakeUdpFamily(
-    const drivers::SocketSpec* spec, VnetPolicy policy);
+    const drivers::SocketSpec* spec);
 
 /// Prefix of every state-machine-violation crash title; the suffix
 /// names the operation and the state it was illegal in, so distinct

@@ -130,14 +130,13 @@ BootStandalone(vkernel::KernelModel* kernel)
   for (const drivers::DeviceSpec* dev : corpus.LoadedDevices()) {
     kernel->RegisterDevice(drivers::MakeModelDevice(dev));
   }
-  const vnet::VnetPolicy policy = vnet::VnetPolicy::FromModel(kernel);
   for (const drivers::SocketSpec* sock : corpus.LoadedSockets()) {
     if (!sock->vnet) {
       kernel->RegisterSocketFamily(drivers::MakeModelSocketFamily(sock));
     } else if (sock->id == "tcp") {
-      kernel->RegisterSocketFamily(vnet::MakeTcpFamily(sock, policy));
+      kernel->RegisterSocketFamily(vnet::MakeTcpFamily(sock));
     } else {
-      kernel->RegisterSocketFamily(vnet::MakeUdpFamily(sock, policy));
+      kernel->RegisterSocketFamily(vnet::MakeUdpFamily(sock));
     }
   }
 }

@@ -2,14 +2,15 @@
 // distilled corpus must reproduce the merged corpus's coverage bitmap
 // exactly with no more programs, deterministically across runs; crash
 // reproducers must be deduplicated by title and still crash; and the
-// campaign-of-campaigns loop must keep corpora bounded while coverage
-// accumulates.
+// campaign-of-campaigns loop (a hash-chain Session) must keep corpora
+// bounded while coverage accumulates.
 
 #include <gtest/gtest.h>
 
 #include "drivers/corpus.h"
 #include "drivers/model_spec.h"
 #include "fuzzer/distiller.h"
+#include "fuzzer/session.h"
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
@@ -184,31 +185,35 @@ TEST_F(DistillerTest, EmptyAndTrivialInputsAreSafe)
 TEST_F(DistillerTest, CampaignLoopKeepsCorpusBoundedAndAccumulatesCoverage)
 {
   SpecLibrary lib = DmLibrary();
-  CampaignLoopOptions options;
-  options.orchestrator.campaign.program_budget = 8000;
-  options.orchestrator.campaign.seed = 31;
-  options.orchestrator.num_workers = 4;
-  options.orchestrator.sync_interval = 200;
-  options.rounds = 3;
+  // Three hash-chain rounds: fuzz, distill, re-seed the next round.
+  auto run = [&lib] {
+    SessionOptions options;
+    options.WithSeed(31).WithRounds(3).WithWorkers(4).WithProgramBudget(8000);
+    options.orchestrator.sync_interval = 200;
+    Session session(options, Boot);
+    EXPECT_TRUE(session.RegisterSuite("dm", &lib).ok());
+    EXPECT_TRUE(session.Run().ok());
+    return *session.Find("dm");
+  };
 
-  CampaignLoopResult result = RunCampaignLoop(lib, Boot, options);
+  const SuiteState result = run();
   ASSERT_EQ(result.rounds.size(), 3u);
   EXPECT_EQ(result.programs_executed, 3u * 8000u);
   EXPECT_GT(result.coverage.Count(), 0u);
-  for (const CampaignRoundStats& round : result.rounds) {
+  for (const RoundReport& round : result.rounds) {
     // Distillation must never grow a corpus.
     EXPECT_LE(round.distilled_corpus, round.merged_corpus);
   }
   // Cumulative coverage is monotone across rounds.
   for (size_t r = 1; r < result.rounds.size(); ++r) {
-    EXPECT_GE(result.rounds[r].coverage_blocks,
-              result.rounds[r - 1].coverage_blocks);
+    EXPECT_GE(result.rounds[r].cumulative_coverage,
+              result.rounds[r - 1].cumulative_coverage);
   }
   // The final corpus is the last round's distilled set.
   EXPECT_EQ(result.corpus.size(), result.rounds.back().distilled_corpus);
 
   // And the loop is deterministic end to end.
-  CampaignLoopResult again = RunCampaignLoop(lib, Boot, options);
+  const SuiteState again = run();
   EXPECT_EQ(again.coverage.blocks(), result.coverage.blocks());
   EXPECT_EQ(again.crashes, result.crashes);
   ASSERT_EQ(again.corpus.size(), result.corpus.size());

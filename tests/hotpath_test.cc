@@ -1,9 +1,10 @@
-// Tests for the hot-path execution engine: opcode dispatch parity
-// against the legacy string-comparison chain, dense-coverage equivalence
-// with set semantics, zero-copy buffer behaviour, RunBatch parity with
-// individual runs, and the 1-worker orchestrator's identity with the
-// serial campaign. The per-program reset is checked against a freshly
-// booted kernel in boot_image_test.
+// Tests for the hot-path execution engine: per-call opcode dispatch
+// parity against the legacy string-comparison chain under both
+// personalities, a pinned hash of that program stream's outcomes,
+// dense-coverage equivalence with set semantics, zero-copy buffer
+// behaviour, RunBatch parity with individual runs, and the 1-worker
+// orchestrator's identity with the serial campaign. The per-program
+// reset is checked against a freshly booted kernel in boot_image_test.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,24 @@ class HotPathTest : public ::testing::Test {
   }
 
   static void Boot(vkernel::KernelModel* kernel) { Context().BootKernel(kernel); }
+
+  /// Deterministic program stream covering every syscall: first one
+  /// program per syscall index, then a generated mix.
+  static std::vector<Prog> ParityPrograms(const SpecLibrary& lib) {
+    util::Rng rng(2024);
+    Generator generator(&lib, &rng);
+    std::vector<Prog> progs;
+    for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+      Prog prog;
+      generator.AppendCall(&prog, i);
+      if (!prog.empty()) progs.push_back(std::move(prog));
+    }
+    for (int i = 0; i < 200; ++i) {
+      Prog prog = generator.Generate(6);
+      if (!prog.empty()) progs.push_back(std::move(prog));
+    }
+    return progs;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -51,47 +70,80 @@ TEST_F(HotPathTest, EverySuiteSyscallResolvesToAnOpcode)
 }
 
 // The opcode switch and the legacy name chain must agree on every call:
-// same return codes, same coverage, same crashes — across every syscall
-// variant the corpus specs declare (generation visits them all).
+// same per-call results, end fd shape, module state, coverage and
+// crashes — across every syscall variant the corpus specs declare
+// (generation visits them all), under both personalities.
 TEST_F(HotPathTest, OpcodeDispatchMatchesLegacyNameDispatch)
 {
   SpecLibrary lib = SuiteLibrary();
+  const std::vector<Prog> progs = ParityPrograms(lib);
 
-  vkernel::Kernel kernel_new;
-  vkernel::Kernel kernel_old;
-  Boot(&kernel_new);
-  Boot(&kernel_old);
-  Executor opcode_exec(&kernel_new, &lib, Executor::DispatchMode::kOpcode);
-  Executor legacy_exec(&kernel_old, &lib,
-                       Executor::DispatchMode::kLegacyNames);
+  for (const vkernel::KernelPolicy& policy :
+       {vkernel::KernelPolicy::Strict(), vkernel::KernelPolicy::Permissive()}) {
+    SCOPED_TRACE(policy.name);
+    vkernel::Kernel kernel_new(policy);
+    vkernel::Kernel kernel_old(policy);
+    Boot(&kernel_new);
+    Boot(&kernel_old);
+    Executor opcode_exec(&kernel_new, &lib, Executor::DispatchMode::kOpcode);
+    Executor legacy_exec(&kernel_old, &lib,
+                         Executor::DispatchMode::kLegacyNames);
 
-  vkernel::Coverage cov_new;
-  vkernel::Coverage cov_old;
-
-  // Deterministic program stream covering every syscall: first one
-  // program per syscall index, then a generated mix.
-  util::Rng rng(2024);
-  Generator generator(&lib, &rng);
-  std::vector<Prog> progs;
-  for (size_t i = 0; i < lib.syscalls().size(); ++i) {
-    Prog prog;
-    generator.AppendCall(&prog, i);
-    if (!prog.empty()) progs.push_back(std::move(prog));
+    vkernel::Coverage cov_new;
+    vkernel::Coverage cov_old;
+    for (size_t i = 0; i < progs.size(); ++i) {
+      ExecTrace ta;
+      ExecTrace tb;
+      ExecResult a = opcode_exec.Run(progs[i], &cov_new, &ta);
+      ExecResult b = legacy_exec.Run(progs[i], &cov_old, &tb);
+      EXPECT_EQ(a.crashed, b.crashed) << i;
+      EXPECT_EQ(a.crash_title, b.crash_title) << i;
+      EXPECT_EQ(a.calls_executed, b.calls_executed) << i;
+      EXPECT_EQ(a.new_blocks, b.new_blocks) << i;
+      EXPECT_TRUE(ta.results == tb.results) << i;
+      EXPECT_TRUE(ta.end_shape == tb.end_shape) << i;
+      EXPECT_EQ(ta.module_state, tb.module_state) << i;
+    }
+    EXPECT_EQ(cov_new.blocks(), cov_old.blocks());
   }
-  for (int i = 0; i < 200; ++i) {
-    Prog prog = generator.Generate(6);
-    if (!prog.empty()) progs.push_back(std::move(prog));
-  }
+}
 
-  for (const Prog& prog : progs) {
-    ExecResult a = opcode_exec.Run(prog, &cov_new);
-    ExecResult b = legacy_exec.Run(prog, &cov_old);
-    EXPECT_EQ(a.crashed, b.crashed);
-    EXPECT_EQ(a.crash_title, b.crash_title);
-    EXPECT_EQ(a.calls_executed, b.calls_executed);
-    EXPECT_EQ(a.new_blocks, b.new_blocks);
+// The parity program stream's outcomes on a booted strict kernel, then a
+// booted permissive one, hash to a recorded constant: every per-call
+// (retval, errno), end fd shape, module state, crash title, call count
+// and new-block count, plus each kernel's accumulated coverage. The
+// parity test above compares two dispatch paths of the same build; this
+// pin is what catches a change that moves both.
+TEST_F(HotPathTest, ExecutionOutcomeIsPinned)
+{
+  SpecLibrary lib = SuiteLibrary();
+  const std::vector<Prog> progs = ParityPrograms(lib);
+
+  uint64_t h = 0;
+  for (const vkernel::KernelPolicy& policy :
+       {vkernel::KernelPolicy::Strict(), vkernel::KernelPolicy::Permissive()}) {
+    vkernel::Kernel kernel(policy);
+    Boot(&kernel);
+    Executor exec(&kernel, &lib);
+    vkernel::Coverage cov;
+    for (const Prog& prog : progs) {
+      ExecTrace trace;
+      ExecResult r = exec.Run(prog, &cov, &trace);
+      for (const vkernel::SyscallResult& rc : trace.results) {
+        h = util::HashCombine(h, static_cast<uint64_t>(rc.retval));
+        h = util::HashCombine(h, static_cast<uint64_t>(rc.verrno));
+      }
+      h = util::HashCombine(h, trace.end_shape.files_open);
+      h = util::HashCombine(h, trace.end_shape.sockets_open);
+      h = util::HashCombine(h, util::StableHash(trace.module_state));
+      h = util::HashCombine(h, util::StableHash(r.crash_title));
+      h = util::HashCombine(h, r.calls_executed);
+      h = util::HashCombine(h, r.new_blocks);
+    }
+    for (uint64_t id : cov.SortedBlocks()) h = util::HashCombine(h, id);
   }
-  EXPECT_EQ(cov_new.blocks(), cov_old.blocks());
+  EXPECT_EQ(progs.size(), 1039u);
+  EXPECT_EQ(h, 2609450546063905714ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //    suite specs are rejected with a Status (never a crash);
 //  - a session interrupted by Save and continued by Resume in a fresh
 //    session is bit-identical to an uninterrupted run of the same total
-//    rounds, and to the straight-through RunCampaignLoop shim;
+//    rounds;
 //  - the hash-chain schedule reproduces the legacy inline campaign loop
 //    exactly, and the arithmetic schedule reproduces independent
 //    repetition campaigns exactly (the ExperimentContext::Fuzz contract);
@@ -630,18 +630,6 @@ TEST_F(SessionTest, ResumedSessionIsBitIdenticalToUninterruptedRun)
 
   ExpectSameState(*resumed.Find("dm"), *straight.Find("dm"),
                   "resumed vs straight");
-
-  // And both match the straight-through legacy RunCampaignLoop shim.
-  CampaignLoopOptions loop;
-  loop.orchestrator = SmallRound();
-  loop.orchestrator.campaign.seed = 7;
-  loop.rounds = 4;
-  CampaignLoopResult legacy = RunCampaignLoop(lib, Boot, loop);
-  EXPECT_EQ(legacy.coverage.blocks(),
-            resumed.Find("dm")->coverage.blocks());
-  EXPECT_EQ(legacy.crashes, resumed.Find("dm")->crashes);
-  ExpectSameProgs(legacy.corpus, resumed.Find("dm")->corpus,
-                  "legacy loop vs resumed");
 }
 
 TEST_F(SessionTest, SaveResumeSaveRoundTripsBitIdentically)

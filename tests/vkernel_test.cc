@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::vkernel {
@@ -271,6 +273,10 @@ TEST_F(RecycleTest, EndProgramRecyclesOpenHandlers)
   EXPECT_EQ(kernel_.LookupFd(fd), nullptr);
 }
 
+// A personality is policy data, not a subclass: one concrete kernel type
+// with no virtual dispatch of its own.
+static_assert(!std::is_polymorphic_v<Kernel>);
+
 class PersonalityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -281,15 +287,15 @@ class PersonalityTest : public ::testing::Test {
     permissive_.RegisterSocketFamily(std::make_unique<TestFamily>());
     permissive_.BeginProgram();
   }
-  StrictModel strict_;
-  PermissiveModel permissive_;
+  Kernel strict_{KernelPolicy::Strict()};
+  Kernel permissive_{KernelPolicy::Permissive()};
   Coverage cov_;
 };
 
 TEST_F(PersonalityTest, ModelNames)
 {
-  EXPECT_EQ(strict_.ModelName(), "strict");
-  EXPECT_EQ(permissive_.ModelName(), "permissive");
+  EXPECT_EQ(strict_.policy().name, "strict");
+  EXPECT_EQ(permissive_.policy().name, "permissive");
 }
 
 TEST_F(PersonalityTest, ErrnoPoliciesDiffer)
@@ -320,7 +326,7 @@ TEST_F(PersonalityTest, FdLayoutsDiffer)
   EXPECT_EQ(permissive_.Socket(42, 1, 0, ctx).retval, 1000);
   EXPECT_EQ(permissive_.Openat("/dev/testdev", 0, ctx).retval, 4);
   EXPECT_EQ(permissive_.Socket(42, 1, 0, ctx).retval, 1001);
-  // Both models dispatch through their own tables all the same.
+  // Both kernels dispatch through their own tables all the same.
   EXPECT_TRUE(permissive_.Ioctl(4, 7, nullptr, ctx).ok());
   Buffer val;
   EXPECT_TRUE(permissive_.SetSockOpt(1001, 99, 5, val, ctx).ok());
@@ -329,36 +335,16 @@ TEST_F(PersonalityTest, FdLayoutsDiffer)
   EXPECT_EQ(permissive_.FdTableShape(), (FdShape{2, 2}));
 }
 
-TEST_F(PersonalityTest, UniformSyscallEntryMatchesTypedWrappers)
+TEST_F(PersonalityTest, OneKernelTypeDrivesEitherPersonality)
 {
   ExecContext ctx(&cov_);
-  SyscallArgs args;
-  args.path = "/dev/testdev";
-  args.a = 0;
-  SyscallResult via_entry = strict_.Syscall(ModelOp::kOpenat, args, ctx);
-  EXPECT_TRUE(via_entry.ok());
-  SyscallArgs ioctl_args;
-  ioctl_args.fd = via_entry.retval;
-  ioctl_args.a = 7;
-  EXPECT_EQ(strict_.Syscall(ModelOp::kIoctl, ioctl_args, ctx),
-            strict_.Ioctl(via_entry.retval, 7, nullptr, ctx));
-  SyscallArgs close_args;
-  close_args.fd = via_entry.retval;
-  EXPECT_TRUE(strict_.Syscall(ModelOp::kClose, close_args, ctx).ok());
-}
-
-TEST_F(PersonalityTest, BaseClassPointerDrivesEitherModel)
-{
-  ExecContext ctx(&cov_);
-  for (KernelModel* model :
-       {static_cast<KernelModel*>(&strict_),
-        static_cast<KernelModel*>(&permissive_)}) {
-    SyscallResult fd = model->Openat("/dev/testdev", 0, ctx);
+  for (Kernel* kernel : {&strict_, &permissive_}) {
+    SyscallResult fd = kernel->Openat("/dev/testdev", 0, ctx);
     ASSERT_TRUE(fd.ok());
-    EXPECT_TRUE(model->Ioctl(fd.retval, 7, nullptr, ctx).ok());
-    model->EndProgram(ctx);
-    EXPECT_EQ(model->FdTableShape(), (FdShape{0, 0}));
-    model->BeginProgram();
+    EXPECT_TRUE(kernel->Ioctl(fd.retval, 7, nullptr, ctx).ok());
+    kernel->EndProgram(ctx);
+    EXPECT_EQ(kernel->FdTableShape(), (FdShape{0, 0}));
+    kernel->BeginProgram();
   }
 }
 

@@ -8,6 +8,7 @@
 //    block;
 //  - the per-program reset clears the port namespace and socket state
 //    completely;
+//  - each net_* policy knob changes only its own behaviour;
 //  - module state shapes are slot-normalized (identical across fd
 //    layouts);
 //  - ground-truth net campaigns reach ESTABLISHED/TIME_WAIT coverage and
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -214,7 +216,9 @@ struct NetKernel {
   vkernel::Coverage cov;
   vkernel::ExecContext ctx{&cov};
 
-  NetKernel() {
+  explicit NetKernel(
+      vkernel::KernelPolicy policy = vkernel::KernelPolicy::Strict())
+      : kernel(std::move(policy)) {
     Corpus::Instance().RegisterAll(&kernel);
     kernel.BeginProgram();
   }
@@ -389,6 +393,85 @@ TEST_F(VnetTest, ProgramResetIsPure)
   EXPECT_FALSE(k.ctx.crashed()) << k.ctx.crash_title();
 }
 
+// Each net_* knob is read on its own. Strict and Permissive set all
+// three together, so only a kernel with exactly one knob set catches a
+// check that reads the wrong one: it accepts its own knob's sequences and
+// refuses every other sequence with strict's errno.
+TEST_F(VnetTest, EachNetKnobIsReadOnItsOwn)
+{
+  using vkernel::KernelPolicy;
+  const std::vector<uint8_t> port5 = Addr(5);
+  const std::vector<uint8_t> port9 = Addr(9);
+  const vkernel::Buffer at5 = vkernel::Buffer::View(port5);
+  const vkernel::Buffer at9 = vkernel::Buffer::View(port9);
+
+  struct Sequence {
+    const char* name;
+    bool KernelPolicy::*knob;
+    long strict_errno;
+    std::function<vkernel::SyscallResult(NetKernel&)> last_call;
+  };
+  const std::vector<Sequence> sequences = {
+      {"tcp re-listen", &KernelPolicy::net_relisten_ok, vkernel::kEINVAL,
+       [&](NetKernel& k) {
+         const long s = k.Sock(1, 6);
+         EXPECT_TRUE(k.kernel.Bind(s, at5, k.ctx).ok());
+         EXPECT_TRUE(k.kernel.Listen(s, k.ctx).ok());
+         return k.kernel.Listen(s, k.ctx);
+       }},
+      {"tcp re-bind", &KernelPolicy::net_rebind_ok, vkernel::kEINVAL,
+       [&](NetKernel& k) {
+         const long s = k.Sock(1, 6);
+         EXPECT_TRUE(k.kernel.Bind(s, at5, k.ctx).ok());
+         return k.kernel.Bind(s, at9, k.ctx);
+       }},
+      {"udp re-bind", &KernelPolicy::net_rebind_ok, vkernel::kEINVAL,
+       [&](NetKernel& k) {
+         const long s = k.Sock(2, 17);
+         EXPECT_TRUE(k.kernel.Bind(s, at5, k.ctx).ok());
+         return k.kernel.Bind(s, at9, k.ctx);
+       }},
+      {"tcp bind to a TIME_WAIT port", &KernelPolicy::net_reuse_timewait_ok,
+       vkernel::kEADDRINUSE,
+       [&](NetKernel& k) {
+         // The client's active close leaves its port 9 in TIME_WAIT.
+         const long listener = k.Sock(1, 6);
+         EXPECT_TRUE(k.kernel.Bind(listener, at5, k.ctx).ok());
+         EXPECT_TRUE(k.kernel.Listen(listener, k.ctx).ok());
+         const long client = k.Sock(1, 6);
+         EXPECT_TRUE(k.kernel.Bind(client, at9, k.ctx).ok());
+         EXPECT_TRUE(k.kernel.Connect(client, at5, k.ctx).ok());
+         const long server = k.kernel.Accept(listener, k.ctx).retval;
+         EXPECT_TRUE(k.kernel.Close(client, k.ctx).ok());
+         EXPECT_TRUE(k.kernel.Close(server, k.ctx).ok());
+         return k.kernel.Bind(k.Sock(1, 6), at9, k.ctx);
+       }},
+  };
+
+  const std::pair<const char*, bool KernelPolicy::*> knobs[] = {
+      {"net_relisten_ok", &KernelPolicy::net_relisten_ok},
+      {"net_rebind_ok", &KernelPolicy::net_rebind_ok},
+      {"net_reuse_timewait_ok", &KernelPolicy::net_reuse_timewait_ok},
+  };
+  for (const auto& [knob_name, knob] : knobs) {
+    KernelPolicy policy = KernelPolicy::Strict();
+    policy.*knob = true;
+    NetKernel k(policy);
+    for (const Sequence& seq : sequences) {
+      SCOPED_TRACE(std::string(knob_name) + " kernel, " + seq.name);
+      k.kernel.BeginProgram();
+      const vkernel::SyscallResult rc = seq.last_call(k);
+      if (seq.knob == knob) {
+        EXPECT_TRUE(rc.ok()) << "errno " << rc.verrno;
+      } else {
+        EXPECT_EQ(rc.verrno, seq.strict_errno);
+      }
+      k.kernel.EndProgram(k.ctx);
+      EXPECT_FALSE(k.ctx.crashed()) << k.ctx.crash_title();
+    }
+  }
+}
+
 TEST_F(VnetTest, ModuleStateShapeIsSlotNormalizedAcrossFdLayouts)
 {
   // Strict and permissive install descriptors at different numeric
@@ -406,7 +489,7 @@ TEST_F(VnetTest, ModuleStateShapeIsSlotNormalizedAcrossFdLayouts)
     return kernel->ModuleStateShape();
   };
   vkernel::Kernel strict;
-  vkernel::PermissiveModel permissive;
+  vkernel::Kernel permissive(vkernel::KernelPolicy::Permissive());
   std::string a = drive(&strict);
   std::string b = drive(&permissive);
   EXPECT_NE(a, "");
