@@ -1,5 +1,6 @@
 #include "ksrc/body_analysis.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "util/strings.h"
@@ -49,6 +50,37 @@ SkipBalanced(const std::vector<CToken>& toks, size_t open_idx,
     }
   }
   return toks.size();
+}
+
+/// True when toks[i] names the callee of a call site: an identifier
+/// followed by '(' that is no keyword or boring helper. Requires
+/// i + 1 < toks.size().
+bool
+IsCallAt(const std::vector<CToken>& toks, size_t i)
+{
+  if (toks[i].kind != CTokKind::kIdent) return false;
+  if (!toks[i + 1].Is("(")) return false;
+  if (BoringCallees().count(toks[i].text)) return false;
+  // Exclude declarations/casts heuristically: previous token must not be
+  // 'struct' and next-prev must not be a type keyword followed by '*'.
+  return !(i > 0 &&
+           (toks[i - 1].IsIdent("struct") || toks[i - 1].IsIdent("union")));
+}
+
+bool
+IsPowerOfTwo(uint64_t v)
+{
+  return v != 0 && (v & (v - 1)) == 0;
+}
+
+/// Longest common prefix of two strings.
+size_t
+CommonPrefix(const std::string& a, const std::string& b)
+{
+  size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
 }
 
 }  // namespace
@@ -156,14 +188,7 @@ FindCalls(const CFunction& fn)
   const auto& toks = fn.body_tokens;
   std::vector<CallSite> out;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != CTokKind::kIdent) continue;
-    if (!toks[i + 1].Is("(")) continue;
-    if (BoringCallees().count(toks[i].text)) continue;
-    // Exclude declarations/casts heuristically: previous token must not be
-    // 'struct' and next-prev must not be a type keyword followed by '*'.
-    if (i > 0 && (toks[i - 1].IsIdent("struct") || toks[i - 1].IsIdent("union"))) {
-      continue;
-    }
+    if (!IsCallAt(toks, i)) continue;
     size_t end = SkipBalanced(toks, i + 1, "(", ")");
     CallSite call;
     call.callee = toks[i].text;
@@ -208,11 +233,26 @@ SizeofTypeName(const std::string& text)
   return std::string(v);
 }
 
+std::string
+FirstCallee(const std::vector<CToken>& tokens)
+{
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (IsCallAt(tokens, i)) return tokens[i].text;
+  }
+  return "";
+}
+
 std::vector<UserCopy>
 FindUserCopies(const CFunction& fn)
 {
+  return FindUserCopies(FindCalls(fn));
+}
+
+std::vector<UserCopy>
+FindUserCopies(const std::vector<CallSite>& calls)
+{
   std::vector<UserCopy> out;
-  for (const CallSite& call : FindCalls(fn)) {
+  for (const CallSite& call : calls) {
     bool from = call.callee == "copy_from_user";
     bool to = call.callee == "copy_to_user";
     if (!from && !to) continue;
@@ -240,6 +280,68 @@ BodyMentions(const CFunction& fn, const std::string& identifier)
     if (t.kind == CTokKind::kIdent && t.text == identifier) return true;
   }
   return false;
+}
+
+std::vector<FlagGroup>
+FindFlagGroups(const CFile& file)
+{
+  // Group macros with power-of-two values by shared name prefix (>= 4
+  // chars up to the last '_'); groups of >= 2 become candidate flag sets.
+  std::vector<FlagGroup> groups;
+  // Macros used inside _IO* command encodings are sequence numbers, not
+  // flag bits; exclude them (and anything *_NR by convention).
+  std::unordered_set<std::string> cmd_related;
+  for (const auto& m : file.macros) {
+    if (!util::StartsWith(m.value_text, "_IO")) continue;
+    for (const auto& other : file.macros) {
+      if (util::Contains(m.value_text, other.name)) {
+        cmd_related.insert(other.name);
+      }
+    }
+  }
+  // Candidate bit macros: power-of-two values, not command numbers, and
+  // not dimension/limit constants (LEN/MAX/SIZE/...).
+  auto looks_like_limit = [](const std::string& name) {
+    for (const char* word : {"LEN", "MAX", "SIZE", "MIN", "MAGIC", "COUNT"}) {
+      if (util::Contains(name, word)) return true;
+    }
+    return false;
+  };
+  std::vector<const CMacro*> bits;
+  for (const auto& m : file.macros) {
+    if (!m.value || !IsPowerOfTwo(*m.value)) continue;
+    if (util::EndsWith(m.name, "_NR")) continue;
+    if (cmd_related.count(m.name)) continue;
+    if (looks_like_limit(m.name)) continue;
+    bits.push_back(&m);
+  }
+  // Group by module prefix (the first '_'-separated segment); a file has
+  // at most a handful of flag families and they share the module prefix.
+  std::vector<std::string> prefixes;
+  for (const auto* m : bits) {
+    std::string prefix = m->name.substr(0, m->name.find('_'));
+    bool seen = false;
+    for (const auto& p : prefixes) seen = seen || p == prefix;
+    if (!seen) prefixes.push_back(prefix);
+  }
+  for (const auto& prefix : prefixes) {
+    FlagGroup group;
+    for (const auto* m : bits) {
+      if (m->name.substr(0, m->name.find('_')) == prefix) {
+        group.member_macros.push_back(m->name);
+      }
+    }
+    if (group.member_macros.size() < 2) continue;
+    // Readable set name from the longest shared member prefix.
+    std::string shared = group.member_macros[0];
+    for (const auto& name : group.member_macros) {
+      shared = shared.substr(0, CommonPrefix(shared, name));
+    }
+    while (!shared.empty() && shared.back() == '_') shared.pop_back();
+    group.set_name = util::ToLower(shared) + "_flag_set";
+    groups.push_back(std::move(group));
+  }
+  return groups;
 }
 
 }  // namespace kernelgpt::ksrc

@@ -1,8 +1,12 @@
 /// \file
-/// Token-level analyses of function bodies. These are the shared
-/// primitives from which both the rule-based baseline (SyzDescribe-like)
-/// and the simulated analysis LLM derive their understanding — they differ
-/// only in *which* of these facts their capability profile lets them use.
+/// Token-level analyses of function bodies, plus the flag-group analysis
+/// of a whole file. These are the shared primitives from which both the
+/// rule-based baseline (SyzDescribe-like) and the simulated analysis LLM
+/// derive their understanding — they differ only in *which* of these
+/// facts their capability profile lets them use. Each is a pure function
+/// of the parsed source. The baseline and the extractor call them
+/// directly; the simulated LLM reads them once per function (and once per
+/// file) through DefinitionIndex::Facts and FlagGroupsOfStruct.
 
 #ifndef KERNELGPT_KSRC_BODY_ANALYSIS_H_
 #define KERNELGPT_KSRC_BODY_ANALYSIS_H_
@@ -53,6 +57,13 @@ struct UserCopy {
   std::string dest_var;   ///< Local variable copied into/out of.
 };
 
+/// A group of related bit-flag macros in one file, proposed as one
+/// syzlang flags set.
+struct FlagGroup {
+  std::string set_name;                    ///< e.g. "dm_flag_set".
+  std::vector<std::string> member_macros;  ///< In definition order.
+};
+
 /// Finds all top-level and nested switches in the body.
 std::vector<SwitchInfo> FindSwitches(const CFunction& fn);
 
@@ -62,8 +73,20 @@ std::vector<CmdModification> FindCmdModifications(const CFunction& fn);
 /// Finds all call sites (excluding C keywords and operators).
 std::vector<CallSite> FindCalls(const CFunction& fn);
 
+/// Callee of the first call site FindCalls would report over `tokens`
+/// (e.g. one switch arm's), or "" when there is none.
+std::string FirstCallee(const std::vector<CToken>& tokens);
+
 /// Finds copy_from_user/copy_to_user sites with sizeof payloads.
 std::vector<UserCopy> FindUserCopies(const CFunction& fn);
+
+/// The same, over call sites FindCalls already returned.
+std::vector<UserCopy> FindUserCopies(const std::vector<CallSite>& calls);
+
+/// Scans one source file for groups of related bit-flag macros (shared
+/// name prefix, power-of-two values, no _IO* command numbers or limits).
+/// Used for flags-type recovery.
+std::vector<FlagGroup> FindFlagGroups(const CFile& file);
 
 /// True if the body contains the identifier anywhere.
 bool BodyMentions(const CFunction& fn, const std::string& identifier);

@@ -84,6 +84,7 @@ DefinitionIndex::AddSource(const std::string& source, const std::string& path)
 void
 DefinitionIndex::AddFile(CFile file)
 {
+  cache_.Clear();
   const auto f = static_cast<uint32_t>(files_.size());
   // emplace keeps an existing entry: the first file wins, and within it
   // the first entity.
@@ -331,6 +332,7 @@ DefinitionIndex::EvalMacroText(const std::string& text, int depth) const
 void
 DefinitionIndex::ResolveMacros()
 {
+  cache_.Clear();
   // Two passes to settle macro-to-macro references defined out of order.
   for (int pass = 0; pass < 2; ++pass) {
     for (auto& f : files_) {
@@ -416,13 +418,94 @@ RenderMacro(const CMacro& macro)
 std::string
 DefinitionIndex::ExtractCode(const std::string& identifier) const
 {
-  if (const CFunction* fn = FindFunction(identifier)) {
-    return RenderFunction(*fn);
+  // Every rendering is non-empty, so the first kind with the name wins.
+  for (EntityKind kind : {EntityKind::kFunction, EntityKind::kStruct,
+                          EntityKind::kVariable, EntityKind::kMacro}) {
+    std::string code = ExtractCode(identifier, kind);
+    if (!code.empty()) return code;
   }
-  if (const CStructDef* s = FindStruct(identifier)) return RenderStruct(*s);
-  if (const CVarDef* v = FindVar(identifier)) return RenderVar(*v);
-  if (const CMacro* m = FindMacro(identifier)) return RenderMacro(*m);
   return "";
+}
+
+std::string
+DefinitionIndex::ExtractCode(const std::string& identifier,
+                             EntityKind kind) const
+{
+  switch (kind) {
+    case EntityKind::kFunction:
+      if (const CFunction* fn = FindFunction(identifier)) {
+        return RenderFunction(*fn);
+      }
+      break;
+    case EntityKind::kStruct:
+      if (const CStructDef* s = FindStruct(identifier)) return RenderStruct(*s);
+      break;
+    case EntityKind::kVariable:
+      if (const CVarDef* v = FindVar(identifier)) return RenderVar(*v);
+      break;
+    case EntityKind::kMacro:
+      if (const CMacro* m = FindMacro(identifier)) return RenderMacro(*m);
+      break;
+    case EntityKind::kEnumerator:
+    case EntityKind::kNotFound:
+      break;
+  }
+  return "";
+}
+
+std::unique_ptr<const FunctionFacts>
+DefinitionIndex::AnalyzeFunction(const CFunction& fn) const
+{
+  auto facts = std::make_unique<FunctionFacts>();
+  facts->code = RenderFunction(fn);
+  facts->code_words = util::CountWords(facts->code);
+  facts->calls = FindCalls(fn);
+  facts->user_copies = FindUserCopies(facts->calls);
+  for (SwitchInfo& info : FindSwitches(fn)) {
+    FunctionFacts::Switch sw;
+    sw.subject = std::move(info.subject);
+    for (SwitchCase& arm : info.cases) {
+      sw.arms.push_back({std::move(arm.label), FirstCallee(arm.tokens)});
+    }
+    facts->switches.push_back(std::move(sw));
+  }
+  facts->cmd_modifications = FindCmdModifications(fn);
+  for (const CToken& t : fn.body_tokens) {
+    if (t.kind != CTokKind::kIdent) continue;
+    const CVarDef* var = FindVar(t.text);
+    if (var && !var->init.empty()) facts->dispatch_tables.push_back(var);
+  }
+  return facts;
+}
+
+const FunctionFacts*
+DefinitionIndex::Facts(const std::string& fn_name) const
+{
+  auto it = functions_.find(fn_name);
+  if (it == functions_.end()) return nullptr;
+  const Slot slot = it->second;
+  const uint64_t key = (uint64_t{slot.file} << 32) | slot.entity;
+  std::lock_guard<std::mutex> lock(cache_.mu);
+  auto& facts = cache_.functions[key];
+  if (!facts) {
+    facts = AnalyzeFunction(files_[slot.file].functions[slot.entity]);
+  }
+  return facts.get();
+}
+
+const std::vector<FlagGroup>*
+DefinitionIndex::FlagGroupsOfStruct(const std::string& name) const
+{
+  auto it = structs_.find(name);
+  if (it == structs_.end()) return nullptr;
+  const uint32_t file = it->second.file;
+  std::lock_guard<std::mutex> lock(cache_.mu);
+  auto& groups = cache_.flag_groups[file];
+  if (!groups) {
+    groups = std::make_unique<const std::vector<FlagGroup>>(
+        FindFlagGroups(files_[file]));
+  }
+  return groups.get();
 }
 
 syzlang::ConstTable

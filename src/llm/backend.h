@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "extractor/handler_finder.h"
+#include "ksrc/body_analysis.h"
 #include "llm/profile.h"
 #include "syzlang/ast.h"
 
@@ -66,10 +67,7 @@ struct ArgTypeAnalysis {
 };
 
 /// A flag set the model synthesized from a macro group.
-struct FlagSetGuess {
-  std::string set_name;
-  std::vector<std::string> member_macros;
-};
+using FlagSetGuess = ksrc::FlagGroup;
 
 /// Result of recovering one struct definition.
 struct StructRecovery {

@@ -1,9 +1,8 @@
 #include "llm/engine.h"
 
-#include <algorithm>
+#include <cctype>
 #include <unordered_set>
 
-#include "ksrc/body_analysis.h"
 #include "syzlang/printer.h"
 #include "util/fault.h"
 #include "util/strings.h"
@@ -13,20 +12,9 @@ namespace kernelgpt::llm {
 namespace {
 
 using ksrc::CFunction;
-using ksrc::CToken;
 using ksrc::CTokKind;
+using ksrc::FunctionFacts;
 using util::Format;
-
-/// First interesting call inside a switch-arm token sequence.
-std::optional<ksrc::CallSite>
-FirstCallInArm(const std::vector<CToken>& tokens)
-{
-  CFunction pseudo;
-  pseudo.body_tokens = tokens;
-  auto calls = ksrc::FindCalls(pseudo);
-  if (calls.empty()) return std::nullopt;
-  return calls.front();
-}
 
 /// True when `fn` has a parameter with the given name.
 bool
@@ -162,22 +150,6 @@ ScalarBits(const std::string& type_text)
   return 0;
 }
 
-bool
-IsPowerOfTwo(uint64_t v)
-{
-  return v != 0 && (v & (v - 1)) == 0;
-}
-
-/// Longest common prefix of two strings.
-size_t
-CommonPrefix(const std::string& a, const std::string& b)
-{
-  size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-
 /// Heuristic: is `name` a length/count field?
 bool
 LooksLikeLenField(const std::string& name)
@@ -193,75 +165,21 @@ LooksLikeLenField(const std::string& name)
 
 }  // namespace
 
-std::vector<FlagSetGuess>
-DiscoverFlagGroups(const ksrc::CFile& file)
-{
-  // Group macros with power-of-two values by shared name prefix (>= 4
-  // chars up to the last '_'); groups of >= 2 become candidate flag sets.
-  std::vector<FlagSetGuess> groups;
-  // Macros used inside _IO* command encodings are sequence numbers, not
-  // flag bits; exclude them (and anything *_NR by convention).
-  std::unordered_set<std::string> cmd_related;
-  for (const auto& m : file.macros) {
-    if (!util::StartsWith(m.value_text, "_IO")) continue;
-    for (const auto& other : file.macros) {
-      if (util::Contains(m.value_text, other.name)) {
-        cmd_related.insert(other.name);
-      }
-    }
-  }
-  // Candidate bit macros: power-of-two values, not command numbers, and
-  // not dimension/limit constants (LEN/MAX/SIZE/...).
-  auto looks_like_limit = [](const std::string& name) {
-    for (const char* word : {"LEN", "MAX", "SIZE", "MIN", "MAGIC", "COUNT"}) {
-      if (util::Contains(name, word)) return true;
-    }
-    return false;
-  };
-  std::vector<const ksrc::CMacro*> bits;
-  for (const auto& m : file.macros) {
-    if (!m.value || !IsPowerOfTwo(*m.value)) continue;
-    if (util::EndsWith(m.name, "_NR")) continue;
-    if (cmd_related.count(m.name)) continue;
-    if (looks_like_limit(m.name)) continue;
-    bits.push_back(&m);
-  }
-  // Group by module prefix (the first '_'-separated segment); a file has
-  // at most a handful of flag families and they share the module prefix.
-  std::vector<std::string> prefixes;
-  for (const auto* m : bits) {
-    std::string prefix = m->name.substr(0, m->name.find('_'));
-    bool seen = false;
-    for (const auto& p : prefixes) seen = seen || p == prefix;
-    if (!seen) prefixes.push_back(prefix);
-  }
-  for (const auto& prefix : prefixes) {
-    FlagSetGuess group;
-    for (const auto* m : bits) {
-      if (m->name.substr(0, m->name.find('_')) == prefix) {
-        group.member_macros.push_back(m->name);
-      }
-    }
-    if (group.member_macros.size() < 2) continue;
-    // Readable set name from the longest shared member prefix.
-    std::string shared = group.member_macros[0];
-    for (const auto& name : group.member_macros) {
-      shared = shared.substr(0, CommonPrefix(shared, name));
-    }
-    while (!shared.empty() && shared.back() == '_') shared.pop_back();
-    group.set_name = util::ToLower(shared) + "_flag_set";
-    groups.push_back(std::move(group));
-  }
-  return groups;
-}
-
 SimulatedBackend::SimulatedBackend(const ksrc::DefinitionIndex* index,
                                ModelProfile profile, TokenMeter* meter)
     : index_(index), profile_(std::move(profile)), meter_(meter) {}
 
+std::string
+SimulatedBackend::CodeOf(const FunctionFacts* facts,
+                         const std::string& fn_name) const
+{
+  return facts ? facts->code : index_->ExtractCode(fn_name);
+}
+
 void
 SimulatedBackend::Meter(const std::string& stage, const std::string& target,
-                      std::string prompt, std::string response)
+                        std::string prompt, std::string response,
+                        const FunctionFacts* code)
 {
   // Every query method funnels through here, so one fault point covers
   // the whole backend surface: a rule matching the profile name makes
@@ -269,12 +187,26 @@ SimulatedBackend::Meter(const std::string& stage, const std::string& target,
   KERNELGPT_FAULT_POINT("llm.query",
                         profile_.name + "/" + stage + ":" + target);
   if (!meter_) return;
+  QueryRecord record;
   // Truncate the prompt to the model's context window (approximate 4
   // chars/token); content beyond the window is never seen by the model —
   // the ablation harness relies on this.
   size_t max_chars = profile_.context_tokens * 4;
-  if (prompt.size() > max_chars) prompt.resize(max_chars);
-  QueryRecord record;
+  if (prompt.size() > max_chars) {
+    prompt.resize(max_chars);
+  } else if (code) {
+    // The prompt is a prefix followed by the function's rendered code.
+    // Word counts add up across a join after whitespace, so the cached
+    // count of the code stands in for a rescan: the meter's
+    // ApproxTokenCount(prompt), computed from the pieces.
+    const std::string_view prefix(prompt.data(),
+                                  prompt.size() - code->code.size());
+    if (!prefix.empty() &&
+        std::isspace(static_cast<unsigned char>(prefix.back()))) {
+      record.input_tokens = util::ApproxTokenCount(
+          util::CountWords(prefix) + code->code_words, prompt.size());
+    }
+  }
   record.stage = stage;
   record.target = target;
   record.prompt = std::move(prompt);
@@ -303,40 +235,40 @@ SimulatedBackend::AnalyzeIdentifiers(const std::string& fn_name,
 {
   IdentifierAnalysis result;
   const CFunction* fn = index_->FindFunction(fn_name);
-  std::string code = index_->ExtractCode(fn_name);
-  std::string prompt = Format(
-      "Please generate the Syzkaller specification for the following "
-      "handler.\nIf the command is unclear and dependent on another "
-      "function, list it in the UNKNOWN section.\n\n## Unknown IOCTL\n- "
-      "FUNC: %s\n- USAGE: %s\n\n## Source Code of Relative Functions\n%s",
-      fn_name.c_str(), usage.c_str(), code.c_str());
+  const FunctionFacts* facts = index_->Facts(fn_name);
+  std::string prompt =
+      Format("Please generate the Syzkaller specification for the following "
+             "handler.\nIf the command is unclear and dependent on another "
+             "function, list it in the UNKNOWN section.\n\n## Unknown "
+             "IOCTL\n- FUNC: %s\n- USAGE: %s\n\n## Source Code of Relative "
+             "Functions\n",
+             fn_name.c_str(), usage.c_str()) +
+      CodeOf(facts, fn_name);
 
   if (!fn || fn->body_tokens.empty()) {
     Meter("identifier", module + ":" + fn_name, prompt,
-          "- UNKNOWN: (no source available)");
+          "- UNKNOWN: (no source available)", facts);
     return result;
   }
   if (depth > profile_.max_delegation_depth) {
     // The model loses the thread on deep indirection (the failure the
     // paper's §5.1.3 attributes to multiply-delegated handlers).
     Meter("identifier", module + ":" + fn_name, prompt,
-          "- (unable to determine identifier values)");
+          "- (unable to determine identifier values)", facts);
     return result;
   }
 
-  auto mods = ksrc::FindCmdModifications(*fn);
-  auto switches = ksrc::FindSwitches(*fn);
   std::unordered_set<std::string> claimed_callees;
 
-  for (const auto& sw : switches) {
+  for (const auto& sw : facts->switches) {
     bool modified = false;
-    for (const auto& mod : mods) {
+    for (const auto& mod : facts->cmd_modifications) {
       if (mod.dest == sw.subject && mod.op == "_IOC_NR") modified = true;
     }
     bool command_like = HasParam(*fn, sw.subject) || modified;
     if (!command_like) continue;
 
-    for (const auto& arm : sw.cases) {
+    for (const auto& arm : sw.arms) {
       CommandFinding finding;
       finding.from_modified_switch = modified;
       if (modified) {
@@ -353,9 +285,9 @@ SimulatedBackend::AnalyzeIdentifiers(const std::string& fn_name,
       } else {
         finding.macro = arm.label;
       }
-      if (auto call = FirstCallInArm(arm.tokens)) {
-        finding.sub_function = call->callee;
-        claimed_callees.insert(call->callee);
+      if (!arm.first_callee.empty()) {
+        finding.sub_function = arm.first_callee;
+        claimed_callees.insert(arm.first_callee);
       }
       if (profile_.Decide("miss/v66:" + module + ":" + finding.macro,
                           profile_.miss_command_rate)) {
@@ -368,10 +300,7 @@ SimulatedBackend::AnalyzeIdentifiers(const std::string& fn_name,
   // Table-dispatch comprehension: a referenced variable with positional
   // {CMD, fn} initializer entries.
   if (profile_.understands_table_lookup) {
-    for (const CToken& t : fn->body_tokens) {
-      if (t.kind != CTokKind::kIdent) continue;
-      const ksrc::CVarDef* var = index_->FindVar(t.text);
-      if (!var || var->init.empty()) continue;
+    for (const ksrc::CVarDef* var : facts->dispatch_tables) {
       for (const auto& entry : var->init) {
         if (!entry.field.empty()) continue;
         // Entry text looks like "{ DM_VERSION , dm_do_version }".
@@ -404,7 +333,7 @@ SimulatedBackend::AnalyzeIdentifiers(const std::string& fn_name,
     }
   }
   if (!cmd_param.empty()) {
-    for (const auto& call : ksrc::FindCalls(*fn)) {
+    for (const auto& call : facts->calls) {
       if (claimed_callees.count(call.callee)) continue;
       bool passes_cmd = false;
       for (const auto& arg : call.args) {
@@ -434,7 +363,7 @@ SimulatedBackend::AnalyzeIdentifiers(const std::string& fn_name,
     response += Format("- UNKNOWN\n  - FUNC: %s\n  - USAGE: %s\n",
                        u.identifier.c_str(), u.usage.c_str());
   }
-  Meter("identifier", module + ":" + fn_name, prompt, response);
+  Meter("identifier", module + ":" + fn_name, prompt, response, facts);
   return result;
 }
 
@@ -444,21 +373,21 @@ SimulatedBackend::AnalyzeArgumentType(const std::string& fn_name,
 {
   ArgTypeAnalysis result;
   const CFunction* fn = index_->FindFunction(fn_name);
-  std::string code = index_->ExtractCode(fn_name);
-  std::string prompt = Format(
+  const FunctionFacts* facts = index_->Facts(fn_name);
+  std::string prompt =
       "Please determine the argument type of the following command "
       "handler and any semantic constraints it enforces.\n\n## Source "
-      "Code\n%s",
-      code.c_str());
+      "Code\n" +
+      CodeOf(facts, fn_name);
   if (!fn) {
-    Meter("type", module + ":" + fn_name, prompt, "- (no source)");
+    Meter("type", module + ":" + fn_name, prompt, "- (no source)", facts);
     return result;
   }
 
   bool reads = false;
   bool writes = false;
   std::string var;
-  for (const auto& copy : ksrc::FindUserCopies(*fn)) {
+  for (const auto& copy : facts->user_copies) {
     if (copy.from_user) {
       reads = true;
       if (!copy.type_name.empty()) result.arg_struct = copy.type_name;
@@ -485,7 +414,7 @@ SimulatedBackend::AnalyzeArgumentType(const std::string& fn_name,
                                 result.arg_struct.c_str(),
                                 syzlang::DirName(result.dir),
                                 result.constraints.size());
-  Meter("type", module + ":" + fn_name, prompt, response);
+  Meter("type", module + ":" + fn_name, prompt, response, facts);
   return result;
 }
 
@@ -497,25 +426,19 @@ SimulatedBackend::RecoverStruct(const std::string& struct_name,
 {
   StructRecovery result;
   const ksrc::CStructDef* def = index_->FindStruct(struct_name);
-  std::string code = index_->ExtractCode(struct_name);
-  std::string prompt = Format(
+  std::string prompt =
       "Please translate the following kernel type definition into a "
       "Syzkaller description, capturing semantic relations between "
-      "fields.\n\n## Source Code\n%s",
-      code.c_str());
+      "fields.\n\n## Source Code\n" +
+      index_->ExtractCode(struct_name, ksrc::EntityKind::kStruct);
   if (!def) {
     Meter("type", module + ":" + struct_name, prompt, "- (no source)");
     return result;
   }
 
   // Flag groups in the defining file, for flags-typed fields.
-  std::vector<FlagSetGuess> groups;
-  for (const auto& file : index_->files()) {
-    if (file.FindStruct(struct_name)) {
-      groups = DiscoverFlagGroups(file);
-      break;
-    }
-  }
+  const std::vector<FlagSetGuess>& groups =
+      *index_->FlagGroupsOfStruct(struct_name);
 
   result.def.name = struct_name;
   result.def.is_union = def->is_union;
@@ -660,16 +583,16 @@ SimulatedBackend::AnalyzeDependencies(const std::string& fn_name,
 {
   DependencyAnalysis result;
   const CFunction* fn = index_->FindFunction(fn_name);
-  std::string code = index_->ExtractCode(fn_name);
-  std::string prompt = Format(
+  const FunctionFacts* facts = index_->Facts(fn_name);
+  std::string prompt =
       "Does the return value of this function act as a resource consumed "
-      "by other syscalls?\n\n## Source Code\n%s",
-      code.c_str());
+      "by other syscalls?\n\n## Source Code\n" +
+      CodeOf(facts, fn_name);
   if (!fn || !profile_.follows_dependencies) {
-    Meter("dependency", module + ":" + fn_name, prompt, "- no");
+    Meter("dependency", module + ":" + fn_name, prompt, "- no", facts);
     return result;
   }
-  for (const auto& call : ksrc::FindCalls(*fn)) {
+  for (const auto& call : facts->calls) {
     if (call.callee != "anon_inode_getfd" || call.args.size() < 2) continue;
     DependencyAnalysis::CreatedResource created;
     // args[0] is the "name" literal, args[1] is &fops.
@@ -689,7 +612,7 @@ SimulatedBackend::AnalyzeDependencies(const std::string& fn_name,
                              ? "- no resource creation found"
                              : Format("- creates fd bound to %s",
                                       result.created[0].fops_var.c_str());
-  Meter("dependency", module + ":" + fn_name, prompt, response);
+  Meter("dependency", module + ":" + fn_name, prompt, response, facts);
   return result;
 }
 
@@ -702,7 +625,8 @@ SimulatedBackend::InferDeviceNode(const extractor::DriverHandler& handler,
       handler.misc_var.empty()
           ? (handler.create_fmt.empty() ? handler.proc_path.c_str()
                                         : handler.create_fmt.c_str())
-          : index_->ExtractCode(handler.misc_var).c_str());
+          : index_->ExtractCode(handler.misc_var, ksrc::EntityKind::kVariable)
+                .c_str());
 
   std::string node;
   switch (handler.reg) {
@@ -750,13 +674,13 @@ SimulatedBackend::AnalyzeSocketCreate(const std::string& fn_name,
 {
   SocketCreateAnalysis result;
   const CFunction* fn = index_->FindFunction(fn_name);
-  std::string code = index_->ExtractCode(fn_name);
-  std::string prompt = Format(
+  const FunctionFacts* facts = index_->Facts(fn_name);
+  std::string prompt =
       "Which socket type and protocol does this create function "
-      "accept?\n\n## Source Code\n%s",
-      code.c_str());
+      "accept?\n\n## Source Code\n" +
+      CodeOf(facts, fn_name);
   if (!fn) {
-    Meter("identifier", module + ":" + fn_name, prompt, "- unknown");
+    Meter("identifier", module + ":" + fn_name, prompt, "- unknown", facts);
     return result;
   }
   const auto& toks = fn->body_tokens;
@@ -777,7 +701,8 @@ SimulatedBackend::AnalyzeSocketCreate(const std::string& fn_name,
   Meter("identifier", module + ":" + fn_name, prompt,
         Format("- type: %s, protocol: %llu",
                result.type_macro.empty() ? "any" : result.type_macro.c_str(),
-               static_cast<unsigned long long>(result.protocol)));
+               static_cast<unsigned long long>(result.protocol)),
+        facts);
   return result;
 }
 

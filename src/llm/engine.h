@@ -5,6 +5,13 @@
 /// the capability profile allows, and reports both findings and
 /// "UNKNOWN" items for the iterative loop to chase — exactly the
 /// contract of Figure 6.
+///
+/// The source analyses themselves are pure, so the backend reads them
+/// from the index's cache (ksrc::DefinitionIndex::Facts and
+/// FlagGroupsOfStruct) rather than re-deriving them per query: every
+/// backend and service thread sharing an index analyses each function
+/// once. Only the profile's draws and the rendered answers are computed
+/// per query.
 
 #ifndef KERNELGPT_LLM_ENGINE_H_
 #define KERNELGPT_LLM_ENGINE_H_
@@ -52,8 +59,18 @@ class SimulatedBackend : public Backend {
 
  private:
   /// Meters one exchange, truncating the prompt to the context window.
+  /// When `code` is given, the prompt ends with `code->code` after a
+  /// prefix; if the prompt fits and the prefix ends in whitespace, the
+  /// input tokens come from the prefix's words plus the cached
+  /// `code_words`, which equals counting the whole prompt.
   void Meter(const std::string& stage, const std::string& target,
-             std::string prompt, std::string response);
+             std::string prompt, std::string response,
+             const ksrc::FunctionFacts* code = nullptr);
+
+  /// The code a function prompt quotes: the cached rendering, or, for a
+  /// name that is no function, whatever ExtractCode finds.
+  std::string CodeOf(const ksrc::FunctionFacts* facts,
+                     const std::string& fn_name) const;
 
   std::string ReverseMapModifiedLabel(const std::string& nr_label) const;
 
@@ -61,10 +78,6 @@ class SimulatedBackend : public Backend {
   ModelProfile profile_;
   TokenMeter* meter_;
 };
-
-/// Scans one source file for groups of related bit-flag macros (shared
-/// prefix, power-of-two values). Used for flags-type recovery.
-std::vector<FlagSetGuess> DiscoverFlagGroups(const ksrc::CFile& file);
 
 }  // namespace kernelgpt::llm
 

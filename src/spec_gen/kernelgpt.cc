@@ -255,7 +255,10 @@ KernelGpt::DescribeIoctlChain(const std::string& ioctl_fn,
     if (!visited.insert(item.fn).second) continue;
     if (options_.iterative && item.depth > options_.max_iter) continue;
     if (!options_.iterative) {
-      code_used += util::ApproxTokenCount(index_->ExtractCode(item.fn));
+      const ksrc::FunctionFacts* facts = index_->Facts(item.fn);
+      code_used +=
+          facts ? util::ApproxTokenCount(facts->code_words, facts->code.size())
+                : util::ApproxTokenCount(index_->ExtractCode(item.fn));
       if (code_used > code_budget) continue;  // Fell out of the context.
     }
     llm::IdentifierAnalysis analysis =

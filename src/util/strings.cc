@@ -1,5 +1,6 @@
 #include "util/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -139,7 +140,7 @@ Indent(std::string_view s, int n)
 }
 
 size_t
-ApproxTokenCount(std::string_view s)
+CountWords(std::string_view s)
 {
   // Counts the words SplitWhitespace would return, in one pass and without
   // allocating. The inline test equals std::isspace in the C locale, and
@@ -151,10 +152,21 @@ ApproxTokenCount(std::string_view s)
     words += !space && !in_word;
     in_word = !space;
   }
+  return words;
+}
+
+size_t
+ApproxTokenCount(std::string_view s)
+{
+  return ApproxTokenCount(CountWords(s), s.size());
+}
+
+size_t
+ApproxTokenCount(size_t words, size_t chars)
+{
   // Blend word count with a character-based estimate; code-heavy text
   // tokenizes closer to 1 token / 3.5 chars.
-  size_t by_chars = s.size() / 4;
-  return words > by_chars ? words : by_chars;
+  return std::max(words, chars / 4);
 }
 
 }  // namespace kernelgpt::util

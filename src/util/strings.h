@@ -44,10 +44,19 @@ std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Indents every line of `s` by `n` spaces.
 std::string Indent(std::string_view s, int n);
 
-/// Approximates an LLM tokenizer: counts whitespace/punctuation-delimited
-/// chunks plus a per-character correction, mirroring the ~4 chars/token
-/// rule of thumb. Used by the token meter.
+/// Number of whitespace-separated words: SplitWhitespace(s).size(),
+/// without allocating. Counts add up across a join, CountWords(a) +
+/// CountWords(b) == CountWords(a + b), whenever `a` ends in whitespace.
+size_t CountWords(std::string_view s);
+
+/// Approximates an LLM tokenizer: max(CountWords(s), s.size() / 4), the
+/// word count floored by the ~4 chars/token rule of thumb. Used by the
+/// token meter.
 size_t ApproxTokenCount(std::string_view s);
+
+/// The same estimate for a text of `chars` bytes whose `words` were
+/// counted piecewise.
+size_t ApproxTokenCount(size_t words, size_t chars);
 
 }  // namespace kernelgpt::util
 

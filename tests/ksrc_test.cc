@@ -1,13 +1,19 @@
-// Unit tests for the C-subset lexer/parser, definition index (ExtractCode
-// and macro evaluation), and body analyses.
+// Unit tests for the C-subset lexer/parser, definition index (ExtractCode,
+// macro evaluation and the cached analyses), and body analyses.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <thread>
 
 #include "drivers/corpus.h"
 #include "ksrc/body_analysis.h"
 #include "ksrc/clexer.h"
 #include "ksrc/cparser.h"
 #include "ksrc/definition_index.h"
+#include "util/strings.h"
 
 namespace kernelgpt::ksrc {
 namespace {
@@ -440,6 +446,318 @@ TEST(CParserTest, PositionalInitializerTable)
   ASSERT_EQ(v->init.size(), 2u);
   EXPECT_NE(v->init[0].value_text.find("CMD_A"), std::string::npos);
   EXPECT_NE(v->init[1].value_text.find("fn_b"), std::string::npos);
+}
+
+TEST(FlagGroupTest, ExcludesCommandMacros)
+{
+  CFile file = CParse(
+      "#define X_MAGIC 0x40\n"
+      "#define X_CMD1_NR 1\n"
+      "#define X_CMD1 _IOWR(X_MAGIC, X_CMD1_NR, struct a)\n"
+      "#define X_F_A 1\n"
+      "#define X_F_B 2\n"
+      "#define X_NAME_LEN 64\n",
+      "x.c");
+  auto groups = FindFlagGroups(file);
+  ASSERT_EQ(groups.size(), 1u);
+  ASSERT_EQ(groups[0].member_macros.size(), 2u);
+  EXPECT_EQ(groups[0].member_macros[0], "X_F_A");
+}
+
+// -- Cached analyses ---------------------------------------------------------
+
+std::vector<std::string>
+Describe(const std::vector<CallSite>& calls)
+{
+  std::vector<std::string> out;
+  for (const CallSite& c : calls) {
+    out.push_back(c.callee + " (" + util::Join(c.args, " | ") + ") " +
+                  c.text + (c.is_return ? " [return]" : ""));
+  }
+  return out;
+}
+
+std::vector<std::string>
+Describe(const std::vector<UserCopy>& copies)
+{
+  std::vector<std::string> out;
+  for (const UserCopy& c : copies) {
+    out.push_back(std::string(c.from_user ? "from " : "to ") + c.type_name +
+                  " " + c.dest_var);
+  }
+  return out;
+}
+
+std::vector<std::string>
+Describe(const std::vector<CmdModification>& mods)
+{
+  std::vector<std::string> out;
+  for (const CmdModification& m : mods) {
+    out.push_back(m.dest + " = " + m.op + "(" + m.src + ")");
+  }
+  return out;
+}
+
+std::vector<std::string>
+Describe(const std::vector<FlagGroup>& groups)
+{
+  std::vector<std::string> out;
+  for (const FlagGroup& g : groups) {
+    out.push_back(g.set_name + ": " + util::Join(g.member_macros, " "));
+  }
+  return out;
+}
+
+/// Switch subjects and "label -> first callee" per arm, from the facts.
+std::vector<std::string>
+DescribeArms(const FunctionFacts& facts)
+{
+  std::vector<std::string> out;
+  for (const FunctionFacts::Switch& sw : facts.switches) {
+    out.push_back("switch " + sw.subject);
+    for (const FunctionFacts::Arm& arm : sw.arms) {
+      out.push_back(arm.label + " -> " + arm.first_callee);
+    }
+  }
+  return out;
+}
+
+/// The same from FindSwitches, taking each arm's first callee the way
+/// the simulated LLM used to: FindCalls over the arm's tokens.
+std::vector<std::string>
+DescribeArms(const CFunction& fn)
+{
+  std::vector<std::string> out;
+  for (const SwitchInfo& sw : FindSwitches(fn)) {
+    out.push_back("switch " + sw.subject);
+    for (const SwitchCase& arm : sw.cases) {
+      CFunction pseudo;
+      pseudo.body_tokens = arm.tokens;
+      const std::vector<CallSite> calls = FindCalls(pseudo);
+      out.push_back(arm.label + " -> " +
+                    (calls.empty() ? "" : calls.front().callee));
+    }
+  }
+  return out;
+}
+
+/// Variables with an initializer that the body names, token by token.
+std::vector<const CVarDef*>
+ScanDispatchTables(const DefinitionIndex& index, const CFunction& fn)
+{
+  std::vector<const CVarDef*> out;
+  for (const CToken& t : fn.body_tokens) {
+    if (t.kind != CTokKind::kIdent) continue;
+    const CVarDef* var = index.FindVar(t.text);
+    if (var && !var->init.empty()) out.push_back(var);
+  }
+  return out;
+}
+
+/// Checks `facts` against the direct analyses of `fn` in `index`.
+void
+ExpectFactsOf(const DefinitionIndex& index, const CFunction& fn,
+              const FunctionFacts& facts)
+{
+  SCOPED_TRACE(fn.name);
+  EXPECT_EQ(facts.code, RenderFunction(fn));
+  EXPECT_EQ(facts.code_words, util::CountWords(facts.code));
+  EXPECT_EQ(Describe(facts.calls), Describe(FindCalls(fn)));
+  EXPECT_EQ(Describe(facts.user_copies), Describe(FindUserCopies(fn)));
+  EXPECT_EQ(DescribeArms(facts), DescribeArms(fn));
+  EXPECT_EQ(Describe(facts.cmd_modifications),
+            Describe(FindCmdModifications(fn)));
+  EXPECT_EQ(facts.dispatch_tables, ScanDispatchTables(index, fn));
+}
+
+TEST(AnalysisCacheTest, FactsEqualTheDirectAnalysesForEveryFunction)
+{
+  const DefinitionIndex index = drivers::Corpus::Instance().BuildIndex();
+  size_t functions = 0, switch_arms = 0, tables = 0, copies = 0;
+  for (const CFile& f : index.files()) {
+    for (const CFunction& fn : f.functions) {
+      ++functions;
+      // Facts follow the slot FindFunction resolves (a definition beats
+      // forward declarations), and a second request returns the same
+      // entry.
+      const CFunction* resolved = index.FindFunction(fn.name);
+      const FunctionFacts* facts = index.Facts(fn.name);
+      ASSERT_NE(facts, nullptr) << fn.name;
+      EXPECT_EQ(index.Facts(fn.name), facts);
+      ExpectFactsOf(index, *resolved, *facts);
+      for (const auto& sw : facts->switches) switch_arms += sw.arms.size();
+      tables += facts->dispatch_tables.size();
+      copies += facts->user_copies.size();
+    }
+  }
+  EXPECT_EQ(functions, 1044u);
+  // The corpus exercises every part of the facts.
+  EXPECT_GT(switch_arms, 0u);
+  EXPECT_GT(tables, 0u);
+  EXPECT_GT(copies, 0u);
+  EXPECT_EQ(index.Facts("no_such_name"), nullptr);
+}
+
+TEST(AnalysisCacheTest, FlagGroupsOfStructReadTheDefiningFile)
+{
+  const DefinitionIndex index = drivers::Corpus::Instance().BuildIndex();
+  size_t structs = 0, with_groups = 0;
+  for (const CFile& f : index.files()) {
+    for (const CStructDef& s : f.structs) {
+      ++structs;
+      // The first file that defines the struct, as a linear scan finds it.
+      const CFile* defining = nullptr;
+      for (const CFile& g : index.files()) {
+        if (g.FindStruct(s.name)) {
+          defining = &g;
+          break;
+        }
+      }
+      const std::vector<FlagGroup>* groups = index.FlagGroupsOfStruct(s.name);
+      ASSERT_NE(groups, nullptr) << s.name;
+      EXPECT_EQ(Describe(*groups), Describe(FindFlagGroups(*defining)))
+          << s.name;
+      // One entry per file: structs of the same file share it.
+      EXPECT_EQ(index.FlagGroupsOfStruct(defining->structs[0].name), groups);
+      with_groups += !groups->empty();
+    }
+  }
+  EXPECT_EQ(structs, 221u);
+  EXPECT_GT(with_groups, 0u);
+  EXPECT_EQ(index.FlagGroupsOfStruct("no_such_name"), nullptr);
+}
+
+TEST(AnalysisCacheTest, CopyStartsEmptyAndMoveKeepsHandedOutPointers)
+{
+  std::optional<DefinitionIndex> original(
+      drivers::Corpus::Instance().BuildIndex());
+  // A function that names a dispatch table, so the facts hold pointers
+  // into the index's own variables.
+  std::string name;
+  for (const CFile& f : original->files()) {
+    for (const CFunction& fn : f.functions) {
+      if (name.empty() && !original->Facts(fn.name)->dispatch_tables.empty()) {
+        name = fn.name;
+      }
+    }
+  }
+  ASSERT_FALSE(name.empty());
+  const FunctionFacts* facts = original->Facts(name);
+  const std::vector<FlagGroup>* groups = original->FlagGroupsOfStruct("dm_ioctl");
+  ASSERT_NE(groups, nullptr);
+  const std::string code = facts->code;
+
+  // A copy computes its own entries against its own files, so it outlives
+  // the original.
+  DefinitionIndex copy(*original);
+  const FunctionFacts* copied = copy.Facts(name);
+  ASSERT_NE(copied, nullptr);
+  EXPECT_NE(copied, facts);
+  EXPECT_NE(copy.FlagGroupsOfStruct("dm_ioctl"), groups);
+  ExpectFactsOf(copy, *copy.FindFunction(name), *copied);
+  EXPECT_EQ(copied->dispatch_tables[0],
+            copy.FindVar(copied->dispatch_tables[0]->name));
+
+  // A move takes the entries along: every pointer handed out before stays
+  // valid and is what the new owner hands out.
+  DefinitionIndex moved(std::move(*original));
+  original.reset();
+  EXPECT_EQ(moved.Facts(name), facts);
+  EXPECT_EQ(moved.FlagGroupsOfStruct("dm_ioctl"), groups);
+  EXPECT_EQ(facts->code, code);
+  EXPECT_EQ(facts->dispatch_tables[0],
+            moved.FindVar(facts->dispatch_tables[0]->name));
+  DefinitionIndex assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Facts(name), facts);
+  ExpectFactsOf(assigned, *assigned.FindFunction(name), *facts);
+  EXPECT_EQ(Describe(*groups), Describe(*copy.FlagGroupsOfStruct("dm_ioctl")));
+}
+
+TEST(AnalysisCacheTest, BuildCallsAndCopyAssignmentDropStaleEntries)
+{
+  DefinitionIndex index;
+  index.AddSource(
+      "#define F_A 1\n"
+      "#define F_B F_C\n"
+      "#define F_C 2\n"
+      "struct s { int flags; };\n"
+      "int foo(int x);\n",
+      "a.c");
+  ASSERT_NE(index.Facts("foo"), nullptr);
+  EXPECT_EQ(index.Facts("foo")->code, "int foo(int x);\n");
+  EXPECT_TRUE(index.Facts("foo")->calls.empty());
+  // F_B has no value until ResolveMacros.
+  ASSERT_EQ(index.FlagGroupsOfStruct("s")->size(), 1u);
+  EXPECT_EQ((*index.FlagGroupsOfStruct("s"))[0].member_macros,
+            (std::vector<std::string>{"F_A", "F_C"}));
+
+  // AddFile: the definition now wins over the declaration.
+  index.AddSource("int foo(int x)\n{\n\treturn bar(x);\n}\n", "b.c");
+  ASSERT_EQ(index.Facts("foo")->calls.size(), 1u);
+  EXPECT_EQ(index.Facts("foo")->calls[0].callee, "bar");
+
+  // ResolveMacros: F_B joins the group.
+  index.ResolveMacros();
+  EXPECT_EQ((*index.FlagGroupsOfStruct("s"))[0].member_macros,
+            (std::vector<std::string>{"F_A", "F_B", "F_C"}));
+
+  // Copy assignment replaces the files, so it replaces the entries too.
+  DefinitionIndex other;
+  other.AddSource("int foo(void)\n{\n\treturn baz();\n}\n", "c.c");
+  ASSERT_EQ(other.Facts("foo")->calls[0].callee, "baz");
+  other = index;
+  ASSERT_EQ(other.Facts("foo")->calls.size(), 1u);
+  EXPECT_EQ(other.Facts("foo")->calls[0].callee, "bar");
+}
+
+TEST(AnalysisCacheTest, ConcurrentFirstTouchAgreesOnEveryPointer)
+{
+  const DefinitionIndex index = drivers::Corpus::Instance().BuildIndex();
+  std::vector<std::string> functions, structs;
+  for (const CFile& f : index.files()) {
+    for (const CFunction& fn : f.functions) functions.push_back(fn.name);
+    for (const CStructDef& s : f.structs) structs.push_back(s.name);
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::vector<const FunctionFacts*>> facts(
+      kThreads, std::vector<const FunctionFacts*>(functions.size()));
+  std::vector<std::vector<const std::vector<FlagGroup>*>> groups(
+      kThreads,
+      std::vector<const std::vector<FlagGroup>*>(structs.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread touches every name, each in its own order, with
+      // function and struct requests interleaved.
+      const size_t n = functions.size() + structs.size();
+      std::vector<size_t> order(n);
+      for (size_t i = 0; i < n; ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(),
+                   std::mt19937(static_cast<unsigned>(t)));
+      for (size_t i : order) {
+        if (i < functions.size()) {
+          facts[t][i] = index.Facts(functions[i]);
+        } else {
+          const size_t j = i - functions.size();
+          groups[t][j] = index.FlagGroupsOfStruct(structs[j]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(facts[t], facts[0]) << "thread " << t;
+    EXPECT_EQ(groups[t], groups[0]) << "thread " << t;
+  }
+  for (size_t i = 0; i < functions.size(); ++i) {
+    ASSERT_NE(facts[0][i], nullptr);
+    EXPECT_EQ(facts[0][i]->code,
+              RenderFunction(*index.FindFunction(functions[i])));
+  }
+  for (size_t j = 0; j < structs.size(); ++j) {
+    ASSERT_NE(groups[0][j], nullptr);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // Tests for the simulated analysis LLM: capability-profile behaviour,
-// per-stage analyses, determinism, token metering, and the backend
-// registry (profiles as data, pricing, wrapper backends).
+// per-stage analyses, determinism, token metering (including the counts
+// built from cached pieces), and the backend registry (profiles as data,
+// pricing, wrapper backends).
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "drivers/corpus.h"
 #include "extractor/handler_finder.h"
-#include "ksrc/cparser.h"
 #include "llm/engine.h"
 #include "llm/flaky_backend.h"
 #include "llm/registry.h"
+#include "spec_gen/kernelgpt.h"
+#include "util/strings.h"
 
 namespace kernelgpt::llm {
 namespace {
@@ -330,31 +334,205 @@ TEST_F(EngineTest, PromptTruncatedToContextWindow)
 {
   // A backend with a tiny window never meters (or "sees") more prompt
   // than fits: the stored prompt is cut at context_tokens * 4 chars and
-  // the metered input cost is bounded accordingly.
-  TokenMeter full_meter;
-  SimulatedBackend full(index_, Gpt4(), &full_meter);
-  full.AnalyzeIdentifiers("dm_ctl_do_ioctl", "usage", "dm", 2);
-  const size_t full_prompt = full_meter.records().back().prompt.size();
+  // the metered input cost is bounded accordingly. At every window, the
+  // metered count is the meter's estimate of the stored text, whether it
+  // was counted from the text (cut) or from the cached code (not cut).
+  using Query = std::function<void(SimulatedBackend&)>;
+  const std::vector<std::pair<const char*, Query>> queries = {
+      {"identifier",
+       [](SimulatedBackend& b) {
+         b.AnalyzeIdentifiers("dm_ctl_do_ioctl", "usage", "dm", 2);
+       }},
+      {"type",
+       [](SimulatedBackend& b) {
+         b.AnalyzeArgumentType("kvm_vm_kvm_set_user_memory_region", "kvm");
+       }},
+      {"dependency",
+       [](SimulatedBackend& b) {
+         b.AnalyzeDependencies("kvm_dev_kvm_create_vm", "kvm");
+       }},
+      {"socket-create",
+       [](SimulatedBackend& b) { b.AnalyzeSocketCreate("rds_create", "rds"); }},
+  };
+  for (const auto& [name, query] : queries) {
+    SCOPED_TRACE(name);
+    TokenMeter full_meter;
+    SimulatedBackend full(index_, Gpt4(), &full_meter);
+    query(full);
+    ASSERT_EQ(full_meter.query_count(), 1u);
+    const QueryRecord& full_record = full_meter.records().back();
+    const size_t full_prompt = full_record.prompt.size();
+    EXPECT_EQ(full_record.input_tokens,
+              util::ApproxTokenCount(full_record.prompt));
 
-  ModelProfile tiny = Gpt4();
-  tiny.context_tokens = 20;  // 80 chars.
+    ModelProfile tiny = Gpt4();
+    tiny.context_tokens = 20;  // 80 chars.
+    TokenMeter meter;
+    SimulatedBackend backend(index_, tiny, &meter);
+    query(backend);
+    ASSERT_EQ(meter.query_count(), 1u);
+    const QueryRecord& record = meter.records().back();
+    ASSERT_GT(full_prompt, 80u);  // The untruncated prompt is bigger.
+    EXPECT_EQ(record.prompt.size(), 80u);
+    EXPECT_LE(record.input_tokens, 80u);
+    EXPECT_EQ(record.input_tokens, util::ApproxTokenCount(record.prompt));
+
+    // Exactly-fitting prompts are not cut: a window as large as the full
+    // prompt keeps every byte.
+    ModelProfile fitted = Gpt4();
+    fitted.context_tokens = (full_prompt + 3) / 4;
+    TokenMeter fit_meter;
+    SimulatedBackend fit(index_, fitted, &fit_meter);
+    query(fit);
+    const QueryRecord& fit_record = fit_meter.records().back();
+    EXPECT_EQ(fit_record.prompt.size(), full_prompt);
+    EXPECT_EQ(fit_record.input_tokens,
+              util::ApproxTokenCount(fit_record.prompt));
+  }
+}
+
+/// Counts the records of `meter`, retries aside, whose metered tokens
+/// differ from the meter's estimate of their text; `first` describes the
+/// first one.
+size_t
+MiscountedRecords(const TokenMeter& meter, size_t* checked,
+                  std::string* first)
+{
+  size_t wrong = 0;
+  for (const QueryRecord& record : meter.records()) {
+    // Retry records re-bill an earlier prompt without its text.
+    if (util::StartsWith(record.stage, "retry/")) continue;
+    ++*checked;
+    const size_t in = util::ApproxTokenCount(record.prompt);
+    const size_t out = util::ApproxTokenCount(record.response);
+    if (record.input_tokens == in && record.output_tokens == out) continue;
+    if (wrong++ == 0) {
+      *first = util::Format("%s %s: metered %zu/%zu, text counts %zu/%zu",
+                            record.stage.c_str(), record.target.c_str(),
+                            record.input_tokens, record.output_tokens, in,
+                            out);
+    }
+  }
+  return wrong;
+}
+
+TEST_F(EngineTest, EveryMeteredCountIsTheEstimateOfItsText)
+{
+  // Function prompts are metered from their pieces (the prefix's words
+  // plus the cached word count of the code). Over every registered
+  // backend and every extracted handler, each count must still equal the
+  // meter's estimate of the text it stands for.
+  std::vector<extractor::DriverHandler> drivers;
+  for (auto& handler : extractor::FindDriverHandlers(*index_)) {
+    if (handler.reg != extractor::RegKind::kUnreferenced) {
+      drivers.push_back(std::move(handler));
+    }
+  }
+  const std::vector<extractor::SocketHandler> sockets =
+      extractor::FindSocketHandlers(*index_);
+  const BackendRegistry& registry = BackendRegistry::Default();
+  for (const std::string& name : registry.Names()) {
+    TokenMeter meter;  // Keeps the text.
+    std::unique_ptr<Backend> backend = registry.Create(name, index_, &meter);
+    ASSERT_NE(backend, nullptr) << name;
+    spec_gen::KernelGpt kernelgpt(index_, spec_gen::Options{}, backend.get());
+    for (const auto& handler : drivers) kernelgpt.GenerateForDriver(handler);
+    for (const auto& handler : sockets) kernelgpt.GenerateForSocket(handler);
+    size_t checked = 0;
+    std::string first;
+    EXPECT_EQ(MiscountedRecords(meter, &checked, &first), 0u)
+        << name << ", first: " << first;
+    EXPECT_GT(checked, 100u) << name;
+  }
+
+  // Every corpus prompt is code-heavy enough that its chars / 4 outweigh
+  // its words, which hides a wrong word count. Code written one short
+  // token at a time turns that around, so the four function-code queries
+  // over it are metered by their words.
+  std::string filler;
+  for (int i = 0; i < 40; ++i) filler += "\ta = b + c ;\n";
+  ksrc::DefinitionIndex dense;
+  dense.AddSource(
+      "#define W_A_NR 1\n"
+      "struct w_arg { __u32 a; };\n"
+      "static int w_a(struct file *f, unsigned long u)\n{\n" + filler +
+          "\tif (copy_from_user(&p, (void *)u, sizeof(struct w_arg)))\n"
+          "\t\treturn -EFAULT;\n"
+          "\treturn anon_inode_getfd(\"w\", &w_fops, 0, 0);\n}\n"
+          "static long w_ioctl(struct file *f, unsigned int cmd, "
+          "unsigned long u)\n{\n" + filler +
+          "\tswitch (cmd) {\n\tcase W_A_NR:\n\t\treturn w_a(f, u);\n\t}\n"
+          "\treturn 0;\n}\n"
+          "static int w_create(struct net *net, struct socket *sock, "
+          "int protocol, int kern)\n{\n" + filler +
+          "\tif (sock->type != SOCK_DGRAM)\n\t\treturn -EINVAL;\n"
+          "\treturn 0;\n}\n",
+      "w.c");
+  dense.ResolveMacros();
   TokenMeter meter;
-  SimulatedBackend backend(index_, tiny, &meter);
-  backend.AnalyzeIdentifiers("dm_ctl_do_ioctl", "usage", "dm", 2);
-  ASSERT_EQ(meter.query_count(), 1u);
-  const QueryRecord& record = meter.records().back();
-  ASSERT_GT(full_prompt, 80u);  // The untruncated prompt is bigger.
-  EXPECT_EQ(record.prompt.size(), 80u);
-  EXPECT_LE(record.input_tokens, 80u);
+  SimulatedBackend engine(&dense, Gpt4(), &meter);
+  engine.AnalyzeIdentifiers("w_ioctl", "usage", "w", 1);
+  engine.AnalyzeArgumentType("w_a", "w");
+  engine.AnalyzeDependencies("w_a", "w");
+  engine.AnalyzeSocketCreate("w_create", "w");
+  ASSERT_EQ(meter.query_count(), 4u);
+  for (const QueryRecord& record : meter.records()) {
+    EXPECT_GT(util::CountWords(record.prompt), record.prompt.size() / 4)
+        << record.stage;
+  }
+  size_t checked = 0;
+  std::string first;
+  EXPECT_EQ(MiscountedRecords(meter, &checked, &first), 0u)
+      << "first: " << first;
+}
 
-  // Exactly-fitting prompts are not cut: a window as large as the full
-  // prompt keeps every byte.
-  ModelProfile fitted = Gpt4();
-  fitted.context_tokens = (full_prompt + 3) / 4;
-  TokenMeter fit_meter;
-  SimulatedBackend fit(index_, fitted, &fit_meter);
-  fit.AnalyzeIdentifiers("dm_ctl_do_ioctl", "usage", "dm", 2);
-  EXPECT_EQ(fit_meter.records().back().prompt.size(), full_prompt);
+TEST(EngineEntityTest, PromptsShowTheEntityAskedForNotASameNamedFunction)
+{
+  // C keeps struct tags apart from function names, and a static variable
+  // may share its name with a function in another file. A struct prompt
+  // must show (and bill for) the struct, a device-node prompt the
+  // variable.
+  ksrc::DefinitionIndex index;
+  index.AddSource(
+      "struct foo {\n"
+      "\t__u32 flags;\n"
+      "\t__u32 len;\n"
+      "};\n"
+      "\n"
+      "static int foo(struct file *file, unsigned long arg)\n"
+      "{\n"
+      "\treturn foo_helper(file, arg);\n"
+      "}\n"
+      "\n"
+      "static struct miscdevice foo_dev = {\n"
+      "\t.name = \"foo\",\n"
+      "};\n",
+      "a.c");
+  index.AddSource(
+      "static int foo_dev(void)\n"
+      "{\n"
+      "\treturn 0;\n"
+      "}\n",
+      "b.c");
+  index.ResolveMacros();
+  TokenMeter meter;
+  SimulatedBackend engine(&index, Gpt4(), &meter);
+
+  StructRecovery rec = engine.RecoverStruct("foo", "foo", {}, {});
+  EXPECT_EQ(rec.def.fields.size(), 2u);
+  const QueryRecord& struct_query = meter.records().back();
+  EXPECT_NE(struct_query.prompt.find("struct foo {"), std::string::npos);
+  EXPECT_EQ(struct_query.prompt.find("foo_helper"), std::string::npos);
+
+  extractor::DriverHandler handler;
+  handler.reg = extractor::RegKind::kMiscDevice;
+  handler.misc_var = "foo_dev";
+  handler.name_expr = "\"foo\"";
+  EXPECT_EQ(engine.InferDeviceNode(handler, "foo"), "/dev/foo");
+  const QueryRecord& node_query = meter.records().back();
+  EXPECT_NE(node_query.prompt.find("struct miscdevice foo_dev"),
+            std::string::npos);
+  EXPECT_EQ(node_query.prompt.find("return 0"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,22 +654,6 @@ TEST_F(EngineTest, FlakyBackendSameAnswersHigherCost)
   EXPECT_EQ(repeat_meter.query_count(), flaky_meter.query_count());
   EXPECT_EQ(repeat_meter.total_input_tokens(),
             flaky_meter.total_input_tokens());
-}
-
-TEST(FlagGroupTest, ExcludesCommandMacros)
-{
-  ksrc::CFile file = ksrc::CParse(
-      "#define X_MAGIC 0x40\n"
-      "#define X_CMD1_NR 1\n"
-      "#define X_CMD1 _IOWR(X_MAGIC, X_CMD1_NR, struct a)\n"
-      "#define X_F_A 1\n"
-      "#define X_F_B 2\n"
-      "#define X_NAME_LEN 64\n",
-      "x.c");
-  auto groups = DiscoverFlagGroups(file);
-  ASSERT_EQ(groups.size(), 1u);
-  ASSERT_EQ(groups[0].member_macros.size(), 2u);
-  EXPECT_EQ(groups[0].member_macros[0], "X_F_A");
 }
 
 }  // namespace

@@ -198,6 +198,44 @@ TEST(StringsTest, ApproxTokenCountMatchesSplitWhitespace)
   }
 }
 
+TEST(StringsTest, CountWordsMatchesSplitWhitespace)
+{
+  std::vector<std::string> inputs = {
+      "", " \t\n\v\f\r  \n\n", "a\tb", "a\vb", "  leading and trailing  ",
+      "\x80\x81 caf\xc3\xa9 \xff\xfe\xa0word \x85next",
+  };
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  for (const auto& dev : corpus.devices()) {
+    inputs.push_back(drivers::RenderDeviceSource(dev));
+  }
+  for (const auto& sock : corpus.sockets()) {
+    inputs.push_back(drivers::RenderSocketSource(sock));
+  }
+  for (const std::string& s : inputs) {
+    EXPECT_EQ(CountWords(s), SplitWhitespace(s).size()) << s.substr(0, 40);
+  }
+}
+
+TEST(StringsTest, CountWordsAddsUpAcrossAJoinAfterWhitespace)
+{
+  // What lets a prompt be metered from its pieces: a prefix that ends in
+  // whitespace cannot merge its last word with the text that follows.
+  const std::vector<std::string> prefixes = {
+      "", "\n", "## Source Code\n", "FUNC: x\t", "a b  ", "\r\n\v"};
+  const std::vector<std::string> rests = {
+      "", "int", " int x;", "static int foo(void)\n{\n}\n", "\n\n", "a"};
+  for (const std::string& a : prefixes) {
+    for (const std::string& b : rests) {
+      EXPECT_EQ(CountWords(a) + CountWords(b), CountWords(a + b))
+          << "[" << a << "] + [" << b << "]";
+    }
+  }
+  // Without the whitespace the last word of the prefix and the first of
+  // the code are one word.
+  EXPECT_EQ(CountWords("## Source Code") + CountWords("static int"), 5u);
+  EXPECT_EQ(CountWords("## Source Codestatic int"), 4u);
+}
+
 TEST(TableTest, RendersAlignedColumns)
 {
   Table t({"Name", "Cov"});
