@@ -306,8 +306,7 @@ BENCHMARK(BM_DiffRunnerOverhead)->Arg(0)->Arg(1);
 /// (serialize coverage + crashes + corpus + reproducers + trend records,
 /// then parse it back) for the distilled state of a real campaign;
 /// items = corpus programs, so items/sec is snapshot throughput per
-/// persisted program. Arg 0 = textual codec, Arg 1 = KGPB binary codec
-/// (the PR 9 fast path). In-memory on purpose — filesystem latency would
+/// persisted program. In-memory on purpose — filesystem latency would
 /// drown the serialization signal on shared runners.
 void
 BM_SnapshotSaveLoad(benchmark::State& state)
@@ -336,27 +335,23 @@ BM_SnapshotSaveLoad(benchmark::State& state)
   snapshot.crash_reproducers = st.crash_reproducers;
   snapshot.rounds = st.rounds;
 
-  const bool binary = state.range(0) != 0;
   for (auto _ : state) {
-    std::string data = binary ? fuzzer::SerializeSuiteBinary(snapshot, lib)
-                              : fuzzer::SerializeSuite(snapshot, lib);
+    std::string data = fuzzer::SerializeSuite(snapshot, lib);
     fuzzer::SuiteSnapshot parsed;
-    benchmark::DoNotOptimize(
-        binary ? fuzzer::ParseSuiteBinary(data, lib, &parsed)
-               : fuzzer::ParseSuite(data, lib, &parsed));
+    benchmark::DoNotOptimize(fuzzer::ParseSuite(data, lib, &parsed));
     benchmark::DoNotOptimize(parsed.corpus.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(snapshot.corpus.size()));
 }
-BENCHMARK(BM_SnapshotSaveLoad)->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotSaveLoad);
 
-/// Incremental-save cost (PR 6): serializing and framing one steady-state
-/// round delta ("corpus same" + new coverage blocks + crash increments +
-/// one reproducer) — the journal record an incremental Session::Save
-/// appends instead of rewriting the whole suite. Arg = the corpus size
-/// the session carries; the record is O(delta), so ns/append must stay
-/// flat as the corpus grows — that flatness is the win over the
+/// Incremental-save cost: encoding and framing one steady-state
+/// KGPB round delta (unchanged corpus + new coverage blocks + crash
+/// increments + one reproducer) — the journal record an incremental
+/// Session::Save appends instead of rewriting the whole suite. Arg = the
+/// corpus size the session carries; the record is O(delta), so ns/append
+/// must stay flat as the corpus grows — that flatness is the win over the
 /// O(corpus) BM_SnapshotSaveLoad path.
 void
 BM_SnapshotAppend(benchmark::State& state)

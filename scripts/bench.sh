@@ -92,10 +92,8 @@ def ns_of(run_name):
     ips = means.get(run_name)
     return 1e9 / ips if ips else None
 
-# Snapshot: the headline metric is the binary codec
-# (BM_SnapshotSaveLoad/1); fall back to the pre-PR9 unparameterized run
-# name so old build trees still gate.
-snapshot_ns = ns_of("BM_SnapshotSaveLoad/1") or ns_of("BM_SnapshotSaveLoad")
+# Snapshot: the KGPB suite round trip, the one snapshot codec.
+snapshot_ns = ns_of("BM_SnapshotSaveLoad")
 
 fuzz = baseline.get("fuzz_throughput", {})
 fuzz_execs = fuzz.get("execs_per_sec", fuzz.get("execs_per_sec_unbatched"))
@@ -239,25 +237,19 @@ result = {
             if ns_per_item("BM_KernelBoot") else None
         ),
     },
-    # Session persistence (PR 5): one in-memory suite-snapshot round trip
-    # (serialize + parse of coverage, crashes, corpus, reproducers, trend
-    # records), per persisted corpus program. Since PR 9 the headline is
-    # the KGPB binary codec (arg 1); the textual codec (arg 0) is kept
-    # alongside as the _text keys.
+    # Session persistence: one in-memory KGPB suite-snapshot round
+    # trip (serialize + parse of coverage, crashes, corpus, reproducers,
+    # trend records), per persisted corpus program.
     "snapshot": {
-        "corpus_programs_per_sec": items_per_sec("BM_SnapshotSaveLoad/1"),
+        "corpus_programs_per_sec": items_per_sec("BM_SnapshotSaveLoad"),
         "us_per_corpus_program": (
-            round(ns_per_item("BM_SnapshotSaveLoad/1") / 1000.0, 2)
-            if ns_per_item("BM_SnapshotSaveLoad/1") else None
-        ),
-        "corpus_programs_per_sec_text": items_per_sec("BM_SnapshotSaveLoad/0"),
-        "us_per_corpus_program_text": (
-            round(ns_per_item("BM_SnapshotSaveLoad/0") / 1000.0, 2)
-            if ns_per_item("BM_SnapshotSaveLoad/0") else None
+            round(ns_per_item("BM_SnapshotSaveLoad") / 1000.0, 2)
+            if ns_per_item("BM_SnapshotSaveLoad") else None
         ),
     },
-    # Incremental journal append (PR 6): serializing + framing one
-    # steady-state round delta — the record an incremental Save appends.
+    # Incremental journal append: encoding + framing one
+    # steady-state KGPB round delta — the record an incremental Save
+    # appends.
     # Flat across corpus sizes by design (the record is O(delta)).
     "snapshot_append": {
         "appends_per_sec_corpus64": items_per_sec("BM_SnapshotAppend/64"),

@@ -1,6 +1,7 @@
 #include "fuzzer/session.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <unordered_map>
@@ -97,7 +98,15 @@ ApplyDeltaToState(const SuiteDelta& delta, SuiteState* state)
         delta.report.cumulative_coverage));
   }
   for (const auto& [title, inc] : delta.crash_increments) {
-    state->crashes[title] += inc;
+    // The decoders bound base counts and increments to [0, INT_MAX];
+    // only their sum can overflow.
+    int& count = state->crashes[title];
+    if (inc > INT_MAX - count) {
+      return util::Status::Error(util::Format(
+          "crash count of '%s' overflows replaying round %d (%d + %d)",
+          title.c_str(), delta.report.round, count, inc));
+    }
+    count += inc;
   }
   if (state->crashes.size() != delta.report.cumulative_unique_crashes) {
     return util::Status::Error(util::Format(
@@ -151,8 +160,9 @@ Session::Register(const std::string& name,
   }
   if (name.find('\n') != std::string::npos ||
       name.find('\r') != std::string::npos) {
-    // Names are embedded verbatim in the line-oriented snapshot; a
-    // newline would make Save() emit a file Resume() can never parse.
+    // Names are embedded verbatim in the line-oriented manifest and
+    // journal header; a newline would make Save() emit a file Resume()
+    // can never parse.
     return util::Status::Error(
         "session: suite name must not contain line breaks");
   }
@@ -389,7 +399,7 @@ Session::RunRound()
         }
       }
       delta.report = report;
-      delta.report.epochs.clear();  // Not persisted (matches ParseSuite).
+      delta.report.epochs.clear();  // Never persisted (RoundReport::epochs).
       e.pending.push_back(std::move(delta));
     }
 
@@ -590,11 +600,8 @@ Session::SaveFull(const std::string& dir)
     snapshot.corpus = e.state.corpus;
     snapshot.crash_reproducers = e.state.crash_reproducers;
     snapshot.rounds = e.state.rounds;
-    status = WriteStringToFile(
-        dir + "/" + SuiteFileName(i),
-        options_.snapshot_codec == SnapshotCodec::kBinary
-            ? SerializeSuiteBinary(snapshot, *e.lib)
-            : SerializeSuite(snapshot, *e.lib));
+    status = WriteStringToFile(dir + "/" + SuiteFileName(i),
+                               SerializeSuite(snapshot, *e.lib));
     if (!status.ok()) return status;
 
     JournalHeader header;
@@ -704,10 +711,7 @@ Session::Resume(const std::string& dir)
     LoadedSuite& l = loaded[i];
     status = ReadFileToString(dir + "/" + SuiteFileName(i), &text);
     if (!status.ok()) return status;
-    // Codec-sniffing load: the directory may have been written under
-    // either codec (or converted between them) regardless of what this
-    // session is configured to write.
-    status = ParseSuiteAuto(text, *suites_[i].lib, &l.base);
+    status = ParseSuite(text, *suites_[i].lib, &l.base);
     if (!status.ok()) return status;
     if (l.base.name != suites_[i].state.name ||
         l.base.fingerprint != manifest.suites[i].first) {

@@ -17,8 +17,8 @@
 ///
 /// `Save(dir)` persists the complete durable state (distilled corpora,
 /// minimized reproducers, cumulative coverage, crash tallies, trend
-/// records, schedule position) through the versioned textual snapshot
-/// layer; `Resume(dir)` restores it into a fresh process, after which the
+/// records, schedule position) through the versioned KGPB snapshot layer;
+/// `Resume(dir)` restores it into a fresh process, after which the
 /// session continues the exact RNG-deterministic schedule: an interrupted
 /// run and a straight-through run of the same total rounds produce
 /// bit-identical corpora, coverage, and crash titles (session_test pins
@@ -98,12 +98,6 @@ struct SessionOptions {
   /// and starts an empty journal. Must be >= 1.
   int journal_compact_every = 8;
 
-  /// On-disk rendering for suite base snapshots. Text stays the default
-  /// debug format; kBinary writes the KGPB fast format. Resume sniffs
-  /// each file's codec, so a session under either setting resumes
-  /// directories written under the other (old text dirs keep working).
-  SnapshotCodec snapshot_codec = SnapshotCodec::kText;
-
   /// Differential oracle: when set, every round ends with a DiffRunner
   /// pass comparing the session's kernel (orchestrator.model_factory,
   /// default strict) against this subject personality. The pass
@@ -158,10 +152,9 @@ struct SessionOptions {
     journal_compact_every = every;
     return *this;
   }
-  SessionOptions& WithSnapshotCodec(SnapshotCodec codec) {
-    snapshot_codec = codec;
-    return *this;
-  }
+  /// No-op: KGPB is the only snapshot codec. Kept because pipebench
+  /// still calls it.
+  SessionOptions& WithSnapshotCodec(SnapshotCodec) { return *this; }
   /// Selects the kernel personality every stage (orchestrator workers,
   /// distiller replays, diff baseline) builds its models from.
   SessionOptions& WithModelFactory(vkernel::ModelFactory factory) {

@@ -1,10 +1,9 @@
 #include "fuzzer/snapshot.h"
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "syzlang/printer.h"
@@ -16,9 +15,10 @@ namespace kernelgpt::fuzzer {
 namespace {
 
 // -- Line-oriented parsing helpers -------------------------------------------
+// For the two text files: the session manifest and the journal header.
 // Every helper returns false on malformed input and leaves a message in
-// `err`; the public Parse* entry points convert that into a Status. No
-// helper may crash on arbitrary bytes — snapshots are user-supplied files.
+// `err`; the public entry points convert that into a Status. No helper
+// may crash on arbitrary bytes — snapshots are user-supplied files.
 
 struct LineCursor {
   std::string_view text;
@@ -39,15 +39,6 @@ struct LineCursor {
     *line = text.substr(pos, nl - pos);
     pos = nl + 1;
     ++line_no;
-    return true;
-  }
-
-  /// Like Next() but without consuming the line (no err on EOF either).
-  bool Peek(std::string_view* line) const {
-    if (pos >= text.size()) return false;
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    *line = text.substr(pos, nl - pos);
     return true;
   }
 
@@ -74,36 +65,6 @@ ParseU64(std::string_view tok, int base, uint64_t* out)
   char* end = nullptr;
   errno = 0;
   uint64_t v = std::strtoull(buf.c_str(), &end, base);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool
-ParseI64(std::string_view tok, int64_t* out)
-{
-  if (tok.empty()) return false;
-  // Signed fields allow exactly one leading '-'; no whitespace or '+'
-  // (strtoll would accept both).
-  const std::string_view digits = tok[0] == '-' ? tok.substr(1) : tok;
-  if (digits.empty() || HexNibble(digits[0]) < 0) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  int64_t v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool
-ParseF64(std::string_view tok, double* out)
-{
-  if (tok.empty()) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(buf.c_str(), &end);  // Accepts the %a hexfloats.
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   *out = v;
   return true;
@@ -177,24 +138,29 @@ ExpectVersionHeader(LineCursor* cur, std::string_view kind)
   return false;
 }
 
-// -- Program blocks ----------------------------------------------------------
+/// A call's syzlang full name; "#<index>" for an index past the library,
+/// which no library resolves, so parsing such a program fails by name.
+std::string
+CallName(const Call& call, const SpecLibrary& lib)
+{
+  return call.syscall_index < lib.syscalls().size()
+             ? lib.syscalls()[call.syscall_index].FullName()
+             : util::Format("#%zu", call.syscall_index);
+}
+
+// -- Text dump ---------------------------------------------------------------
+// DumpSuite's rendering, for humans and diagnostics only:
 // prog <ncalls>
 // c <nargs> <syscall full name>
 // a <kind> <scalar hex> <dir> <ref_call> <len_of_param> <bytes hex | ->
-//
-// Every Arg field is serialized regardless of kind so that the rendering
-// is a lossless fixpoint for any program the mutator can produce.
 
 void
 AppendProg(const Prog& prog, const SpecLibrary& lib, std::string* out)
 {
   *out += util::Format("prog %zu\n", prog.calls.size());
   for (const Call& call : prog.calls) {
-    const std::string name =
-        call.syscall_index < lib.syscalls().size()
-            ? lib.syscalls()[call.syscall_index].FullName()
-            : util::Format("#%zu", call.syscall_index);
-    *out += util::Format("c %zu %s\n", call.args.size(), name.c_str());
+    *out += util::Format("c %zu %s\n", call.args.size(),
+                         CallName(call, lib).c_str());
     for (const Arg& arg : call.args) {
       *out += util::Format(
           "a %d %llx %d %d %d ", static_cast<int>(arg.kind),
@@ -203,10 +169,7 @@ AppendProg(const Prog& prog, const SpecLibrary& lib, std::string* out)
       if (arg.bytes.empty()) {
         *out += "-";
       } else {
-        // Payloads dominate snapshot volume; append nibbles directly
-        // instead of paying a printf format-parse per byte.
         static constexpr char kHex[] = "0123456789abcdef";
-        out->reserve(out->size() + arg.bytes.size() * 2 + 1);
         for (uint8_t b : arg.bytes) {
           *out += kHex[b >> 4];
           *out += kHex[b & 0xf];
@@ -216,88 +179,6 @@ AppendProg(const Prog& prog, const SpecLibrary& lib, std::string* out)
     }
   }
 }
-
-bool
-ParseOneProg(LineCursor* cur,
-             const std::unordered_map<std::string, size_t>& call_index,
-             Prog* out)
-{
-  uint64_t ncalls = 0;
-  if (!ExpectCount(cur, "prog", &ncalls)) return false;
-  out->calls.clear();
-  for (uint64_t i = 0; i < ncalls; ++i) {
-    std::string_view rest;
-    if (!ExpectKeyword(cur, "c", &rest)) return false;
-    const size_t space = rest.find(' ');
-    uint64_t nargs = 0;
-    if (space == std::string_view::npos ||
-        !ParseU64(rest.substr(0, space), 10, &nargs)) {
-      cur->err = util::Format("%s: bad call header '%.*s'",
-                              cur->Where().c_str(),
-                              static_cast<int>(rest.size()), rest.data());
-      return false;
-    }
-    const std::string name(rest.substr(space + 1));
-    auto it = call_index.find(name);
-    if (it == call_index.end()) {
-      cur->err = util::Format(
-          "%s: snapshot references syscall '%s' absent from this suite",
-          cur->Where().c_str(), name.c_str());
-      return false;
-    }
-    Call call;
-    call.syscall_index = it->second;
-    for (uint64_t a = 0; a < nargs; ++a) {
-      std::string_view arg_rest;
-      if (!ExpectKeyword(cur, "a", &arg_rest)) return false;
-      const std::vector<std::string> tok = util::SplitWhitespace(arg_rest);
-      int64_t kind = 0, dir = 0, ref = 0, len = 0;
-      uint64_t scalar = 0;
-      if (tok.size() != 6 || !ParseI64(tok[0], &kind) ||
-          !ParseU64(tok[1], 16, &scalar) || !ParseI64(tok[2], &dir) ||
-          !ParseI64(tok[3], &ref) || !ParseI64(tok[4], &len) || kind < 0 ||
-          kind > 2 || dir < 0 || dir > 2 || len < kBrokenLenLink) {
-        cur->err = util::Format("%s: bad arg line '%.*s'",
-                                cur->Where().c_str(),
-                                static_cast<int>(arg_rest.size()),
-                                arg_rest.data());
-        return false;
-      }
-      Arg arg;
-      arg.kind = static_cast<Arg::Kind>(kind);
-      arg.scalar = scalar;
-      arg.dir = static_cast<syzlang::Dir>(dir);
-      arg.ref_call = static_cast<int>(ref);
-      arg.len_of_param = static_cast<int>(len);
-      if (tok[5] != "-") {
-        if (tok[5].size() % 2 != 0) {
-          cur->err = util::Format("%s: odd-length byte payload",
-                                  cur->Where().c_str());
-          return false;
-        }
-        arg.bytes.reserve(tok[5].size() / 2);
-        for (size_t b = 0; b < tok[5].size(); b += 2) {
-          const int hi = HexNibble(tok[5][b]);
-          const int lo = HexNibble(tok[5][b + 1]);
-          if (hi < 0 || lo < 0) {
-            cur->err = util::Format("%s: bad byte payload hex",
-                                    cur->Where().c_str());
-            return false;
-          }
-          arg.bytes.push_back(static_cast<uint8_t>(hi << 4 | lo));
-        }
-      }
-      call.args.push_back(std::move(arg));
-    }
-    out->calls.push_back(std::move(call));
-  }
-  return true;
-}
-
-// -- Round records -----------------------------------------------------------
-// "round <idx> <seed hex> <8 decimal counters> <wall hexfloat>" — shared
-// between the suite snapshot's trend section and the journal's delta
-// records so the two renderings can never drift apart.
 
 void
 AppendRoundLine(const RoundReport& r, std::string* out)
@@ -310,39 +191,6 @@ AppendRoundLine(const RoundReport& r, std::string* out)
       r.distilled_corpus, r.divergences, r.wall_seconds);
 }
 
-bool
-ParseRoundLine(LineCursor* cur, RoundReport* out)
-{
-  std::string_view rest;
-  if (!ExpectKeyword(cur, "round", &rest)) return false;
-  const std::vector<std::string> tok = util::SplitWhitespace(rest);
-  RoundReport r;
-  int64_t round = 0;
-  uint64_t u[9] = {};
-  if (tok.size() != 12 || !ParseI64(tok[0], &round) ||
-      !ParseU64(tok[1], 16, &r.seed) || !ParseU64(tok[2], 10, &u[0]) ||
-      !ParseU64(tok[3], 10, &u[1]) || !ParseU64(tok[4], 10, &u[2]) ||
-      !ParseU64(tok[5], 10, &u[3]) || !ParseU64(tok[6], 10, &u[4]) ||
-      !ParseU64(tok[7], 10, &u[5]) || !ParseU64(tok[8], 10, &u[6]) ||
-      !ParseU64(tok[9], 10, &u[7]) || !ParseU64(tok[10], 10, &u[8]) ||
-      !ParseF64(tok[11], &r.wall_seconds)) {
-    cur->err = util::Format("%s: bad round record", cur->Where().c_str());
-    return false;
-  }
-  r.round = static_cast<int>(round);
-  r.programs_executed = u[0];
-  r.round_coverage = u[1];
-  r.round_unique_crashes = u[2];
-  r.coverage_delta = u[3];
-  r.cumulative_coverage = u[4];
-  r.cumulative_unique_crashes = u[5];
-  r.merged_corpus = u[6];
-  r.distilled_corpus = u[7];
-  r.divergences = u[8];
-  *out = std::move(r);
-  return true;
-}
-
 void
 AppendBlockIds(const std::vector<uint64_t>& ids, std::string* out)
 {
@@ -352,25 +200,180 @@ AppendBlockIds(const std::vector<uint64_t>& ids, std::string* out)
   }
 }
 
-bool
-ParseBlockIds(LineCursor* cur, uint64_t n, std::vector<uint64_t>* out)
+// -- KGPB primitives ---------------------------------------------------------
+
+constexpr std::string_view kBinaryMagic = "KGPB";
+
+void
+PutVarint(uint64_t v, std::string* out)
 {
-  out->clear();
-  while (out->size() < n) {
-    std::string_view line;
-    if (!cur->Next(&line)) return false;
-    for (const std::string& tok : util::SplitWhitespace(line)) {
-      uint64_t id = 0;
-      if (!ParseU64(tok, 16, &id) || out->size() >= n) {
-        cur->err = util::Format("%s: bad coverage block '%s'",
-                                cur->Where().c_str(), tok.c_str());
-        return false;
-      }
-      out->push_back(id);
-    }
+  while (v >= 0x80) {
+    *out += static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
   }
+  *out += static_cast<char>(v);
+}
+
+uint64_t
+ZigZag(int64_t v)
+{
+  return (static_cast<uint64_t>(v) << 1) ^
+         static_cast<uint64_t>(v >> 63);
+}
+
+int64_t
+UnZigZag(uint64_t v)
+{
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+void
+PutString(std::string_view s, std::string* out)
+{
+  PutVarint(s.size(), out);
+  out->append(s.data(), s.size());
+}
+
+void
+PutF64(double v, std::string* out)
+{
+  // Raw bit pattern, not decimal text: bit-exact round-trips are what
+  // make serialize -> parse -> serialize a byte fixpoint.
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  for (int i = 0; i < 8; ++i) {
+    *out += static_cast<char>((bits >> (8 * i)) & 0xff);
+  }
+}
+
+/// Bounds-checked reader over one payload. Every getter returns false once
+/// the payload is exhausted or malformed; the caller converts that into a
+/// Status naming the field.
+struct ByteReader {
+  const uint8_t* p;
+  const uint8_t* end;
+
+  explicit ByteReader(std::string_view data)
+      : p(reinterpret_cast<const uint8_t*>(data.data())),
+        end(p + data.size()) {}
+
+  bool AtEnd() const { return p == end; }
+  size_t Remaining() const { return static_cast<size_t>(end - p); }
+
+  bool U64(uint64_t* out) {
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (p == end) return false;
+      const uint8_t byte = *p++;
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;  // > 10 continuation bytes: not a valid varint.
+  }
+
+  bool I64(int64_t* out) {
+    uint64_t raw = 0;
+    if (!U64(&raw)) return false;
+    *out = UnZigZag(raw);
+    return true;
+  }
+
+  bool Size(size_t* out) {
+    // Sizes feed reserve()/resize(); every counted item costs at least one
+    // byte, so cap them at the bytes actually remaining and a corrupt
+    // count cannot balloon allocation.
+    uint64_t v = 0;
+    if (!U64(&v) || v > Remaining()) return false;
+    *out = static_cast<size_t>(v);
+    return true;
+  }
+
+  bool Str(std::string* out) {
+    size_t n = 0;
+    if (!Size(&n)) return false;
+    out->assign(reinterpret_cast<const char*>(p), n);
+    p += n;
+    return true;
+  }
+
+  bool F64(double* out) {
+    if (Remaining() < 8) return false;
+    uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<uint64_t>(p[i]) << (8 * i);
+    }
+    p += 8;
+    std::memcpy(out, &bits, sizeof(*out));
+    return true;
+  }
+};
+
+/// Frames one suite-file section: varint length, payload, CRC32 of the
+/// payload.
+void
+PutSection(std::string_view payload, std::string* out)
+{
+  PutVarint(payload.size(), out);
+  out->append(payload.data(), payload.size());
+  const uint32_t crc = util::Crc32(payload);
+  for (int i = 0; i < 4; ++i) {
+    *out += static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+}
+
+/// Unframes the next section of `data` starting at `*pos`. On success
+/// advances `*pos` past the trailer and yields the payload view.
+bool
+NextSection(std::string_view data, size_t* pos, std::string_view* payload,
+            std::string* err)
+{
+  ByteReader head(data.substr(*pos));
+  uint64_t len = 0;
+  if (!head.U64(&len)) {
+    *err = "truncated section header";
+    return false;
+  }
+  const size_t at = data.size() - head.Remaining();
+  if (len > head.Remaining() || head.Remaining() - len < 4) {
+    *err = "truncated section payload";
+    return false;
+  }
+  *payload = data.substr(at, len);
+  uint32_t crc = 0;
+  for (int i = 0; i < 4; ++i) {
+    crc |= static_cast<uint32_t>(
+               static_cast<uint8_t>(data[at + len + i]))
+           << (8 * i);
+  }
+  if (util::Crc32(*payload) != crc) {
+    *err = "section checksum mismatch";
+    return false;
+  }
+  *pos = at + len + 4;
   return true;
 }
+
+/// Interned call-name table: every distinct syscall full name the
+/// programs reference, in first-use order (deterministic, so the
+/// rendering is a fixpoint).
+class NameTable {
+ public:
+  uint32_t Intern(const std::string& name) {
+    auto [it, inserted] =
+        index_.emplace(name, static_cast<uint32_t>(names_.size()));
+    if (inserted) names_.push_back(name);
+    return it->second;
+  }
+
+  const std::vector<std::string>& names() const { return names_; }
+
+ private:
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, uint32_t> index_;
+};
 
 std::unordered_map<std::string, size_t>
 CallIndex(const SpecLibrary& lib)
@@ -385,19 +388,243 @@ CallIndex(const SpecLibrary& lib)
   return index;
 }
 
-bool
-ParseProgsSection(LineCursor* cur,
-                  const std::unordered_map<std::string, size_t>& call_index,
-                  std::vector<Prog>* out)
+// -- KGPB field groups -------------------------------------------------------
+// One put/read pair per field group, shared by the suite file and the
+// journal record so the two renderings cannot drift apart.
+
+/// Sorted block ids: a count, then each id as a delta from its
+/// predecessor (the first from zero), so the varints stay short.
+void
+PutBlockIds(const std::vector<uint64_t>& ids, std::string* out)
 {
-  uint64_t count = 0;
-  if (!ExpectCount(cur, "progs", &count)) return false;
-  out->clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    Prog prog;
-    if (!ParseOneProg(cur, call_index, &prog)) return false;
-    out->push_back(std::move(prog));
+  PutVarint(ids.size(), out);
+  uint64_t prev = 0;
+  for (const uint64_t id : ids) {
+    PutVarint(id - prev, out);
+    prev = id;
   }
+}
+
+bool
+ReadBlockIds(ByteReader* r, std::vector<uint64_t>* out)
+{
+  size_t n = 0;
+  if (!r->Size(&n)) return false;
+  out->reserve(n);
+  uint64_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t delta = 0;
+    if (!r->U64(&delta)) return false;
+    prev += delta;
+    out->push_back(prev);
+  }
+  return true;
+}
+
+/// Title -> count maps (crash tallies and per-round increments): a count,
+/// then (title, varint) pairs in key order. A count is an int in
+/// [0, INT_MAX]; a negative one encodes above INT_MAX, which the reader
+/// rejects with every other out-of-range value.
+void
+PutCrashMap(const std::map<std::string, int>& crashes, std::string* out)
+{
+  PutVarint(crashes.size(), out);
+  for (const auto& [title, count] : crashes) {
+    PutString(title, out);
+    PutVarint(static_cast<uint64_t>(count), out);
+  }
+}
+
+bool
+ReadCrashMap(ByteReader* r, std::map<std::string, int>* out)
+{
+  size_t n = 0;
+  if (!r->Size(&n)) return false;
+  for (size_t i = 0; i < n; ++i) {
+    std::string title;
+    uint64_t count = 0;
+    if (!r->Str(&title) || !r->U64(&count) ||
+        count > static_cast<uint64_t>(INT_MAX) ||
+        !out->emplace(std::move(title), static_cast<int>(count)).second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The interned call-name table: a count, then each name. Reading
+/// resolves every name against `lib` by name, so call reordering between
+/// builds is survivable; an unknown name is damage naming the call.
+void
+PutNameTable(const NameTable& names, std::string* out)
+{
+  PutVarint(names.names().size(), out);
+  for (const std::string& name : names.names()) PutString(name, out);
+}
+
+bool
+ReadNameTable(ByteReader* r, const SpecLibrary& lib,
+              std::vector<size_t>* name_to_call, std::string* err)
+{
+  size_t n = 0;
+  if (!r->Size(&n)) return false;
+  const auto call_index = CallIndex(lib);
+  name_to_call->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::string name;
+    if (!r->Str(&name)) return false;
+    auto it = call_index.find(name);
+    if (it == call_index.end()) {
+      *err = util::Format("references syscall '%s' absent from this suite",
+                          name.c_str());
+      return false;
+    }
+    name_to_call->push_back(it->second);
+  }
+  return true;
+}
+
+/// One program: a call count, then per call its name-table index and
+/// every Arg field regardless of kind, so the encoding is lossless for
+/// any program the mutator can produce.
+void
+PutProg(const Prog& prog, const SpecLibrary& lib, NameTable* names,
+        std::string* out)
+{
+  PutVarint(prog.calls.size(), out);
+  for (const Call& call : prog.calls) {
+    PutVarint(names->Intern(CallName(call, lib)), out);
+    PutVarint(call.args.size(), out);
+    for (const Arg& arg : call.args) {
+      PutVarint(static_cast<uint64_t>(static_cast<int>(arg.kind)), out);
+      PutVarint(arg.scalar, out);
+      PutVarint(static_cast<uint64_t>(static_cast<int>(arg.dir)), out);
+      PutVarint(ZigZag(arg.ref_call), out);
+      PutVarint(ZigZag(arg.len_of_param), out);
+      PutVarint(arg.bytes.size(), out);
+      out->append(reinterpret_cast<const char*>(arg.bytes.data()),
+                  arg.bytes.size());
+    }
+  }
+}
+
+bool
+ReadProg(ByteReader* r, const std::vector<size_t>& name_to_call,
+         Prog* out, std::string* err)
+{
+  size_t ncalls = 0;
+  if (!r->Size(&ncalls)) {
+    *err = "bad call count";
+    return false;
+  }
+  out->calls.clear();
+  out->calls.reserve(ncalls);
+  for (size_t c = 0; c < ncalls; ++c) {
+    uint64_t name_idx = 0;
+    size_t nargs = 0;
+    if (!r->U64(&name_idx) || name_idx >= name_to_call.size() ||
+        !r->Size(&nargs)) {
+      *err = "bad call header";
+      return false;
+    }
+    Call call;
+    call.syscall_index = name_to_call[name_idx];
+    call.args.reserve(nargs);
+    for (size_t a = 0; a < nargs; ++a) {
+      uint64_t kind = 0, dir = 0;
+      int64_t ref = 0, len = 0;
+      size_t nbytes = 0;
+      Arg arg;
+      if (!r->U64(&kind) || kind > 2 || !r->U64(&arg.scalar) ||
+          !r->U64(&dir) || dir > 2 || !r->I64(&ref) || !r->I64(&len) ||
+          len < kBrokenLenLink || !r->Size(&nbytes)) {
+        *err = "bad arg record";
+        return false;
+      }
+      arg.kind = static_cast<Arg::Kind>(kind);
+      arg.dir = static_cast<syzlang::Dir>(dir);
+      arg.ref_call = static_cast<int>(ref);
+      arg.len_of_param = static_cast<int>(len);
+      arg.bytes.assign(r->p, r->p + nbytes);
+      r->p += nbytes;
+      call.args.push_back(std::move(arg));
+    }
+    out->calls.push_back(std::move(call));
+  }
+  return true;
+}
+
+/// Title -> reproducer maps: a count, then (title, program) pairs in key
+/// order.
+void
+PutReproMap(const std::map<std::string, Prog>& repros, const SpecLibrary& lib,
+            NameTable* names, std::string* out)
+{
+  PutVarint(repros.size(), out);
+  for (const auto& [title, prog] : repros) {
+    PutString(title, out);
+    PutProg(prog, lib, names, out);
+  }
+}
+
+bool
+ReadReproMap(ByteReader* r, const std::vector<size_t>& name_to_call,
+             std::map<std::string, Prog>* out, std::string* err)
+{
+  size_t n = 0;
+  if (!r->Size(&n)) return false;
+  for (size_t i = 0; i < n; ++i) {
+    std::string title;
+    Prog prog;
+    if (!r->Str(&title) || !ReadProg(r, name_to_call, &prog, err) ||
+        !out->emplace(std::move(title), std::move(prog)).second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One trend record: the round (zigzag; negative or above INT_MAX is
+/// damage), the seed, nine counters and the raw wall-time bits.
+void
+PutRound(const RoundReport& r, std::string* out)
+{
+  PutVarint(ZigZag(r.round), out);
+  PutVarint(r.seed, out);
+  PutVarint(r.programs_executed, out);
+  PutVarint(r.round_coverage, out);
+  PutVarint(r.round_unique_crashes, out);
+  PutVarint(r.coverage_delta, out);
+  PutVarint(r.cumulative_coverage, out);
+  PutVarint(r.cumulative_unique_crashes, out);
+  PutVarint(r.merged_corpus, out);
+  PutVarint(r.distilled_corpus, out);
+  PutVarint(r.divergences, out);
+  PutF64(r.wall_seconds, out);
+}
+
+bool
+ReadRound(ByteReader* r, RoundReport* out)
+{
+  int64_t round = 0;
+  uint64_t u[10] = {};
+  if (!r->I64(&round) || round < 0 || round > INT_MAX || !r->U64(&u[0]) ||
+      !r->U64(&u[1]) || !r->U64(&u[2]) || !r->U64(&u[3]) || !r->U64(&u[4]) ||
+      !r->U64(&u[5]) || !r->U64(&u[6]) || !r->U64(&u[7]) || !r->U64(&u[8]) ||
+      !r->U64(&u[9]) || !r->F64(&out->wall_seconds)) {
+    return false;
+  }
+  out->round = static_cast<int>(round);
+  out->seed = u[0];
+  out->programs_executed = u[1];
+  out->round_coverage = u[2];
+  out->round_unique_crashes = u[3];
+  out->coverage_delta = u[4];
+  out->cumulative_coverage = u[5];
+  out->cumulative_unique_crashes = u[6];
+  out->merged_corpus = u[7];
+  out->distilled_corpus = u[8];
+  out->divergences = u[9];
   return true;
 }
 
@@ -418,29 +645,154 @@ SuiteFingerprint(const SpecLibrary& lib)
 }
 
 std::string
-SerializeProgs(const std::vector<Prog>& progs, const SpecLibrary& lib)
+SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
 {
-  std::string out = util::Format("progs %zu\n", progs.size());
-  for (const Prog& prog : progs) AppendProg(prog, lib, &out);
+  // Program sections are built first so the meta section can carry the
+  // complete interned-name table (first-use order keeps it a fixpoint).
+  NameTable names;
+  std::string corpus;
+  PutVarint(suite.corpus.size(), &corpus);
+  for (const Prog& prog : suite.corpus) {
+    PutProg(prog, lib, &names, &corpus);
+  }
+
+  std::string repros;
+  PutReproMap(suite.crash_reproducers, lib, &names, &repros);
+
+  std::string meta;
+  PutString(suite.name, &meta);
+  PutVarint(suite.fingerprint, &meta);
+  PutVarint(suite.programs_executed, &meta);
+  PutF64(suite.wall_seconds, &meta);
+  PutNameTable(names, &meta);
+
+  std::string coverage;
+  PutBlockIds(suite.coverage, &coverage);
+
+  std::string crashes;
+  PutCrashMap(suite.crashes, &crashes);
+
+  std::string rounds;
+  PutVarint(suite.rounds.size(), &rounds);
+  for (const RoundReport& r : suite.rounds) PutRound(r, &rounds);
+
+  std::string out(kBinaryMagic);
+  PutVarint(static_cast<uint64_t>(kSnapshotVersion), &out);
+  PutSection(meta, &out);
+  PutSection(coverage, &out);
+  PutSection(crashes, &out);
+  PutSection(corpus, &out);
+  PutSection(repros, &out);
+  PutSection(rounds, &out);
   return out;
 }
 
 util::Status
-ParseProgs(std::string_view text, const SpecLibrary& lib,
-           std::vector<Prog>* out)
+ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
 {
-  LineCursor cur{text};
-  const auto call_index = CallIndex(lib);
-  if (!ParseProgsSection(&cur, call_index, out)) {
-    return util::Status::Error("corpus: " + cur.err);
+  *out = SuiteSnapshot{};
+  std::string err;
+  auto fail = [&err](const std::string& context) {
+    return util::Status::Error("suite snapshot: " + context +
+                               (err.empty() ? "" : ": " + err));
+  };
+
+  if (data.substr(0, kBinaryMagic.size()) != kBinaryMagic) {
+    return fail("bad magic");
+  }
+  size_t pos = kBinaryMagic.size();
+  {
+    ByteReader r(data.substr(pos));
+    uint64_t version = 0;
+    if (!r.U64(&version)) return fail("truncated version");
+    if (version != static_cast<uint64_t>(kSnapshotVersion)) {
+      return util::Status::Error(util::Format(
+          "snapshot version mismatch: file is v%llu, this build reads v%d",
+          static_cast<unsigned long long>(version), kSnapshotVersion));
+    }
+    pos = data.size() - r.Remaining();
+  }
+
+  std::string_view meta, coverage, crashes, corpus, repros, rounds;
+  if (!NextSection(data, &pos, &meta, &err)) return fail("meta section");
+  if (!NextSection(data, &pos, &coverage, &err)) {
+    return fail("coverage section");
+  }
+  if (!NextSection(data, &pos, &crashes, &err)) {
+    return fail("crashes section");
+  }
+  if (!NextSection(data, &pos, &corpus, &err)) return fail("corpus section");
+  if (!NextSection(data, &pos, &repros, &err)) return fail("repros section");
+  if (!NextSection(data, &pos, &rounds, &err)) return fail("rounds section");
+  if (pos != data.size()) return fail("trailing bytes after last section");
+
+  std::vector<size_t> name_to_call;
+  {
+    ByteReader r(meta);
+    uint64_t executed = 0;
+    if (!r.Str(&out->name) || !r.U64(&out->fingerprint) ||
+        !r.U64(&executed) || !r.F64(&out->wall_seconds)) {
+      return fail("meta identity");
+    }
+    out->programs_executed = executed;
+    if (!ReadNameTable(&r, lib, &name_to_call, &err) || !r.AtEnd()) {
+      return fail("name table");
+    }
+  }
+
+  {
+    ByteReader r(coverage);
+    if (!ReadBlockIds(&r, &out->coverage) || !r.AtEnd()) {
+      return fail("coverage ids");
+    }
+  }
+
+  {
+    ByteReader r(crashes);
+    if (!ReadCrashMap(&r, &out->crashes) || !r.AtEnd()) {
+      return fail("crash counts");
+    }
+  }
+
+  {
+    ByteReader r(corpus);
+    size_t n = 0;
+    if (!r.Size(&n)) return fail("corpus count");
+    out->corpus.resize(n);
+    for (Prog& prog : out->corpus) {
+      if (!ReadProg(&r, name_to_call, &prog, &err)) {
+        return fail("corpus program");
+      }
+    }
+    if (!r.AtEnd()) return fail("corpus trailing bytes");
+  }
+
+  {
+    ByteReader r(repros);
+    if (!ReadReproMap(&r, name_to_call, &out->crash_reproducers, &err) ||
+        !r.AtEnd()) {
+      return fail("reproducers");
+    }
+  }
+
+  {
+    ByteReader r(rounds);
+    size_t n = 0;
+    if (!r.Size(&n)) return fail("round count");
+    out->rounds.resize(n);
+    for (RoundReport& report : out->rounds) {
+      if (!ReadRound(&r, &report)) return fail("round record");
+    }
+    if (!r.AtEnd()) return fail("rounds trailing bytes");
   }
   return util::Status::Ok();
 }
 
 std::string
-SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
+DumpSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
 {
-  std::string out = util::Format("kernelgpt-suite v%d\n", kSnapshotVersion);
+  std::string out =
+      util::Format("kernelgpt-suite dump v%d\n", kSnapshotVersion);
   out += util::Format("name %s\n", suite.name.c_str());
   out += util::Format("fingerprint %016llx\n",
                       static_cast<unsigned long long>(suite.fingerprint));
@@ -455,7 +807,8 @@ SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
     out += util::Format("%d %s\n", count, title.c_str());
   }
 
-  out += SerializeProgs(suite.corpus, lib);
+  out += util::Format("progs %zu\n", suite.corpus.size());
+  for (const Prog& prog : suite.corpus) AppendProg(prog, lib, &out);
 
   out += util::Format("repros %zu\n", suite.crash_reproducers.size());
   for (const auto& [title, prog] : suite.crash_reproducers) {
@@ -467,82 +820,6 @@ SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
   for (const RoundReport& r : suite.rounds) AppendRoundLine(r, &out);
   out += "end\n";
   return out;
-}
-
-util::Status
-ParseSuite(std::string_view text, const SpecLibrary& lib, SuiteSnapshot* out)
-{
-  LineCursor cur{text};
-  *out = SuiteSnapshot{};
-  auto fail = [&cur](const std::string& context) {
-    return util::Status::Error("suite snapshot: " + context +
-                               (cur.err.empty() ? "" : ": " + cur.err));
-  };
-
-  if (!ExpectVersionHeader(&cur, "suite")) return fail("header");
-
-  std::string_view rest;
-  if (!ExpectKeyword(&cur, "name", &rest)) return fail("name");
-  out->name = std::string(rest);
-
-  if (!ExpectKeyword(&cur, "fingerprint", &rest) ||
-      !ParseU64(rest, 16, &out->fingerprint)) {
-    return fail("fingerprint");
-  }
-
-  uint64_t n = 0;
-  if (!ExpectCount(&cur, "programs_executed", &n)) {
-    return fail("programs_executed");
-  }
-  out->programs_executed = n;
-
-  if (!ExpectKeyword(&cur, "wall_seconds", &rest) ||
-      !ParseF64(rest, &out->wall_seconds)) {
-    return fail("wall_seconds");
-  }
-
-  if (!ExpectCount(&cur, "coverage", &n)) return fail("coverage");
-  if (!ParseBlockIds(&cur, n, &out->coverage)) return fail("coverage blocks");
-
-  if (!ExpectCount(&cur, "crashes", &n)) return fail("crashes");
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view line;
-    if (!cur.Next(&line)) return fail("crash entries");
-    const size_t space = line.find(' ');
-    int64_t count = 0;
-    if (space == std::string_view::npos || space + 1 >= line.size() ||
-        !ParseI64(line.substr(0, space), &count)) {
-      cur.err = util::Format("%s: bad crash entry '%.*s'", cur.Where().c_str(),
-                             static_cast<int>(line.size()), line.data());
-      return fail("crash entries");
-    }
-    out->crashes[std::string(line.substr(space + 1))] =
-        static_cast<int>(count);
-  }
-
-  const auto call_index = CallIndex(lib);
-  if (!ParseProgsSection(&cur, call_index, &out->corpus)) {
-    return fail("corpus");
-  }
-
-  if (!ExpectCount(&cur, "repros", &n)) return fail("repros");
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!ExpectKeyword(&cur, "title", &rest)) return fail("repro title");
-    Prog prog;
-    if (!ParseOneProg(&cur, call_index, &prog)) return fail("repro program");
-    out->crash_reproducers[std::string(rest)] = std::move(prog);
-  }
-
-  if (!ExpectCount(&cur, "rounds", &n)) return fail("rounds");
-  for (uint64_t i = 0; i < n; ++i) {
-    RoundReport r;
-    if (!ParseRoundLine(&cur, &r)) return fail("round record");
-    out->rounds.push_back(std::move(r));
-  }
-
-  std::string_view end;
-  if (!ExpectKeyword(&cur, "end", &end)) return fail("trailer");
-  return util::Status::Ok();
 }
 
 std::string
@@ -645,659 +922,75 @@ ParseManifest(std::string_view text, SessionManifest* out)
 std::string
 SerializeDelta(const SuiteDelta& delta, const SpecLibrary& lib)
 {
-  std::string out = util::Format("delta %d\n", delta.report.round);
-  AppendRoundLine(delta.report, &out);
-
-  out += util::Format("coverage+ %zu\n", delta.new_coverage.size());
-  AppendBlockIds(delta.new_coverage, &out);
-
-  out += util::Format("crashes+ %zu\n", delta.crash_increments.size());
-  for (const auto& [title, inc] : delta.crash_increments) {
-    out += util::Format("%d %s\n", inc, title.c_str());
-  }
-
-  out += util::Format("repros+ %zu\n", delta.new_reproducers.size());
-  for (const auto& [title, prog] : delta.new_reproducers) {
-    out += util::Format("title %s\n", title.c_str());
-    AppendProg(prog, lib, &out);
-  }
-
+  // Programs are encoded first so the name table ahead of them is
+  // complete (first-use order keeps the record a fixpoint).
+  NameTable names;
+  std::string progs;
+  PutReproMap(delta.new_reproducers, lib, &names, &progs);
   if (delta.corpus_unchanged) {
-    out += "corpus same\n";
+    PutVarint(0, &progs);
   } else {
-    out += util::Format("corpus %zu\n", delta.corpus.size());
+    PutVarint(delta.corpus.size() + 1, &progs);
     for (const SuiteDelta::CorpusEntry& entry : delta.corpus) {
       if (entry.kept_index >= 0) {
-        out += util::Format("k %d\n", entry.kept_index);
+        PutVarint(static_cast<uint64_t>(entry.kept_index) + 1, &progs);
       } else {
-        AppendProg(entry.prog, lib, &out);
+        PutVarint(0, &progs);
+        PutProg(entry.prog, lib, &names, &progs);
       }
     }
   }
-  out += "end\n";
+
+  std::string out;
+  PutRound(delta.report, &out);
+  PutBlockIds(delta.new_coverage, &out);
+  PutCrashMap(delta.crash_increments, &out);
+  PutNameTable(names, &out);
+  out += progs;
   return out;
 }
 
 util::Status
-ParseDelta(std::string_view text, const SpecLibrary& lib, SuiteDelta* out)
+ParseDelta(std::string_view data, const SpecLibrary& lib, SuiteDelta* out)
 {
-  LineCursor cur{text};
   *out = SuiteDelta{};
-  auto fail = [&cur](const std::string& context) {
-    return util::Status::Error("journal delta: " + context +
-                               (cur.err.empty() ? "" : ": " + cur.err));
-  };
-
-  uint64_t n = 0;
-  if (!ExpectCount(&cur, "delta", &n)) return fail("header");
-  if (!ParseRoundLine(&cur, &out->report)) return fail("round record");
-  if (out->report.round < 0 ||
-      n != static_cast<uint64_t>(out->report.round)) {
-    cur.err = util::Format("header names round %llu but record is round %d",
-                           static_cast<unsigned long long>(n),
-                           out->report.round);
-    return fail("round record");
-  }
-
-  if (!ExpectCount(&cur, "coverage+", &n)) return fail("coverage delta");
-  if (!ParseBlockIds(&cur, n, &out->new_coverage)) {
-    return fail("coverage delta blocks");
-  }
-
-  if (!ExpectCount(&cur, "crashes+", &n)) return fail("crash increments");
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view line;
-    if (!cur.Next(&line)) return fail("crash increments");
-    const size_t space = line.find(' ');
-    int64_t inc = 0;
-    if (space == std::string_view::npos || space + 1 >= line.size() ||
-        !ParseI64(line.substr(0, space), &inc)) {
-      cur.err = util::Format("%s: bad crash increment '%.*s'",
-                             cur.Where().c_str(),
-                             static_cast<int>(line.size()), line.data());
-      return fail("crash increments");
-    }
-    out->crash_increments[std::string(line.substr(space + 1))] =
-        static_cast<int>(inc);
-  }
-
-  const auto call_index = CallIndex(lib);
-  if (!ExpectCount(&cur, "repros+", &n)) return fail("new reproducers");
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view rest;
-    if (!ExpectKeyword(&cur, "title", &rest)) return fail("repro title");
-    Prog prog;
-    if (!ParseOneProg(&cur, call_index, &prog)) return fail("repro program");
-    out->new_reproducers[std::string(rest)] = std::move(prog);
-  }
-
-  std::string_view rest;
-  if (!ExpectKeyword(&cur, "corpus", &rest)) return fail("corpus");
-  if (rest == "same") {
-    out->corpus_unchanged = true;
-  } else {
-    if (!ParseU64(rest, 10, &n)) {
-      cur.err = util::Format("%s: bad corpus count '%.*s'",
-                             cur.Where().c_str(),
-                             static_cast<int>(rest.size()), rest.data());
-      return fail("corpus");
-    }
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string_view next;
-      SuiteDelta::CorpusEntry entry;
-      if (cur.Peek(&next) && util::StartsWith(next, "k ")) {
-        if (!ExpectKeyword(&cur, "k", &rest)) return fail("corpus entry");
-        int64_t index = 0;
-        if (!ParseI64(rest, &index) || index < 0) {
-          cur.err = util::Format("%s: bad kept-index '%.*s'",
-                                 cur.Where().c_str(),
-                                 static_cast<int>(rest.size()), rest.data());
-          return fail("corpus entry");
-        }
-        entry.kept_index = static_cast<int>(index);
-      } else {
-        if (!ParseOneProg(&cur, call_index, &entry.prog)) {
-          return fail("corpus program");
-        }
-      }
-      out->corpus.push_back(std::move(entry));
-    }
-  }
-
-  std::string_view end;
-  if (!ExpectKeyword(&cur, "end", &end)) return fail("trailer");
-  return util::Status::Ok();
-}
-
-// -- Binary suite codec ------------------------------------------------------
-
-namespace {
-
-constexpr char kBinaryMagic[4] = {'K', 'G', 'P', 'B'};
-
-void
-PutVarint(uint64_t v, std::string* out)
-{
-  while (v >= 0x80) {
-    *out += static_cast<char>((v & 0x7f) | 0x80);
-    v >>= 7;
-  }
-  *out += static_cast<char>(v);
-}
-
-uint64_t
-ZigZag(int64_t v)
-{
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t
-UnZigZag(uint64_t v)
-{
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-void
-PutString(std::string_view s, std::string* out)
-{
-  PutVarint(s.size(), out);
-  out->append(s.data(), s.size());
-}
-
-void
-PutF64(double v, std::string* out)
-{
-  // Raw bit pattern, not decimal text: bit-exact round-trips are what
-  // make serialize -> parse -> serialize a byte fixpoint.
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    *out += static_cast<char>((bits >> (8 * i)) & 0xff);
-  }
-}
-
-/// Bounds-checked reader over one section payload. Every getter returns
-/// false once the payload is exhausted or malformed; the caller converts
-/// that into a Status naming the section.
-struct ByteReader {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  explicit ByteReader(std::string_view data)
-      : p(reinterpret_cast<const uint8_t*>(data.data())),
-        end(p + data.size()) {}
-
-  bool AtEnd() const { return p == end; }
-
-  bool U64(uint64_t* out) {
-    uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p == end) return false;
-      const uint8_t byte = *p++;
-      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        *out = v;
-        return true;
-      }
-    }
-    return false;  // > 10 continuation bytes: not a valid varint.
-  }
-
-  bool I64(int64_t* out) {
-    uint64_t raw = 0;
-    if (!U64(&raw)) return false;
-    *out = UnZigZag(raw);
-    return true;
-  }
-
-  bool Size(size_t* out) {
-    // Sizes feed reserve()/resize(); cap them at the bytes actually
-    // remaining so a corrupt count cannot balloon allocation.
-    uint64_t v = 0;
-    if (!U64(&v) || v > static_cast<uint64_t>(end - p)) return false;
-    *out = static_cast<size_t>(v);
-    return true;
-  }
-
-  bool Str(std::string* out) {
-    size_t n = 0;
-    if (!Size(&n)) return false;
-    out->assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return true;
-  }
-
-  bool F64(double* out) {
-    if (end - p < 8) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(p[i]) << (8 * i);
-    }
-    p += 8;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-};
-
-/// Frames one section: varint length, payload, CRC32 of the payload.
-void
-PutSection(std::string_view payload, std::string* out)
-{
-  PutVarint(payload.size(), out);
-  out->append(payload.data(), payload.size());
-  const uint32_t crc = util::Crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    *out += static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-}
-
-/// Unframes the next section of `data` starting at `*pos`. On success
-/// advances `*pos` past the trailer and yields the payload view.
-bool
-NextSection(std::string_view data, size_t* pos, std::string_view* payload,
-            std::string* err)
-{
-  ByteReader head(data.substr(*pos));
-  uint64_t len = 0;
-  if (!head.U64(&len)) {
-    *err = "truncated section header";
-    return false;
-  }
-  const size_t at =
-      *pos + static_cast<size_t>(head.p -
-                                 reinterpret_cast<const uint8_t*>(
-                                     data.data() + *pos));
-  if (len > data.size() - at || data.size() - at - len < 4) {
-    *err = "truncated section payload";
-    return false;
-  }
-  *payload = data.substr(at, len);
-  uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    crc |= static_cast<uint32_t>(
-               static_cast<uint8_t>(data[at + len + i]))
-           << (8 * i);
-  }
-  if (util::Crc32(*payload) != crc) {
-    *err = "section checksum mismatch";
-    return false;
-  }
-  *pos = at + len + 4;
-  return true;
-}
-
-/// Interned call-name table: every distinct syscall full name the
-/// corpus/repro programs reference, in first-use order (deterministic, so
-/// the rendering is a fixpoint).
-class NameTable {
- public:
-  uint32_t Intern(const std::string& name) {
-    auto [it, inserted] =
-        index_.emplace(name, static_cast<uint32_t>(names_.size()));
-    if (inserted) names_.push_back(name);
-    return it->second;
-  }
-
-  const std::vector<std::string>& names() const { return names_; }
-
- private:
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, uint32_t> index_;
-};
-
-std::string
-CallName(const Call& call, const SpecLibrary& lib)
-{
-  return call.syscall_index < lib.syscalls().size()
-             ? lib.syscalls()[call.syscall_index].FullName()
-             : util::Format("#%zu", call.syscall_index);
-}
-
-void
-PutProg(const Prog& prog, const SpecLibrary& lib, NameTable* names,
-        std::string* out)
-{
-  PutVarint(prog.calls.size(), out);
-  for (const Call& call : prog.calls) {
-    PutVarint(names->Intern(CallName(call, lib)), out);
-    PutVarint(call.args.size(), out);
-    for (const Arg& arg : call.args) {
-      PutVarint(static_cast<uint64_t>(static_cast<int>(arg.kind)), out);
-      PutVarint(arg.scalar, out);
-      PutVarint(static_cast<uint64_t>(static_cast<int>(arg.dir)), out);
-      PutVarint(ZigZag(arg.ref_call), out);
-      PutVarint(ZigZag(arg.len_of_param), out);
-      PutVarint(arg.bytes.size(), out);
-      out->append(reinterpret_cast<const char*>(arg.bytes.data()),
-                  arg.bytes.size());
-    }
-  }
-}
-
-bool
-ReadProg(ByteReader* r, const std::vector<size_t>& name_to_call,
-         Prog* out, std::string* err)
-{
-  size_t ncalls = 0;
-  if (!r->Size(&ncalls)) {
-    *err = "bad call count";
-    return false;
-  }
-  out->calls.clear();
-  out->calls.reserve(ncalls);
-  for (size_t c = 0; c < ncalls; ++c) {
-    uint64_t name_idx = 0;
-    size_t nargs = 0;
-    if (!r->U64(&name_idx) || name_idx >= name_to_call.size() ||
-        !r->Size(&nargs)) {
-      *err = "bad call header";
-      return false;
-    }
-    Call call;
-    call.syscall_index = name_to_call[name_idx];
-    call.args.reserve(nargs);
-    for (size_t a = 0; a < nargs; ++a) {
-      uint64_t kind = 0, dir = 0;
-      int64_t ref = 0, len = 0;
-      size_t nbytes = 0;
-      Arg arg;
-      if (!r->U64(&kind) || kind > 2 || !r->U64(&arg.scalar) ||
-          !r->U64(&dir) || dir > 2 || !r->I64(&ref) || !r->I64(&len) ||
-          len < kBrokenLenLink || !r->Size(&nbytes)) {
-        *err = "bad arg record";
-        return false;
-      }
-      arg.kind = static_cast<Arg::Kind>(kind);
-      arg.dir = static_cast<syzlang::Dir>(dir);
-      arg.ref_call = static_cast<int>(ref);
-      arg.len_of_param = static_cast<int>(len);
-      arg.bytes.assign(r->p, r->p + nbytes);
-      r->p += nbytes;
-      call.args.push_back(std::move(arg));
-    }
-    out->calls.push_back(std::move(call));
-  }
-  return true;
-}
-
-void
-PutRound(const RoundReport& r, std::string* out)
-{
-  PutVarint(ZigZag(r.round), out);
-  PutVarint(r.seed, out);
-  PutVarint(r.programs_executed, out);
-  PutVarint(r.round_coverage, out);
-  PutVarint(r.round_unique_crashes, out);
-  PutVarint(r.coverage_delta, out);
-  PutVarint(r.cumulative_coverage, out);
-  PutVarint(r.cumulative_unique_crashes, out);
-  PutVarint(r.merged_corpus, out);
-  PutVarint(r.distilled_corpus, out);
-  PutVarint(r.divergences, out);
-  PutF64(r.wall_seconds, out);
-}
-
-bool
-ReadRound(ByteReader* r, RoundReport* out)
-{
-  int64_t round = 0;
-  uint64_t u[10] = {};
-  if (!r->I64(&round) || !r->U64(&u[0]) || !r->U64(&u[1]) ||
-      !r->U64(&u[2]) || !r->U64(&u[3]) || !r->U64(&u[4]) ||
-      !r->U64(&u[5]) || !r->U64(&u[6]) || !r->U64(&u[7]) ||
-      !r->U64(&u[8]) || !r->U64(&u[9]) || !r->F64(&out->wall_seconds)) {
-    return false;
-  }
-  out->round = static_cast<int>(round);
-  out->seed = u[0];
-  out->programs_executed = u[1];
-  out->round_coverage = u[2];
-  out->round_unique_crashes = u[3];
-  out->coverage_delta = u[4];
-  out->cumulative_coverage = u[5];
-  out->cumulative_unique_crashes = u[6];
-  out->merged_corpus = u[7];
-  out->distilled_corpus = u[8];
-  out->divergences = u[9];
-  return true;
-}
-
-}  // namespace
-
-bool
-IsBinarySuiteSnapshot(std::string_view data)
-{
-  return data.size() >= sizeof(kBinaryMagic) &&
-         std::memcmp(data.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0;
-}
-
-std::string
-SerializeSuiteBinary(const SuiteSnapshot& suite, const SpecLibrary& lib)
-{
-  // Program sections are built first so the meta section can carry the
-  // complete interned-name table (first-use order keeps it a fixpoint).
-  NameTable names;
-  std::string corpus;
-  PutVarint(suite.corpus.size(), &corpus);
-  for (const Prog& prog : suite.corpus) {
-    PutProg(prog, lib, &names, &corpus);
-  }
-
-  std::string repros;
-  PutVarint(suite.crash_reproducers.size(), &repros);
-  for (const auto& [title, prog] : suite.crash_reproducers) {
-    PutString(title, &repros);
-    PutProg(prog, lib, &names, &repros);
-  }
-
-  std::string meta;
-  PutString(suite.name, &meta);
-  PutVarint(suite.fingerprint, &meta);
-  PutVarint(suite.programs_executed, &meta);
-  PutF64(suite.wall_seconds, &meta);
-  PutVarint(names.names().size(), &meta);
-  for (const std::string& name : names.names()) PutString(name, &meta);
-
-  std::string coverage;
-  PutVarint(suite.coverage.size(), &coverage);
-  uint64_t prev = 0;
-  for (const uint64_t id : suite.coverage) {
-    // Sorted ascending, so deltas are small and varints stay short; the
-    // first id is a delta from zero.
-    PutVarint(id - prev, &coverage);
-    prev = id;
-  }
-
-  std::string crashes;
-  PutVarint(suite.crashes.size(), &crashes);
-  for (const auto& [title, count] : suite.crashes) {
-    PutString(title, &crashes);
-    PutVarint(ZigZag(count), &crashes);
-  }
-
-  std::string rounds;
-  PutVarint(suite.rounds.size(), &rounds);
-  for (const RoundReport& r : suite.rounds) PutRound(r, &rounds);
-
-  std::string out(kBinaryMagic, sizeof(kBinaryMagic));
-  PutVarint(static_cast<uint64_t>(kSnapshotVersion), &out);
-  PutSection(meta, &out);
-  PutSection(coverage, &out);
-  PutSection(crashes, &out);
-  PutSection(corpus, &out);
-  PutSection(repros, &out);
-  PutSection(rounds, &out);
-  return out;
-}
-
-util::Status
-ParseSuiteBinary(std::string_view data, const SpecLibrary& lib,
-                 SuiteSnapshot* out)
-{
-  *out = SuiteSnapshot{};
   std::string err;
   auto fail = [&err](const std::string& context) {
-    return util::Status::Error("binary suite snapshot: " + context +
+    return util::Status::Error("journal delta: " + context +
                                (err.empty() ? "" : ": " + err));
   };
 
-  if (!IsBinarySuiteSnapshot(data)) return fail("bad magic");
-  size_t pos = sizeof(kBinaryMagic);
-  {
-    ByteReader r(data.substr(pos));
-    uint64_t version = 0;
-    if (!r.U64(&version)) return fail("truncated version");
-    if (version != static_cast<uint64_t>(kSnapshotVersion)) {
-      return util::Status::Error(util::Format(
-          "snapshot version mismatch: file is v%llu, this build reads v%d",
-          static_cast<unsigned long long>(version), kSnapshotVersion));
-    }
-    pos += static_cast<size_t>(
-        r.p - reinterpret_cast<const uint8_t*>(data.data() + pos));
+  ByteReader r(data);
+  if (!ReadRound(&r, &out->report)) return fail("round record");
+  if (!ReadBlockIds(&r, &out->new_coverage)) return fail("coverage delta");
+  if (!ReadCrashMap(&r, &out->crash_increments)) {
+    return fail("crash increments");
   }
-
-  std::string_view meta, coverage, crashes, corpus, repros, rounds;
-  if (!NextSection(data, &pos, &meta, &err)) return fail("meta section");
-  if (!NextSection(data, &pos, &coverage, &err)) {
-    return fail("coverage section");
-  }
-  if (!NextSection(data, &pos, &crashes, &err)) {
-    return fail("crashes section");
-  }
-  if (!NextSection(data, &pos, &corpus, &err)) return fail("corpus section");
-  if (!NextSection(data, &pos, &repros, &err)) return fail("repros section");
-  if (!NextSection(data, &pos, &rounds, &err)) return fail("rounds section");
-  if (pos != data.size()) return fail("trailing bytes after last section");
-
-  // Meta: identity, counters, and the name table mapped to this
-  // library's syscall indices (name-based, so call reordering between
-  // builds is survivable — same contract as the textual parser).
   std::vector<size_t> name_to_call;
-  {
-    ByteReader r(meta);
-    size_t nnames = 0;
-    if (!r.Str(&out->name) || !r.U64(&out->fingerprint)) {
-      return fail("meta identity");
-    }
-    uint64_t executed = 0;
-    if (!r.U64(&executed) || !r.F64(&out->wall_seconds) ||
-        !r.Size(&nnames)) {
-      return fail("meta counters");
-    }
-    out->programs_executed = executed;
-    const auto call_index = CallIndex(lib);
-    name_to_call.reserve(nnames);
-    for (size_t i = 0; i < nnames; ++i) {
-      std::string name;
-      if (!r.Str(&name)) return fail("name table");
-      auto it = call_index.find(name);
-      if (it == call_index.end()) {
-        return util::Status::Error(util::Format(
-            "binary suite snapshot: references syscall '%s' absent from "
-            "this suite",
-            name.c_str()));
-      }
-      name_to_call.push_back(it->second);
-    }
-    if (!r.AtEnd()) return fail("meta trailing bytes");
+  if (!ReadNameTable(&r, lib, &name_to_call, &err)) return fail("name table");
+  if (!ReadReproMap(&r, name_to_call, &out->new_reproducers, &err)) {
+    return fail("new reproducers");
   }
 
-  {
-    ByteReader r(coverage);
-    uint64_t n = 0;
-    if (!r.U64(&n)) return fail("coverage count");
-    // Each id costs at least one payload byte, so a sane count is
-    // bounded by the section size — reserve() can trust the cap.
-    if (n > coverage.size()) return fail("coverage count exceeds section");
-    out->coverage.reserve(static_cast<size_t>(n));
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t delta = 0;
-      if (!r.U64(&delta)) return fail("coverage ids");
-      prev += delta;
-      out->coverage.push_back(prev);
-    }
-    if (!r.AtEnd()) return fail("coverage trailing bytes");
+  uint64_t tag = 0;
+  if (!r.U64(&tag) || (tag > 0 && tag - 1 > r.Remaining())) {
+    return fail("corpus count");
   }
-
-  {
-    ByteReader r(crashes);
-    size_t n = 0;
-    if (!r.Size(&n)) return fail("crash count");
-    for (size_t i = 0; i < n; ++i) {
-      std::string title;
-      int64_t count = 0;
-      if (!r.Str(&title) || !r.I64(&count)) return fail("crash entries");
-      out->crashes[std::move(title)] = static_cast<int>(count);
-    }
-    if (!r.AtEnd()) return fail("crashes trailing bytes");
-  }
-
-  {
-    ByteReader r(corpus);
-    size_t n = 0;
-    if (!r.Size(&n)) return fail("corpus count");
-    out->corpus.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Prog prog;
-      if (!ReadProg(&r, name_to_call, &prog, &err)) {
+  out->corpus_unchanged = tag == 0;
+  if (tag > 0) out->corpus.resize(static_cast<size_t>(tag - 1));
+  for (SuiteDelta::CorpusEntry& entry : out->corpus) {
+    if (!r.U64(&tag)) return fail("corpus entry");
+    if (tag == 0) {
+      if (!ReadProg(&r, name_to_call, &entry.prog, &err)) {
         return fail("corpus program");
       }
-      out->corpus.push_back(std::move(prog));
+    } else if (tag - 1 > static_cast<uint64_t>(INT_MAX)) {
+      return fail("kept index above INT_MAX");
+    } else {
+      entry.kept_index = static_cast<int>(tag - 1);
     }
-    if (!r.AtEnd()) return fail("corpus trailing bytes");
   }
-
-  {
-    ByteReader r(repros);
-    size_t n = 0;
-    if (!r.Size(&n)) return fail("repro count");
-    for (size_t i = 0; i < n; ++i) {
-      std::string title;
-      Prog prog;
-      if (!r.Str(&title) ||
-          !ReadProg(&r, name_to_call, &prog, &err)) {
-        return fail("repro program");
-      }
-      out->crash_reproducers[std::move(title)] = std::move(prog);
-    }
-    if (!r.AtEnd()) return fail("repros trailing bytes");
-  }
-
-  {
-    ByteReader r(rounds);
-    size_t n = 0;
-    if (!r.Size(&n)) return fail("round count");
-    out->rounds.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      RoundReport report;
-      if (!ReadRound(&r, &report)) return fail("round record");
-      out->rounds.push_back(std::move(report));
-    }
-    if (!r.AtEnd()) return fail("rounds trailing bytes");
-  }
-
-  return util::Status::Ok();
-}
-
-util::Status
-ParseSuiteAuto(std::string_view data, const SpecLibrary& lib,
-               SuiteSnapshot* out)
-{
-  return IsBinarySuiteSnapshot(data) ? ParseSuiteBinary(data, lib, out)
-                                     : ParseSuite(data, lib, out);
-}
-
-util::Status
-ConvertSuite(std::string_view data, SnapshotCodec codec,
-             const SpecLibrary& lib, std::string* out)
-{
-  SuiteSnapshot suite;
-  util::Status status = ParseSuiteAuto(data, lib, &suite);
-  if (!status.ok()) return status;
-  *out = codec == SnapshotCodec::kBinary ? SerializeSuiteBinary(suite, lib)
-                                         : SerializeSuite(suite, lib);
+  if (!r.AtEnd()) return fail("trailing bytes");
   return util::Status::Ok();
 }
 
@@ -1369,7 +1062,9 @@ ScanJournal(std::string_view text, JournalScan* out)
       return util::Status::Ok();
     }
     const size_t payload_at = nl + 1;
-    if (payload_at + len > text.size()) {
+    // Compared against the bytes left, not as payload_at + len: a crafted
+    // length near 2^64 would wrap that sum back into the file.
+    if (len > text.size() - payload_at) {
       out->tail_error = util::Format(
           "record %zu: torn payload (%llu bytes framed, %zu on disk)",
           record_no, static_cast<unsigned long long>(len),

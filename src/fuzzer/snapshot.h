@@ -1,19 +1,21 @@
 /// \file
-/// Durable session state — versioned textual serialization of everything a
-/// long-running campaign-of-campaigns service must carry across process
-/// runs: distilled Prog corpora, minimized crash reproducers, cumulative
-/// coverage, crash tallies, and per-round trend records. The format is
-/// line-oriented and deterministic (maps serialize in key order, floats as
-/// hexfloat), so serialize -> parse -> serialize is a byte-for-byte
-/// fixpoint and snapshot files diff cleanly under version control.
+/// Durable session state — the versioned KGPB binary serialization of
+/// everything a long-running campaign-of-campaigns service must carry
+/// across process runs: distilled Prog corpora, minimized crash
+/// reproducers, cumulative coverage, crash tallies, and per-round trend
+/// records. The encoding is deterministic (maps serialize in key order,
+/// doubles as raw bit patterns), so serialize -> parse -> serialize is a
+/// byte-for-byte fixpoint. DumpSuite renders the same state as text for
+/// humans and test diagnostics; nothing parses that rendering.
 ///
-/// Programs are rendered call-by-call against their suite's SpecLibrary:
-/// each call is stored under its syzlang full name (the same rendering the
-/// syzlang printer uses for declarations) and re-resolved by name on load,
-/// so a snapshot survives syscall reordering between builds as long as the
-/// suite still defines every referenced call. A per-suite fingerprint —
-/// a stable hash over the printer's rendering of every syscall declaration
-/// — rejects resuming against a suite whose specs drifted.
+/// Programs are stored call-by-call against their suite's SpecLibrary:
+/// each call names its syscall by syzlang full name (the same rendering
+/// the syzlang printer uses for declarations) through an interned name
+/// table, and is re-resolved by name on load, so a snapshot survives
+/// syscall reordering between builds as long as the suite still defines
+/// every referenced call. A per-suite fingerprint — a stable hash over the
+/// printer's rendering of every syscall declaration — rejects resuming
+/// against a suite whose specs drifted.
 ///
 /// Every parse path reports malformed input as a util::Status (never a
 /// crash or abort): snapshots are user-supplied files.
@@ -24,12 +26,13 @@
 /// top of the base snapshot sits a per-suite append-only journal
 /// (`suite_<i>.journal`): each round's *delta* (new coverage blocks,
 /// crash-count increments, new reproducers, the corpus diff, the trend
-/// record) is framed as a length-prefixed CRC32-checksummed record and
-/// appended with fsync, so saving round k costs O(round-k delta) instead
-/// of O(whole corpus). The session manifest is the commit point: records
-/// are durable before the manifest names their round, so a torn or
-/// uncommitted journal tail is recovered by truncating back to the last
-/// record the manifest committed.
+/// record) is a KGPB payload framed as a length-prefixed CRC32-checksummed
+/// record and appended with fsync, so saving round k costs O(round-k
+/// delta) instead of O(whole corpus). The session manifest is the commit
+/// point: records are durable before the manifest names their round, so a
+/// torn or uncommitted journal tail is recovered by truncating back to the
+/// last record the manifest committed. The manifest, the journal header
+/// and the record framing are short text lines.
 
 #ifndef KERNELGPT_FUZZER_SNAPSHOT_H_
 #define KERNELGPT_FUZZER_SNAPSHOT_H_
@@ -47,10 +50,11 @@
 
 namespace kernelgpt::fuzzer {
 
-/// Bump when the textual grammar changes incompatibly. Parsers reject any
+/// Bump when any on-disk encoding changes incompatibly. Parsers reject any
 /// other version with a Status error naming both versions. v2 added the
-/// round record's differential-divergence counter.
-inline constexpr int kSnapshotVersion = 2;
+/// round record's differential-divergence counter; v3 made journal records
+/// KGPB payloads and dropped the text codec.
+inline constexpr int kSnapshotVersion = 3;
 
 /// One round's trend record — the durable round-over-round report a
 /// session emits. Everything except `epochs` round-trips through
@@ -110,28 +114,8 @@ struct SessionManifest {
 /// the precondition for a snapshot's programs to replay identically.
 uint64_t SuiteFingerprint(const SpecLibrary& lib);
 
-/// Renders a program list ("progs <n>" header, then one block per
-/// program). Calls are stored by syzlang full name.
-std::string SerializeProgs(const std::vector<Prog>& progs,
-                           const SpecLibrary& lib);
-
-/// Parses a SerializeProgs rendering. Call names are re-resolved against
-/// `lib`; unknown names, malformed lines, and truncation yield an error
-/// Status and leave `*out` unspecified.
-util::Status ParseProgs(std::string_view text, const SpecLibrary& lib,
-                        std::vector<Prog>* out);
-
-/// Renders one suite's durable state ("kernelgpt-suite v2" header).
-std::string SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib);
-
-/// Parses a SerializeSuite rendering. Rejects version mismatches and any
-/// malformed content with an error Status.
-util::Status ParseSuite(std::string_view text, const SpecLibrary& lib,
-                        SuiteSnapshot* out);
-
-// -- Binary suite codec (PR 9) -----------------------------------------------
-// A compact binary rendering of the same SuiteSnapshot, for hot save/load
-// paths; the textual format stays the default debug format. Layout:
+// -- Suite snapshots (KGPB) --------------------------------------------------
+// Layout:
 //
 //   magic "KGPB"            4 bytes
 //   version                 varint (kSnapshotVersion)
@@ -143,47 +127,39 @@ util::Status ParseSuite(std::string_view text, const SpecLibrary& lib,
 // Every section is framed `varint payload_len | payload | u32le CRC32`,
 // reusing util::Crc32 — truncation at any byte and bit corruption both
 // surface as a Status, never a crash. All integers are LEB128 varints
-// (zigzag for signed fields), doubles are raw little-endian bit patterns
-// (bit-exact, so serialize -> parse -> serialize is a byte fixpoint), and
-// program calls reference the meta section's string table by index while
-// still resolving BY NAME against the suite library on load — the same
-// reorder-robustness contract as the textual format.
+// (zigzag for the signed round, ref_call and len_of_param; crash counts
+// are unsigned and at most INT_MAX), doubles are raw little-endian bit
+// patterns (bit-exact, so serialize -> parse -> serialize is a byte
+// fixpoint), and program calls reference the meta section's string table
+// by index while still resolving BY NAME against the suite library on
+// load.
 
-/// Which on-disk rendering Session::Save uses for suite snapshots.
-/// Resume auto-detects per file, so directories written under either
-/// codec (or a mix) always load.
+/// The on-disk codecs. KGPB is the only one; the enum and
+/// SessionOptions::WithSnapshotCodec stay because pipebench names both.
 enum class SnapshotCodec {
-  kText,    ///< Line-oriented, diffable; the default debug format.
-  kBinary,  ///< KGPB varint sections; the fast format.
+  kBinary,  ///< KGPB varint sections.
 };
 
-/// True when `data` starts with the binary suite magic.
-bool IsBinarySuiteSnapshot(std::string_view data);
+/// Renders one suite's durable state in the KGPB format.
+std::string SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib);
 
-/// Renders one suite's durable state in the KGPB binary format.
-std::string SerializeSuiteBinary(const SuiteSnapshot& suite,
-                                 const SpecLibrary& lib);
+/// Parses a SerializeSuite rendering. Truncation, checksum damage,
+/// version mismatches, out-of-range counts and unknown syscall names all
+/// yield an error Status — snapshots are user-supplied files.
+util::Status ParseSuite(std::string_view data, const SpecLibrary& lib,
+                        SuiteSnapshot* out);
 
-/// Parses a SerializeSuiteBinary rendering. Truncation, checksum damage,
-/// version mismatches, and unknown syscall names all yield an error
-/// Status — snapshots are user-supplied files.
-util::Status ParseSuiteBinary(std::string_view data, const SpecLibrary& lib,
-                              SuiteSnapshot* out);
+/// Renders one suite's state as line-oriented text (hex block ids, one
+/// line per call and argument, hexfloat doubles) for humans and test
+/// diagnostics. Nothing parses it back.
+std::string DumpSuite(const SuiteSnapshot& suite, const SpecLibrary& lib);
 
-/// Parses either suite rendering, sniffing the codec from the magic.
-util::Status ParseSuiteAuto(std::string_view data, const SpecLibrary& lib,
-                            SuiteSnapshot* out);
-
-/// Re-encodes a serialized suite (either codec) into `codec` — the
-/// text ⇄ binary conversion path for migrating snapshot directories.
-util::Status ConvertSuite(std::string_view data, SnapshotCodec codec,
-                          const SpecLibrary& lib, std::string* out);
-
-/// Renders the session manifest ("kernelgpt-session v2" header).
+/// Renders the session manifest ("kernelgpt-session v<kSnapshotVersion>"
+/// header, then one line per field).
 std::string SerializeManifest(const SessionManifest& manifest);
 
-/// Parses a SerializeManifest rendering; same error contract as
-/// ParseSuite.
+/// Parses a SerializeManifest rendering; any malformed line or version
+/// mismatch is an error Status.
 util::Status ParseManifest(std::string_view text, SessionManifest* out);
 
 // -- Incremental journal -----------------------------------------------------
@@ -204,7 +180,7 @@ struct SuiteDelta {
 
   /// True when this round's corpus is sequence-identical to the previous
   /// round's — the steady state once distillation converges; the record
-  /// then carries no corpus payload at all.
+  /// then carries a single 0 tag and no programs.
   bool corpus_unchanged = false;
   /// When the corpus did change: the new corpus in order, each entry
   /// either a reference into the previous round's corpus (kept_index >=
@@ -216,12 +192,17 @@ struct SuiteDelta {
   std::vector<CorpusEntry> corpus;
 };
 
-/// Renders one delta ("delta <round>" header through "end"). Inline
-/// programs use the same call-by-name blocks as SerializeProgs.
+/// Renders one delta as a flat KGPB payload, in order: the round record;
+/// the new coverage as delta varints; the crash increments as (title,
+/// varint) pairs; the record's own interned call-name table; the new
+/// reproducers as (title, program) pairs; the corpus — varint 0 when
+/// unchanged, else n+1 and n entries, each 0 plus an inline program or
+/// k+1 for kept index k. The journal's record frame carries the CRC.
 std::string SerializeDelta(const SuiteDelta& delta, const SpecLibrary& lib);
 
-/// Parses a SerializeDelta rendering; same error contract as ParseSuite.
-util::Status ParseDelta(std::string_view text, const SpecLibrary& lib,
+/// Parses a SerializeDelta payload; same error contract as ParseSuite. A
+/// negative round and bytes after the corpus are damage too.
+util::Status ParseDelta(std::string_view data, const SpecLibrary& lib,
                         SuiteDelta* out);
 
 /// The journal file's header: which suite state it extends and how many
@@ -233,7 +214,8 @@ struct JournalHeader {
   int base_rounds = 0;
 };
 
-/// Renders the journal header ("kernelgpt-journal v2" + suite binding).
+/// Renders the journal header ("kernelgpt-journal v<kSnapshotVersion>" +
+/// suite binding).
 std::string SerializeJournalHeader(const JournalHeader& header);
 
 /// Frames one record for appending: "rec <payload bytes> <crc32>\n"

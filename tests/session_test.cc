@@ -121,23 +121,23 @@ TEST_F(SessionTest, ProgSerializationIsAFixpointForEveryCorpusSpec)
     util::Rng rng(util::StableHash(label));
     Generator generator(&lib, &rng);
     Mutator mutator(&lib, &generator, &rng);
-    std::vector<Prog> progs;
+    SuiteSnapshot suite;
     for (int i = 0; i < 32; ++i) {
       Prog prog = generator.Generate(6);
       if (prog.empty()) continue;
-      progs.push_back(prog);
+      suite.corpus.push_back(prog);
       mutator.Mutate(&prog);
-      if (!prog.empty()) progs.push_back(std::move(prog));
+      if (!prog.empty()) suite.corpus.push_back(std::move(prog));
     }
-    if (progs.empty()) return;
+    if (suite.corpus.empty()) return;
     ++specs_checked;
 
-    const std::string once = SerializeProgs(progs, lib);
-    std::vector<Prog> parsed;
-    util::Status status = ParseProgs(once, lib, &parsed);
+    const std::string once = SerializeSuite(suite, lib);
+    SuiteSnapshot parsed;
+    util::Status status = ParseSuite(once, lib, &parsed);
     ASSERT_TRUE(status.ok()) << label << ": " << status.message();
-    ExpectSameProgs(progs, parsed, label);
-    EXPECT_EQ(once, SerializeProgs(parsed, lib))
+    ExpectSameProgs(suite.corpus, parsed.corpus, label);
+    EXPECT_EQ(once, SerializeSuite(parsed, lib))
         << label << ": serialize -> parse -> serialize not a fixpoint";
   };
 
@@ -150,7 +150,7 @@ TEST_F(SessionTest, ProgSerializationIsAFixpointForEveryCorpusSpec)
   EXPECT_GT(specs_checked, 4u);  // The corpus ships several modules.
 }
 
-TEST_F(SessionTest, SuiteSnapshotIsAFixpointIncludingReproducersAndRounds)
+TEST_F(SessionTest, SuiteSnapshotIsAByteFixpointIncludingReproducersAndRounds)
 {
   SpecLibrary lib = DmLibrary();
   SessionOptions options;
@@ -179,37 +179,58 @@ TEST_F(SessionTest, SuiteSnapshotIsAFixpointIncludingReproducersAndRounds)
   ASSERT_TRUE(status.ok()) << status.message();
   EXPECT_EQ(parsed.name, snapshot.name);
   EXPECT_EQ(parsed.fingerprint, snapshot.fingerprint);
+  EXPECT_EQ(parsed.programs_executed, snapshot.programs_executed);
+  EXPECT_EQ(parsed.wall_seconds, snapshot.wall_seconds);  // Raw bits.
   EXPECT_EQ(parsed.coverage, snapshot.coverage);
   EXPECT_EQ(parsed.crashes, snapshot.crashes);
-  EXPECT_EQ(parsed.wall_seconds, snapshot.wall_seconds);  // %a is exact.
+  ExpectSameProgs(parsed.corpus, snapshot.corpus, "corpus");
   ASSERT_EQ(parsed.rounds.size(), snapshot.rounds.size());
   for (size_t i = 0; i < parsed.rounds.size(); ++i) {
     EXPECT_EQ(parsed.rounds[i].seed, snapshot.rounds[i].seed);
+    EXPECT_EQ(parsed.rounds[i].wall_seconds, snapshot.rounds[i].wall_seconds);
     EXPECT_EQ(parsed.rounds[i].cumulative_coverage,
               snapshot.rounds[i].cumulative_coverage);
   }
+  // The dump renders every field, reproducers included, so a mismatch
+  // prints as a readable diff.
+  EXPECT_EQ(DumpSuite(parsed, lib), DumpSuite(snapshot, lib));
   EXPECT_EQ(once, SerializeSuite(parsed, lib))
       << "suite snapshot serialize -> parse -> serialize not a fixpoint";
 }
 
 TEST_F(SessionTest, VersionMismatchIsRejectedWithBothVersionsNamed)
 {
+  const std::string current = "v" + std::to_string(kSnapshotVersion);
+  const std::string previous = "v" + std::to_string(kSnapshotVersion - 1);
+
+  // The suite file's version varint sits just past the 4-byte magic; both
+  // versions encode in one byte.
   SpecLibrary lib = DmLibrary();
   SuiteSnapshot suite;
-  std::string text = SerializeSuite(suite, lib);
-  text.replace(text.find("v2"), 2, "v99");
-  util::Status status = ParseSuite(text, lib, &suite);
+  std::string data = SerializeSuite(suite, lib);
+  ASSERT_EQ(data[4], kSnapshotVersion);
+  data[4] = 99;
+  util::Status status = ParseSuite(data, lib, &suite);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
       << status.message();
-  EXPECT_NE(status.message().find("v99"), std::string::npos);
+  EXPECT_NE(status.message().find("v99"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(current), std::string::npos)
+      << status.message();
 
+  // A directory of the previous version is refused at its manifest.
   SessionManifest manifest;
-  text = SerializeManifest(manifest);
-  text.replace(text.find("v2"), 2, "v0");
+  std::string text = SerializeManifest(manifest);
+  text.replace(text.find(current), current.size(), previous);
   status = ParseManifest(text, &manifest);
   EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version mismatch"), std::string::npos);
+  EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(previous), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(current), std::string::npos)
+      << status.message();
 }
 
 TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
@@ -224,260 +245,56 @@ TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
   ASSERT_TRUE(session.Run().ok());
   SuiteSnapshot snapshot;
   snapshot.corpus = session.Find("dm")->corpus;
+  snapshot.coverage = session.Find("dm")->coverage.SortedBlocks();
   const std::string good = SerializeSuite(snapshot, lib);
-
   SuiteSnapshot out;
-  std::vector<Prog> progs;
+
   // Not a snapshot at all.
   EXPECT_FALSE(ParseSuite("garbage\nmore garbage", lib, &out).ok());
-  EXPECT_FALSE(ParseProgs("progs banana", lib, &progs).ok());
-  SessionManifest manifest;
-  EXPECT_FALSE(ParseManifest("", &manifest).ok());  // Empty input.
-  // Truncations at every quarter of a valid file.
-  for (size_t cut = 1; cut < 4; ++cut) {
-    EXPECT_FALSE(ParseSuite(good.substr(0, good.size() * cut / 4), lib, &out)
-                     .ok());
-  }
-  // A program referencing a syscall this suite does not define.
-  EXPECT_FALSE(
-      ParseProgs("progs 1\nprog 1\nc 0 ioctl$NOT_A_REAL_CALL\n", lib, &progs)
-          .ok());
-  // Malformed arg payloads.
-  EXPECT_FALSE(ParseProgs("progs 1\nprog 1\nc 1 ioctl$DM_VERSION\n"
-                          "a 0 zz 0 -1 -1 -\n",
-                          lib, &progs)
-                   .ok());
-  EXPECT_FALSE(ParseProgs("progs 1\nprog 1\nc 1 ioctl$DM_VERSION\n"
-                          "a 0 0 0 -1 -1 abc\n",  // Odd-length hex.
-                          lib, &progs)
-                   .ok());
-  // Counts pointing past the end of the file.
-  EXPECT_FALSE(ParseProgs("progs 5\nprog 0\n", lib, &progs).ok());
-  // Negative or sign-prefixed unsigned fields must not wrap through
-  // strtoull into huge values.
-  EXPECT_FALSE(ParseProgs("progs -1\n", lib, &progs).ok());
-  std::string negative = SerializeManifest(SessionManifest{});
-  const size_t at = negative.find("rounds_completed 0");
-  ASSERT_NE(at, std::string::npos);
-  negative.replace(at, 18, "rounds_completed -1");
-  EXPECT_FALSE(ParseManifest(negative, &manifest).ok());
-}
-
-// -- Binary suite codec ------------------------------------------------------
-
-TEST_F(SessionTest, BinarySuiteSnapshotIsAByteFixpointMatchingTheTextCodec)
-{
-  // Same real session state as the textual fixpoint test, rendered
-  // through the KGPB codec: serialize -> parse -> serialize must be a
-  // byte fixpoint, and the parse must agree field-for-field with what
-  // the textual codec round-trips.
-  SpecLibrary lib = DmLibrary();
-  SessionOptions options;
-  options.WithSeed(5).WithRounds(2).WithOrchestrator(SmallRound());
-  Session session = MakeSession(options);
-  ASSERT_TRUE(session.RegisterSuite("dm", &lib).ok());
-  ASSERT_TRUE(session.Run().ok());
-  const SuiteState& state = *session.Find("dm");
-  ASSERT_FALSE(state.corpus.empty());
-  ASSERT_FALSE(state.crash_reproducers.empty());
-
-  SuiteSnapshot snapshot;
-  snapshot.name = "dm suite with spaces";
-  snapshot.fingerprint = SuiteFingerprint(lib);
-  snapshot.programs_executed = state.programs_executed;
-  snapshot.wall_seconds = state.wall_seconds;
-  snapshot.coverage = state.coverage.SortedBlocks();
-  snapshot.crashes = state.crashes;
-  snapshot.corpus = state.corpus;
-  snapshot.crash_reproducers = state.crash_reproducers;
-  snapshot.rounds = state.rounds;
-
-  const std::string binary = SerializeSuiteBinary(snapshot, lib);
-  ASSERT_TRUE(IsBinarySuiteSnapshot(binary));
-  EXPECT_FALSE(IsBinarySuiteSnapshot(SerializeSuite(snapshot, lib)));
-
-  SuiteSnapshot parsed;
-  util::Status status = ParseSuiteBinary(binary, lib, &parsed);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(parsed.name, snapshot.name);
-  EXPECT_EQ(parsed.fingerprint, snapshot.fingerprint);
-  EXPECT_EQ(parsed.programs_executed, snapshot.programs_executed);
-  EXPECT_EQ(parsed.wall_seconds, snapshot.wall_seconds);  // Raw bits.
-  EXPECT_EQ(parsed.coverage, snapshot.coverage);
-  EXPECT_EQ(parsed.crashes, snapshot.crashes);
-  ExpectSameProgs(parsed.corpus, snapshot.corpus, "binary corpus");
-  ASSERT_EQ(parsed.rounds.size(), snapshot.rounds.size());
-  for (size_t i = 0; i < parsed.rounds.size(); ++i) {
-    EXPECT_EQ(parsed.rounds[i].seed, snapshot.rounds[i].seed);
-    EXPECT_EQ(parsed.rounds[i].wall_seconds, snapshot.rounds[i].wall_seconds);
-    EXPECT_EQ(parsed.rounds[i].cumulative_coverage,
-              snapshot.rounds[i].cumulative_coverage);
-  }
-  EXPECT_EQ(binary, SerializeSuiteBinary(parsed, lib))
-      << "binary snapshot serialize -> parse -> serialize not a fixpoint";
-
-  // ParseSuiteAuto sniffs the codec from the magic: both renderings of
-  // the same snapshot must load to identical state.
-  SuiteSnapshot from_text, from_binary;
-  ASSERT_TRUE(ParseSuiteAuto(SerializeSuite(snapshot, lib), lib, &from_text)
-                  .ok());
-  ASSERT_TRUE(ParseSuiteAuto(binary, lib, &from_binary).ok());
-  EXPECT_EQ(SerializeSuite(from_text, lib), SerializeSuite(from_binary, lib));
-}
-
-TEST_F(SessionTest, BinarySnapshotRejectsDamageWithAStatusNeverACrash)
-{
-  SpecLibrary lib = DmLibrary();
-  SessionOptions options;
-  options.WithSeed(9).WithRounds(1).WithOrchestrator(SmallRound());
-  Session session = MakeSession(options);
-  ASSERT_TRUE(session.RegisterSuite("dm", &lib).ok());
-  ASSERT_TRUE(session.Run().ok());
-  SuiteSnapshot snapshot;
-  snapshot.corpus = session.Find("dm")->corpus;
-  snapshot.coverage = session.Find("dm")->coverage.SortedBlocks();
-  const std::string good = SerializeSuiteBinary(snapshot, lib);
-  SuiteSnapshot out;
-
+  EXPECT_FALSE(ParseSuite("", lib, &out).ok());
+  EXPECT_FALSE(ParseSuite(std::string("KGPB"), lib, &out).ok());
   // Truncation at every quarter of the file, and at every byte of the
   // final framed section (the torn-write shapes a crash can leave).
   for (size_t cut = 1; cut < 4; ++cut) {
-    EXPECT_FALSE(
-        ParseSuiteBinary(good.substr(0, good.size() * cut / 4), lib, &out)
-            .ok())
+    EXPECT_FALSE(ParseSuite(good.substr(0, good.size() * cut / 4), lib, &out)
+                     .ok())
         << "cut at quarter " << cut;
   }
   for (size_t cut = good.size() - 32; cut < good.size(); ++cut) {
-    EXPECT_FALSE(ParseSuiteBinary(good.substr(0, cut), lib, &out).ok())
+    EXPECT_FALSE(ParseSuite(good.substr(0, cut), lib, &out).ok())
         << "cut at byte " << cut;
   }
   // Bit corruption anywhere in a section payload trips that section's
   // CRC32 (flip a byte past the header, clear of the length varints).
   std::string flipped = good;
   flipped[good.size() / 2] ^= 0x40;
-  util::Status status = ParseSuiteBinary(flipped, lib, &out);
-  EXPECT_FALSE(status.ok());
+  EXPECT_FALSE(ParseSuite(flipped, lib, &out).ok());
   // Trailing garbage after the last section is damage, not slack.
-  EXPECT_FALSE(ParseSuiteBinary(good + "x", lib, &out).ok());
-  // Not the binary format at all.
-  EXPECT_FALSE(ParseSuiteBinary("garbage", lib, &out).ok());
-  EXPECT_FALSE(ParseSuiteBinary("", lib, &out).ok());
-  EXPECT_FALSE(ParseSuiteBinary(std::string("KGPB"), lib, &out).ok());
-
-  // Version skew is named from both sides. The version varint sits just
-  // past the 4-byte magic; 2 and 99 both encode in one byte.
-  std::string skewed = good;
-  ASSERT_EQ(skewed[4], 2);
-  skewed[4] = 99;
-  status = ParseSuiteBinary(skewed, lib, &out);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("v99"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("v2"), std::string::npos)
-      << status.message();
+  EXPECT_FALSE(ParseSuite(good + "x", lib, &out).ok());
+  // A crash count outside [0, INT_MAX] (a negative one encodes above
+  // INT_MAX) is damage, not a count to wrap.
+  SuiteSnapshot counted;
+  counted.crashes["KASAN: negative"] = -1;
+  EXPECT_FALSE(ParseSuite(SerializeSuite(counted, lib), lib, &out).ok());
 
   // Programs resolve by name: parsing against a suite that lacks the
   // referenced syscalls is a Status naming the missing call.
   SpecLibrary hpet = MakeLibrary(drivers::GroundTruthDeviceSpec(
       *Corpus::Instance().FindDevice("hpet")));
-  status = ParseSuiteBinary(good, hpet, &out);
+  util::Status status = ParseSuite(good, hpet, &out);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("absent"), std::string::npos)
       << status.message();
-}
 
-TEST_F(SessionTest, ConvertSuiteMigratesBetweenCodecsLosslessly)
-{
-  SpecLibrary lib = DmLibrary();
-  SessionOptions options;
-  options.WithSeed(5).WithRounds(1).WithOrchestrator(SmallRound());
-  Session session = MakeSession(options);
-  ASSERT_TRUE(session.RegisterSuite("dm", &lib).ok());
-  ASSERT_TRUE(session.Run().ok());
-  const SuiteState& state = *session.Find("dm");
-  SuiteSnapshot snapshot;
-  snapshot.name = "dm";
-  snapshot.fingerprint = SuiteFingerprint(lib);
-  snapshot.coverage = state.coverage.SortedBlocks();
-  snapshot.crashes = state.crashes;
-  snapshot.corpus = state.corpus;
-  snapshot.rounds = state.rounds;
-  const std::string text = SerializeSuite(snapshot, lib);
-  const std::string binary = SerializeSuiteBinary(snapshot, lib);
-
-  // text -> binary -> text is the identity; so is binary -> text ->
-  // binary. Conversion into a file's own codec is also the identity.
-  std::string converted;
-  ASSERT_TRUE(ConvertSuite(text, SnapshotCodec::kBinary, lib, &converted)
-                  .ok());
-  EXPECT_EQ(converted, binary);
-  ASSERT_TRUE(ConvertSuite(converted, SnapshotCodec::kText, lib, &converted)
-                  .ok());
-  EXPECT_EQ(converted, text);
-  ASSERT_TRUE(ConvertSuite(text, SnapshotCodec::kText, lib, &converted).ok());
-  EXPECT_EQ(converted, text);
-  ASSERT_TRUE(ConvertSuite(binary, SnapshotCodec::kBinary, lib, &converted)
-                  .ok());
-  EXPECT_EQ(converted, binary);
-  // Damage propagates as a Status through the conversion path too.
-  EXPECT_FALSE(
-      ConvertSuite("garbage", SnapshotCodec::kBinary, lib, &converted).ok());
-}
-
-TEST_F(SessionTest, BinaryCodecSessionsResumeBitIdenticallyAcrossCodecs)
-{
-  // A session saved under the binary codec must resume exactly like one
-  // saved under the textual codec — including cross-codec resumes in
-  // both directions (Resume sniffs each suite file's magic).
-  SpecLibrary lib = DmLibrary();
-  const std::string dir_text = ScratchDir("codec_text");
-  const std::string dir_binary = ScratchDir("codec_binary");
-  auto session_options = [&](SnapshotCodec codec) {
-    SessionOptions options;
-    options.WithSeed(7).WithRounds(2).WithOrchestrator(SmallRound());
-    options.WithSnapshotCodec(codec);
-    return options;
-  };
-
-  for (SnapshotCodec codec : {SnapshotCodec::kText, SnapshotCodec::kBinary}) {
-    const bool binary = codec == SnapshotCodec::kBinary;
-    Session session = MakeSession(session_options(codec));
-    ASSERT_TRUE(session.RegisterSuite("dm", &lib).ok());
-    ASSERT_TRUE(session.Run().ok());
-    ASSERT_TRUE(session.Save(binary ? dir_binary : dir_text).ok());
-  }
-  std::string text_snap, binary_snap;
-  ASSERT_TRUE(ReadFileToString(dir_text + "/suite_0.snap", &text_snap).ok());
-  ASSERT_TRUE(
-      ReadFileToString(dir_binary + "/suite_0.snap", &binary_snap).ok());
-  EXPECT_FALSE(IsBinarySuiteSnapshot(text_snap));
-  EXPECT_TRUE(IsBinarySuiteSnapshot(binary_snap));
-  EXPECT_LT(binary_snap.size(), text_snap.size() / 2)
-      << "binary snapshots should be far denser than text";
-
-  // Resume each directory under the OPPOSITE codec, finish the schedule,
-  // and compare against an uninterrupted 4-round run.
-  Session straight = MakeSession(
-      session_options(SnapshotCodec::kText).WithRounds(4));
-  ASSERT_TRUE(straight.RegisterSuite("dm", &lib).ok());
-  ASSERT_TRUE(straight.Run().ok());
-
-  for (SnapshotCodec codec : {SnapshotCodec::kText, SnapshotCodec::kBinary}) {
-    const bool binary = codec == SnapshotCodec::kBinary;
-    // The binary-codec session resumes the textual directory and vice
-    // versa, then runs its 2 remaining rounds.
-    Session resumed = MakeSession(session_options(codec));
-    ASSERT_TRUE(resumed.RegisterSuite("dm", &lib).ok());
-    util::Status status = resumed.Resume(binary ? dir_text : dir_binary);
-    ASSERT_TRUE(status.ok()) << status.message();
-    EXPECT_EQ(resumed.rounds_completed(), 2);
-    ASSERT_TRUE(resumed.Run().ok());
-    ExpectSameState(*resumed.Find("dm"), *straight.Find("dm"),
-                    binary ? "binary session, text dir"
-                           : "text session, binary dir");
-  }
+  SessionManifest manifest;
+  EXPECT_FALSE(ParseManifest("", &manifest).ok());  // Empty input.
+  // A negative unsigned field must not wrap through strtoull into a huge
+  // value.
+  std::string negative = SerializeManifest(SessionManifest{});
+  const size_t at = negative.find("rounds_completed 0");
+  ASSERT_NE(at, std::string::npos);
+  negative.replace(at, 18, "rounds_completed -1");
+  EXPECT_FALSE(ParseManifest(negative, &manifest).ok());
 }
 
 TEST_F(SessionTest, FailedResumeLeavesTheSessionUntouched)
@@ -615,6 +432,10 @@ TEST_F(SessionTest, ResumedSessionIsBitIdenticalToUninterruptedRun)
   ASSERT_TRUE(first.Run().ok());
   ASSERT_TRUE(first.Save(dir).ok());
 
+  std::string base;
+  ASSERT_TRUE(ReadFileToString(dir + "/suite_0.snap", &base).ok());
+  EXPECT_EQ(base.substr(0, 4), "KGPB");  // Save writes the one codec.
+
   Session resumed = MakeSession(session_options());
   ASSERT_TRUE(resumed.RegisterSuite("dm", &lib).ok());
   util::Status status = resumed.Resume(dir);
@@ -711,7 +532,7 @@ TEST_F(SessionTest, MisconfigurationSurfacesAsStatusErrors)
                                     .WithOrchestrator(SmallRound()));
   EXPECT_FALSE(session.Run().ok());  // No suites registered.
   EXPECT_FALSE(session.RegisterSuite("", &lib).ok());
-  // A line break in a name would corrupt the line-oriented snapshot.
+  // A line break in a name would corrupt the line-oriented manifest.
   EXPECT_FALSE(session.RegisterSuite("dm\nextra", &lib).ok());
   EXPECT_FALSE(session.RegisterSuite("empty", &empty).ok());
   EXPECT_FALSE(session.RegisterSuite("null", nullptr).ok());

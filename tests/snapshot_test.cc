@@ -1,7 +1,9 @@
 // Crash-consistency battery for the incremental snapshot layer:
 //  - CRC32 and atomic-write primitives behave as specified (known-answer
 //    vector, no .tmp leftovers, old content survives a failed write);
-//  - journal record framing + delta serialization are byte fixpoints;
+//  - journal record framing + KGPB delta records are byte fixpoints, a
+//    framed length near 2^64 ends the scan instead of wrapping, and every
+//    damaged record payload is a util::Status, never a crash;
 //  - ParseManifest locates suite names positionally (regression: an
 //    unpadded fingerprint whose text also occurs inside the index token
 //    used to mis-anchor a substring search and corrupt the name);
@@ -10,13 +12,15 @@
 //    uninterrupted run;
 //  - Resume recovers from a torn or uncommitted journal tail truncated
 //    at EVERY byte boundary, never crashing or dropping committed data;
-//  - damage to a committed record (one flipped byte per record) is a
+//  - damage to a committed record (one flipped byte per record, a
+//    wrapping length, a crash increment that overflows its count) is a
 //    precise util::Status error that leaves the session untouched;
 //  - Save into a reused directory prunes orphaned suite files and stray
 //    .tmp leftovers; journalless (pre-journal) directories still resume.
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -126,6 +130,19 @@ class SnapshotTest : public ::testing::Test {
 syzlang::ConstTable* SnapshotTest::consts_ = nullptr;
 SpecLibrary* SnapshotTest::lib_ = nullptr;
 
+/// LEB128, as the KGPB encoder writes it — for crafting damaged payloads.
+std::string
+Varint(uint64_t v)
+{
+  std::string out;
+  while (v >= 0x80) {
+    out += static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  out += static_cast<char>(v);
+  return out;
+}
+
 // -- Primitives --------------------------------------------------------------
 
 TEST_F(SnapshotTest, Crc32MatchesTheStandardCheckValue)
@@ -208,6 +225,24 @@ TEST_F(SnapshotTest, JournalFramingRoundTripsAndFlagsEveryTornTail)
   EXPECT_FALSE(ScanJournal("not a journal\n", &damaged).ok());
 }
 
+TEST_F(SnapshotTest, AWrappingRecordLengthEndsTheScan)
+{
+  // Regression: a framed length near 2^64 wrapped `payload_at + len` back
+  // onto the record's own start (34 bytes earlier), passed the bounds
+  // check, matched the empty payload's CRC of 0 and rescanned the same
+  // record forever.
+  JournalHeader header;
+  header.fingerprint = 0xabcdef;
+  header.suite_name = "dm";
+  const std::string text = SerializeJournalHeader(header) +
+                           "rec 18446744073709551582 00000000\n";
+  JournalScan scan;
+  ASSERT_TRUE(ScanJournal(text, &scan).ok());
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_NE(scan.tail_error.find("torn payload"), std::string::npos)
+      << scan.tail_error;
+}
+
 TEST_F(SnapshotTest, DeltaSerializationIsAByteFixpoint)
 {
   // Real programs: take the corpus a short campaign round distills.
@@ -217,6 +252,17 @@ TEST_F(SnapshotTest, DeltaSerializationIsAByteFixpoint)
   const SuiteState* state = session.Find("dm");
   ASSERT_NE(state, nullptr);
   ASSERT_GE(state->corpus.size(), 3u);
+
+  auto round_trip = [](const SuiteDelta& delta, const std::string& label) {
+    const std::string once = SerializeDelta(delta, *lib_);
+    SuiteDelta parsed;
+    util::Status status = ParseDelta(once, *lib_, &parsed);
+    EXPECT_TRUE(status.ok()) << label << ": " << status.message();
+    EXPECT_EQ(SerializeDelta(parsed, *lib_), once) << label;
+    EXPECT_EQ(parsed.corpus_unchanged, delta.corpus_unchanged) << label;
+    EXPECT_EQ(parsed.corpus.size(), delta.corpus.size()) << label;
+    return parsed;
+  };
 
   SuiteDelta delta;
   delta.report = state->rounds.back();
@@ -229,26 +275,108 @@ TEST_F(SnapshotTest, DeltaSerializationIsAByteFixpoint)
   delta.corpus[1].prog = state->corpus[1];
   delta.corpus[2].kept_index = 0;
 
-  const std::string once = SerializeDelta(delta, *lib_);
-  SuiteDelta parsed;
-  util::Status status = ParseDelta(once, *lib_, &parsed);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(SerializeDelta(parsed, *lib_), once);
+  // Kept and inline entries.
+  SuiteDelta parsed = round_trip(delta, "kept and inline");
+  EXPECT_EQ(parsed.report.seed, delta.report.seed);
+  EXPECT_EQ(parsed.report.wall_seconds, delta.report.wall_seconds);
   EXPECT_EQ(parsed.new_coverage, delta.new_coverage);
   EXPECT_EQ(parsed.crash_increments, delta.crash_increments);
+  EXPECT_EQ(HashProg(parsed.new_reproducers["WARNING"]),
+            HashProg(state->corpus[0]));
+  ASSERT_EQ(parsed.corpus.size(), 3u);
   EXPECT_EQ(parsed.corpus[0].kept_index, 2);
+  EXPECT_EQ(parsed.corpus[1].kept_index, -1);
   EXPECT_EQ(HashProg(parsed.corpus[1].prog), HashProg(delta.corpus[1].prog));
+  EXPECT_EQ(parsed.corpus[2].kept_index, 0);
 
-  // The "unchanged" steady-state encoding round-trips too — and carries
-  // no per-program payload at all.
+  // A changed corpus may be empty (tag n+1 = 1); it must not read back as
+  // unchanged (tag 0, the steady state once distillation converges, which
+  // carries no programs at all).
   delta.corpus.clear();
-  delta.corpus_unchanged = true;
   delta.new_reproducers.clear();
-  const std::string steady = SerializeDelta(delta, *lib_);
-  EXPECT_NE(steady.find("corpus same"), std::string::npos);
-  ASSERT_TRUE(ParseDelta(steady, *lib_, &parsed).ok());
-  EXPECT_TRUE(parsed.corpus_unchanged);
-  EXPECT_EQ(SerializeDelta(parsed, *lib_), steady);
+  EXPECT_EQ(SerializeDelta(delta, *lib_).back(), 1);
+  round_trip(delta, "empty corpus");
+  delta.corpus_unchanged = true;
+  EXPECT_EQ(SerializeDelta(delta, *lib_).back(), 0);
+  round_trip(delta, "unchanged corpus");
+}
+
+TEST_F(SnapshotTest, DamagedDeltaRecordsAreAStatusNeverACrash)
+{
+  Session session = MakeSession(SmallSession());
+  ASSERT_TRUE(session.RegisterSuite("dm", lib_).ok());
+  ASSERT_TRUE(session.RunRound().ok());
+  const SuiteState& state = *session.Find("dm");
+  ASSERT_FALSE(state.corpus.empty());
+
+  // The record ends in an inline program of one call with one default
+  // arg, so the arg's fields are one byte each at fixed offsets from the
+  // end: kind (6), scalar (5), dir (4), zigzag ref_call (3), zigzag
+  // len_of_param (2), byte count (1).
+  SuiteDelta delta;
+  delta.report.round = 1;
+  delta.new_coverage = {0x10, 0x2f};
+  delta.crash_increments = {{"WARNING", 1}};
+  delta.new_reproducers["WARNING"] = state.corpus[0];
+  delta.corpus.resize(2);
+  delta.corpus[0].kept_index = 0;
+  delta.corpus[1].prog.calls.resize(1);
+  delta.corpus[1].prog.calls[0].args.resize(1);
+  const std::string good = SerializeDelta(delta, *lib_);
+  SuiteDelta out;
+  ASSERT_TRUE(ParseDelta(good, *lib_, &out).ok());
+  ASSERT_EQ(good[good.size() - 2], 1);  // zigzag(-1): the default link.
+  auto rejected = [&out](const std::string& payload) {
+    return !ParseDelta(payload, *lib_, &out).ok();
+  };
+  auto patched = [&good](size_t from_end, uint8_t byte) {
+    std::string payload = good;
+    payload[payload.size() - from_end] = static_cast<char>(byte);
+    return payload;
+  };
+
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_TRUE(rejected(good.substr(0, cut))) << "cut at byte " << cut;
+  }
+  EXPECT_TRUE(rejected(good + '\0')) << "one trailing byte";
+  EXPECT_TRUE(rejected(patched(6, 3))) << "kind > 2";
+  EXPECT_TRUE(rejected(patched(4, 3))) << "dir > 2";
+  EXPECT_TRUE(rejected(patched(2, 5))) << "len_of_param -3 < kBrokenLenLink";
+
+  // A call the library does not define (an index past its end renders as
+  // "#<n>") comes back as a Status naming it.
+  SuiteDelta unknown = delta;
+  unknown.corpus[1].prog.calls[0].syscall_index = lib_->syscalls().size();
+  util::Status status =
+      ParseDelta(SerializeDelta(unknown, *lib_), *lib_, &out);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("absent"), std::string::npos)
+      << status.message();
+
+  // The corpus closes the record, so its last entry's tag can be
+  // replaced: a kept index above INT_MAX, and a count larger than the
+  // bytes that remain (it would otherwise size a huge allocation).
+  SuiteDelta kept;
+  kept.corpus.resize(1);
+  kept.corpus[0].kept_index = 0;
+  std::string payload = SerializeDelta(kept, *lib_);
+  ASSERT_EQ(payload.back(), 1);
+  payload.pop_back();
+  EXPECT_FALSE(rejected(payload + Varint(uint64_t{INT_MAX} + 1)));
+  EXPECT_TRUE(rejected(payload + Varint(uint64_t{INT_MAX} + 2)))
+      << "kept index above INT_MAX";
+  payload.pop_back();  // The corpus count tag (2).
+  EXPECT_TRUE(rejected(payload + Varint(uint64_t{1} << 40) + Varint(1)))
+      << "corpus count larger than the bytes that remain";
+
+  // Out-of-range rounds and crash increments (a negative increment
+  // encodes above INT_MAX).
+  SuiteDelta bad;
+  bad.report.round = -1;
+  EXPECT_TRUE(rejected(SerializeDelta(bad, *lib_))) << "negative round";
+  bad.report.round = 1;
+  bad.crash_increments["WARNING"] = -1;
+  EXPECT_TRUE(rejected(SerializeDelta(bad, *lib_))) << "negative increment";
 }
 
 // -- ParseManifest regression ------------------------------------------------
@@ -261,7 +389,8 @@ TEST_F(SnapshotTest, ManifestSuiteNamesParsePositionally)
   // "2 name12". Names must be located positionally after the second
   // token.
   std::string text =
-      "kernelgpt-session v2\n"
+      "kernelgpt-session v" + std::to_string(kSnapshotVersion) +
+      "\n"
       "seed 2a\n"
       "schedule hash-chain\n"
       "seed_stride 7919\n"
@@ -417,6 +546,32 @@ class TornTailTest : public SnapshotTest {
     EXPECT_TRUE(reference_->RunRound().ok());
   }
 
+  /// Re-saves dir_ with both rounds committed (one journal record for
+  /// round 1 on a one-round base) and returns the journal.
+  std::string CommitBothRounds() {
+    Session session = MakeSession(SmallSession().WithJournalCompaction(100));
+    EXPECT_TRUE(session.RegisterSuite("dm", lib_).ok());
+    EXPECT_TRUE(session.RunRound().ok());
+    EXPECT_TRUE(session.Save(dir_).ok());
+    EXPECT_TRUE(session.RunRound().ok());
+    EXPECT_TRUE(session.Save(dir_).ok());
+    return MustRead(dir_ + "/suite_0.journal");
+  }
+
+  /// Installs `journal` and checks that Resume refuses it with a Status
+  /// and leaves the fresh session untouched.
+  void ExpectResumeRefused(const std::string& journal,
+                           const std::string& label) {
+    ASSERT_TRUE(WriteStringToFile(dir_ + "/suite_0.journal", journal).ok());
+    Session fresh = MakeSession(SmallSession());
+    ASSERT_TRUE(fresh.RegisterSuite("dm", lib_).ok());
+    util::Status status = fresh.Resume(dir_);
+    EXPECT_FALSE(status.ok()) << label;
+    EXPECT_EQ(fresh.rounds_completed(), 0) << label;
+    EXPECT_TRUE(fresh.Find("dm")->corpus.empty()) << label;
+    EXPECT_TRUE(fresh.Find("dm")->crashes.empty()) << label;
+  }
+
   std::string dir_;
   std::string committed_manifest_;
   std::string full_journal_;
@@ -487,13 +642,7 @@ TEST_F(TornTailTest, DamageToACommittedRecordIsAStatusError)
   // record: the loss reaches committed state, so Resume must refuse with
   // a Status — and leave the session untouched — rather than resume a
   // silently diverged session.
-  Session session = MakeSession(SmallSession().WithJournalCompaction(100));
-  ASSERT_TRUE(session.RegisterSuite("dm", lib_).ok());
-  ASSERT_TRUE(session.RunRound().ok());
-  ASSERT_TRUE(session.Save(dir_).ok());
-  ASSERT_TRUE(session.RunRound().ok());
-  ASSERT_TRUE(session.Save(dir_).ok());
-  const std::string journal = MustRead(dir_ + "/suite_0.journal");
+  const std::string journal = CommitBothRounds();
   JournalScan scan;
   ASSERT_TRUE(ScanJournal(journal, &scan).ok());
   ASSERT_EQ(scan.records.size(), 1u);
@@ -503,14 +652,32 @@ TEST_F(TornTailTest, DamageToACommittedRecordIsAStatusError)
   for (size_t at : {record_begin, record_mid, journal.size() - 2}) {
     std::string corrupt = journal;
     corrupt[at] ^= 0x01;
-    ASSERT_TRUE(WriteStringToFile(dir_ + "/suite_0.journal", corrupt).ok());
-    Session fresh = MakeSession(SmallSession());
-    ASSERT_TRUE(fresh.RegisterSuite("dm", lib_).ok());
-    util::Status status = fresh.Resume(dir_);
-    EXPECT_FALSE(status.ok()) << "flip at " << at;
-    EXPECT_EQ(fresh.rounds_completed(), 0) << "flip at " << at;
-    EXPECT_TRUE(fresh.Find("dm")->corpus.empty()) << "flip at " << at;
+    ExpectResumeRefused(corrupt, "flip at " + std::to_string(at));
   }
+}
+
+TEST_F(TornTailTest, CraftedCommittedRecordsAreAStatusError)
+{
+  SetUpDir("committed-crafted");
+  const std::string journal = CommitBothRounds();
+  JournalScan scan;
+  ASSERT_TRUE(ScanJournal(journal, &scan).ok());
+  ASSERT_EQ(scan.records.size(), 1u);
+  const std::string header = journal.substr(0, scan.header_end);
+
+  // The committed record replaced by one whose framed length wraps.
+  ExpectResumeRefused(header + "rec 18446744073709551582 00000000\n",
+                      "wrapping length");
+
+  // The committed record re-framed with a CRC-valid INT_MAX increment for
+  // a title the base already counts: the sum would overflow the int.
+  SuiteDelta delta;
+  ASSERT_TRUE(ParseDelta(scan.records[0].first, *lib_, &delta).ok());
+  const std::map<std::string, int>& base = reference_->Find("dm")->crashes;
+  ASSERT_FALSE(base.empty());
+  delta.crash_increments[base.begin()->first] = INT_MAX;
+  ExpectResumeRefused(header + FrameJournalRecord(SerializeDelta(delta, *lib_)),
+                      "INT_MAX increment");
 }
 
 // -- Directory hygiene -------------------------------------------------------
