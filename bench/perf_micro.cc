@@ -8,11 +8,11 @@
 #include "drivers/model_render.h"
 #include "drivers/model_spec.h"
 #include "experiments/context.h"
-#include "fuzzer/campaign.h"
 #include "fuzzer/distiller.h"
 #include "fuzzer/executor.h"
 #include "fuzzer/fleet.h"
 #include "fuzzer/generator.h"
+#include "fuzzer/orchestrator.h"
 #include "fuzzer/session.h"
 #include "fuzzer/snapshot.h"
 #include "ksrc/cparser.h"
@@ -66,19 +66,22 @@ BM_SyzlangRoundTrip(benchmark::State& state)
 }
 BENCHMARK(BM_SyzlangRoundTrip);
 
-/// Campaign throughput; the arg is the program budget.
+/// Campaign throughput on one orchestrator worker (kernel boot
+/// included); the arg is the program budget.
 void
 BM_FuzzThroughput(benchmark::State& state)
 {
   const auto& context = experiments::ExperimentContext::Default();
   fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
+  fuzzer::OrchestratorOptions options;
+  options.campaign.seed = 42;
+  options.campaign.program_budget = static_cast<int>(state.range(0));
+  options.num_workers = 1;
   for (auto _ : state) {
-    vkernel::Kernel kernel;
-    context.BootKernel(&kernel);
-    fuzzer::CampaignOptions options;
-    options.seed = 42;
-    options.program_budget = static_cast<int>(state.range(0));
-    benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
+    benchmark::DoNotOptimize(fuzzer::RunShardedCampaign(
+        lib,
+        [&context](vkernel::Kernel* kernel) { context.BootKernel(kernel); },
+        options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
@@ -498,13 +501,15 @@ BM_NetStackThroughput(benchmark::State& state)
   lib.Add(drivers::GroundTruthSocketSpec(*corpus.FindSocket("tcp")));
   lib.Add(drivers::GroundTruthSocketSpec(*corpus.FindSocket("udp")));
   lib.Finalize();
+  fuzzer::OrchestratorOptions options;
+  options.campaign.seed = 42;
+  options.campaign.program_budget = static_cast<int>(state.range(0));
+  options.num_workers = 1;
   for (auto _ : state) {
-    vkernel::Kernel kernel;
-    corpus.RegisterAll(&kernel);
-    fuzzer::CampaignOptions options;
-    options.seed = 42;
-    options.program_budget = static_cast<int>(state.range(0));
-    benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
+    benchmark::DoNotOptimize(fuzzer::RunShardedCampaign(
+        lib,
+        [&corpus](vkernel::Kernel* kernel) { corpus.RegisterAll(kernel); },
+        options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));

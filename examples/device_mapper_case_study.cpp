@@ -10,7 +10,7 @@
 #include "drivers/corpus.h"
 #include "drivers/model_render.h"
 #include "extractor/handler_finder.h"
-#include "fuzzer/campaign.h"
+#include "fuzzer/session.h"
 #include "spec_gen/kernelgpt.h"
 #include "syzlang/printer.h"
 #include "vkernel/kernel.h"
@@ -19,25 +19,43 @@ using namespace kernelgpt;
 
 namespace {
 
-void
+/// Fuzzes one spec for one Session round without distillation. A spec
+/// with no syscalls fuzzes nothing (RegisterSuite refuses an empty
+/// library). Returns false when the round fails.
+bool
 FuzzWith(const char* label, const syzlang::SpecFile& spec,
          const ksrc::DefinitionIndex& index)
 {
-  vkernel::Kernel kernel;
-  drivers::Corpus::Instance().RegisterAll(&kernel);
   fuzzer::SpecLibrary lib;
   lib.SetConsts(index.BuildConstTable());
   lib.Add(spec);
   lib.Finalize();
-  fuzzer::CampaignOptions options;
-  options.program_budget = 20000;
-  fuzzer::CampaignResult result = fuzzer::RunCampaign(&kernel, lib, options);
+  fuzzer::SuiteState result;
+  if (!lib.syscalls().empty()) {
+    fuzzer::Session session(fuzzer::SessionOptions()
+                                .WithSeed(1)
+                                .WithRounds(1)
+                                .WithDistill(false)
+                                .WithProgramBudget(20000),
+                            [](vkernel::Kernel* kernel) {
+                              drivers::Corpus::Instance().RegisterAll(kernel);
+                            });
+    util::Status status = session.RegisterSuite(label, &lib);
+    if (status.ok()) status = session.Run();
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s: fuzzing failed: %s\n", label,
+                   status.message().c_str());
+      return false;
+    }
+    result = *session.Find(label);
+  }
   std::printf("%-12s -> %3zu blocks, %zu unique crashes", label,
-              result.coverage.Count(), result.UniqueCrashCount());
+              result.coverage.Count(), result.crashes.size());
   for (const auto& [title, count] : result.crashes) {
     std::printf("\n              %s", title.c_str());
   }
   std::printf("\n");
+  return true;
 }
 
 }  // namespace
@@ -83,8 +101,10 @@ main()
               syzlang::Print(kg.spec).c_str());
 
   std::printf("=== Fuzzing the virtual kernel with each spec ===\n");
-  FuzzWith("SyzDescribe", sd.spec, index);
-  FuzzWith("KernelGPT", kg.spec, index);
+  if (!FuzzWith("SyzDescribe", sd.spec, index) ||
+      !FuzzWith("KernelGPT", kg.spec, index)) {
+    return 1;
+  }
   std::printf("\nThe kmalloc bug in ctl_ioctl (CVE-2024-23851) is only "
               "reachable with the correct nodename and _IOWR command "
               "values.\n");

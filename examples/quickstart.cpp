@@ -12,7 +12,7 @@
 
 #include "drivers/corpus.h"
 #include "extractor/handler_finder.h"
-#include "fuzzer/campaign.h"
+#include "fuzzer/session.h"
 #include "spec_gen/kernelgpt.h"
 #include "syzlang/printer.h"
 #include "vkernel/kernel.h"
@@ -57,21 +57,36 @@ main()
                          : "FAILED"),
               syzlang::Print(gen.spec).c_str());
 
-  // 4. Fuzz the virtual kernel with it.
-  vkernel::Kernel kernel;
-  corpus.RegisterAll(&kernel);
+  // 4. Fuzz the virtual kernel with it: one Session round, no
+  // distillation. A spec with no syscalls fuzzes nothing (RegisterSuite
+  // refuses an empty library).
   fuzzer::SpecLibrary lib;
   lib.SetConsts(index.BuildConstTable());
   lib.Add(gen.spec);
   lib.Finalize();
 
-  fuzzer::CampaignOptions options;
-  options.program_budget = 20000;
-  fuzzer::CampaignResult result = fuzzer::RunCampaign(&kernel, lib, options);
+  fuzzer::SuiteState result;
+  if (!lib.syscalls().empty()) {
+    fuzzer::Session session(fuzzer::SessionOptions()
+                                .WithSeed(1)
+                                .WithRounds(1)
+                                .WithDistill(false)
+                                .WithProgramBudget(20000),
+                            [&corpus](vkernel::Kernel* kernel) {
+                              corpus.RegisterAll(kernel);
+                            });
+    util::Status status = session.RegisterSuite("ubi", &lib);
+    if (status.ok()) status = session.Run();
+    if (!status.ok()) {
+      std::fprintf(stderr, "fuzzing failed: %s\n", status.message().c_str());
+      return 1;
+    }
+    result = *session.Find("ubi");
+  }
   std::printf("\nFuzzed %zu programs: %zu blocks covered, %zu unique "
               "crashes\n",
               result.programs_executed, result.coverage.Count(),
-              result.UniqueCrashCount());
+              result.crashes.size());
   for (const auto& [title, count] : result.crashes) {
     std::printf("  %5d x %s\n", count, title.c_str());
   }

@@ -22,8 +22,11 @@ cmake --build "${BUILD_DIR}" -j"${JOBS}"
 echo
 echo "== Determinism gate (orchestrator + distiller + service + session + diff) =="
 # Two back-to-back sharded campaigns must produce identical merged
-# coverage bitmaps and deduplicated crash maps, a 1-worker run must be
-# bit-identical to the serial campaign loop, distilling the same merged
+# coverage bitmaps and deduplicated crash maps, a 1-worker run on the dm
+# spec and on the full suite must match its pinned outcome (programs,
+# corpus, crashes, coverage and corpus hashes) and be bit-identical
+# whether its budget runs in 100-program epochs or in one (the
+# epoch-chunking identity, orchestrator_test), distilling the same merged
 # corpus twice must yield byte-identical corpora and reproducers, the
 # spec-generation service must emit byte-identical specs at 1 and 4
 # worker threads (service_test), a Save/Resume'd fuzzing session must
@@ -37,9 +40,9 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # (diff_test), and kernels booted concurrently from the shared boot image
 # must each reproduce the serial run while every program behaves on a
 # long-lived kernel exactly as on a freshly booted one (boot_image_test),
-# and the opcode dispatch must match the name-chain reference call for
-# call under both personalities while the parity stream's outcomes on
-# strict and permissive kernels hash to a pinned constant (hotpath_test).
+# and a program stream that dispatches every opcode, each call that takes
+# a descriptor also on a never-valid and on a closed fd, must hash to its
+# pinned outcome on strict and permissive kernels (hotpath_test).
 # Rerun through ctest so the gate stays in sync with the suites instead
 # of a hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \

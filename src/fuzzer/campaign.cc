@@ -56,33 +56,4 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
   }
 }
 
-CampaignResult
-RunCampaign(vkernel::KernelModel* kernel, const SpecLibrary& lib,
-            const CampaignOptions& options)
-{
-  CampaignResult result;
-  if (lib.syscalls().empty()) return result;
-
-  util::Rng rng(options.seed);
-  Generator generator(&lib, &rng);
-  Mutator mutator(&lib, &generator, &rng);
-  Executor executor(kernel, &lib);
-  std::vector<Prog> corpus;
-
-  CampaignState state;
-  state.generator = &generator;
-  state.mutator = &mutator;
-  state.executor = &executor;
-  state.rng = &rng;
-  state.corpus = &corpus;
-  state.coverage = &result.coverage;
-  state.crashes = &result.crashes;
-  state.programs_executed = &result.programs_executed;
-  result.seeds_replayed = PrimeCorpus(options, state);
-  RunCampaignChunk(options, state, options.program_budget, nullptr);
-
-  result.corpus_size = corpus.size();
-  return result;
-}
-
 }  // namespace kernelgpt::fuzzer

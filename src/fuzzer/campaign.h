@@ -1,8 +1,10 @@
 /// \file
-/// The coverage-guided fuzzing loop: maintains a seed corpus, alternates
-/// generation and mutation, and aggregates coverage and deduplicated
-/// crashes — the measurement harness behind Tables 3, 5, and 6. Every
-/// program runs from the kernel's per-program reset (Executor::Run).
+/// The coverage-guided fuzzing loop each orchestrator shard runs: keeps a
+/// seed corpus, alternates generation and mutation, and aggregates
+/// coverage and deduplicated crashes — the measurement harness behind
+/// Tables 3, 5, and 6. Every program runs from the kernel's per-program
+/// reset (Executor::Run). A campaign is started through the orchestrator
+/// (RunShardedCampaign) or a Session; both run this loop.
 
 #ifndef KERNELGPT_FUZZER_CAMPAIGN_H_
 #define KERNELGPT_FUZZER_CAMPAIGN_H_
@@ -34,24 +36,7 @@ struct CampaignOptions {
   std::vector<Prog> seed_corpus;
 };
 
-/// Aggregated campaign outcome.
-struct CampaignResult {
-  vkernel::Coverage coverage;
-  /// Crash title -> occurrence count (titles deduplicate crashes).
-  std::map<std::string, int> crashes;
-  size_t programs_executed = 0;
-  size_t corpus_size = 0;
-  /// Seed-corpus programs replayed before the loop (coverage priming).
-  size_t seeds_replayed = 0;
-
-  size_t UniqueCrashCount() const { return crashes.size(); }
-};
-
-/// Runs one campaign of `options.program_budget` programs.
-CampaignResult RunCampaign(vkernel::KernelModel* kernel, const SpecLibrary& lib,
-                           const CampaignOptions& options);
-
-/// Mutable state of one campaign loop (serial) or one orchestrator shard.
+/// Mutable state of one orchestrator shard's campaign loop.
 struct CampaignState {
   Generator* generator = nullptr;
   Mutator* mutator = nullptr;
@@ -64,12 +49,11 @@ struct CampaignState {
 };
 
 /// Runs `n` campaign iterations (mutate-or-generate, execute, corpus
-/// admission) over `state`. The serial campaign and every orchestrator
-/// shard share this loop, so their operation order and RNG consumption
-/// are identical by construction — the basis of the orchestrator's
-/// 1-worker bit-identity guarantee. When `interesting_out` is non-null,
-/// programs that found new coverage are also appended there (the
-/// orchestrator's cross-shard broadcast pool).
+/// admission) over `state`. Consecutive calls continue one RNG stream,
+/// so a shard's outcome does not depend on how its budget is split into
+/// epochs; only cross-shard ingest between calls changes it. When
+/// `interesting_out` is non-null, programs that found new coverage are
+/// also appended there (the orchestrator's cross-shard broadcast pool).
 void RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
                       int n, std::vector<Prog>* interesting_out);
 

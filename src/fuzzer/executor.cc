@@ -66,13 +66,11 @@ BufferViewAt(const Call& call, size_t index)
 
 }  // namespace
 
-Executor::Executor(vkernel::Kernel* kernel, const SpecLibrary* lib,
-                   DispatchMode mode)
-    : kernel_(kernel), lib_(lib), mode_(mode) {}
+Executor::Executor(vkernel::Kernel* kernel, const SpecLibrary* lib)
+    : kernel_(kernel), lib_(lib) {}
 
 SyscallResult
-Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
-                   const Call& call,
+Executor::Dispatch(SyscallOp op, const Call& call,
                    const std::vector<SyscallResult>& results,
                    ExecContext& ctx)
 {
@@ -143,98 +141,7 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
     case SyscallOp::kUnknown:
       break;
   }
-  // Unknown opcodes fall back to the name chain so a name Finalize()
-  // could not classify still behaves exactly as it always has.
-  return DispatchByName(def, call, results, ctx);
-}
-
-SyscallResult
-Executor::DispatchByName(const syzlang::SyscallDef& def, const Call& call,
-                         const std::vector<SyscallResult>& results,
-                         ExecContext& ctx)
-{
-  const std::string& name = def.name;
-  auto fd0 = [&]() {
-    return call.args.empty() ? -1 : FdOf(call.args[0], results);
-  };
-
-  if (name == "openat" || name == "open") {
-    size_t path_idx = name == "openat" ? 1 : 0;
-    if (path_idx >= call.args.size()) {
-      return SyscallResult::Err(vkernel::kEINVAL);
-    }
-    uint64_t flags = ScalarOf(call, path_idx + 1);
-    return kernel_->Openat(PathFrom(call.args[path_idx]), flags, ctx);
-  }
-  if (name == "close") return kernel_->Close(fd0(), ctx);
-  if (name == "dup") return kernel_->Dup(fd0(), ctx);
-  if (name == "ioctl") {
-    uint64_t cmd = ScalarOf(call, 1);
-    if (call.args.size() > 2 && call.args[2].kind == Arg::Kind::kBuffer) {
-      Buffer buf;
-      buf.bytes = call.args[2].bytes;
-      return kernel_->Ioctl(fd0(), cmd, &buf, ctx);
-    }
-    return kernel_->Ioctl(fd0(), cmd, nullptr, ctx);
-  }
-  if (name == "read") {
-    Buffer out;
-    if (call.args.size() > 1) out.bytes.resize(call.args[1].bytes.size());
-    return kernel_->Read(fd0(), &out, ctx);
-  }
-  if (name == "write") {
-    Buffer in;
-    if (call.args.size() > 1) in.bytes = call.args[1].bytes;
-    return kernel_->Write(fd0(), in, ctx);
-  }
-  if (name == "poll") return kernel_->Poll(fd0(), ctx);
-  if (name == "mmap") return kernel_->Mmap(fd0(), ScalarOf(call, 1), ctx);
-  if (name == "socket") {
-    return kernel_->Socket(ScalarOf(call, 0), ScalarOf(call, 1),
-                           ScalarOf(call, 2), ctx);
-  }
-  if (name == "setsockopt" || name == "getsockopt") {
-    uint64_t level = ScalarOf(call, 1);
-    uint64_t optname = ScalarOf(call, 2);
-    Buffer val;
-    if (call.args.size() > 3 && call.args[3].kind == Arg::Kind::kBuffer) {
-      val.bytes = call.args[3].bytes;
-    }
-    if (name == "setsockopt") {
-      return kernel_->SetSockOpt(fd0(), level, optname, val, ctx);
-    }
-    return kernel_->GetSockOpt(fd0(), level, optname, &val, ctx);
-  }
-  if (name == "bind" || name == "connect") {
-    Buffer addr;
-    if (call.args.size() > 1 && call.args[1].kind == Arg::Kind::kBuffer) {
-      addr.bytes = call.args[1].bytes;
-    }
-    return name == "bind" ? kernel_->Bind(fd0(), addr, ctx)
-                          : kernel_->Connect(fd0(), addr, ctx);
-  }
-  if (name == "sendto") {
-    Buffer data;
-    Buffer addr;
-    if (call.args.size() > 1 && call.args[1].kind == Arg::Kind::kBuffer) {
-      data.bytes = call.args[1].bytes;
-    }
-    if (call.args.size() > 4 && call.args[4].kind == Arg::Kind::kBuffer) {
-      addr.bytes = call.args[4].bytes;
-    }
-    return kernel_->SendTo(fd0(), data, addr, ctx);
-  }
-  if (name == "recvfrom" || name == "recvmsg") {
-    Buffer data;
-    return kernel_->RecvFrom(fd0(), &data, ctx);
-  }
-  if (name == "sendmsg") {
-    Buffer data;
-    Buffer addr;
-    return kernel_->SendTo(fd0(), data, addr, ctx);
-  }
-  if (name == "listen") return kernel_->Listen(fd0(), ctx);
-  if (name == "accept") return kernel_->Accept(fd0(), ctx);
+  // A base name with no operation, or a library not yet finalized.
   return SyscallResult::Err(vkernel::kENOSYS);
 }
 
@@ -251,13 +158,8 @@ Executor::Run(const Prog& prog, vkernel::Coverage* total, ExecTrace* trace)
   for (size_t i = 0; i < prog.calls.size(); ++i) {
     const Call& call = prog.calls[i];
     if (call.syscall_index >= lib_->syscalls().size()) continue;
-    const syzlang::SyscallDef& def = lib_->syscalls()[call.syscall_index];
-    SyscallResult rc =
-        mode_ == DispatchMode::kOpcode
-            ? Dispatch(lib_->OpcodeOf(call.syscall_index), def, call,
-                       results_, ctx)
-            : DispatchByName(def, call, results_, ctx);
-    results_[i] = rc;
+    results_[i] =
+        Dispatch(lib_->OpcodeOf(call.syscall_index), call, results_, ctx);
     ++result.calls_executed;
     if (ctx.crashed()) break;
   }

@@ -41,18 +41,12 @@ struct ExecTrace {
   std::string module_state;
 };
 
-/// Executes programs on one kernel, accumulating coverage.
+/// Executes programs on one kernel, accumulating coverage. `lib` must be
+/// finalized: before SpecLibrary::Finalize() every call resolves to
+/// SyscallOp::kUnknown and fails with ENOSYS.
 class Executor {
  public:
-  /// How Run() resolves a call to a kernel syscall. kOpcode is the hot
-  /// path (switch on the opcode precomputed by SpecLibrary::Finalize());
-  /// kLegacyNames re-compares the syscall name string per call before
-  /// making the same typed call and exists as a debug-mode parity
-  /// reference for tests.
-  enum class DispatchMode { kOpcode, kLegacyNames };
-
-  Executor(vkernel::Kernel* kernel, const SpecLibrary* lib,
-           DispatchMode mode = DispatchMode::kOpcode);
+  Executor(vkernel::Kernel* kernel, const SpecLibrary* lib);
 
   /// Runs one program from a fresh kernel program state. Coverage is
   /// merged into `total`; the result reports crash state and new coverage.
@@ -79,20 +73,12 @@ class Executor {
                                    std::vector<vkernel::Coverage>* signatures);
 
  private:
-  vkernel::SyscallResult Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
-                                  const Call& call,
+  vkernel::SyscallResult Dispatch(SyscallOp op, const Call& call,
                                   const std::vector<vkernel::SyscallResult>& results,
                                   vkernel::ExecContext& ctx);
 
-  /// The pre-opcode string-comparison chain, kept as the parity fallback.
-  vkernel::SyscallResult DispatchByName(
-      const syzlang::SyscallDef& def, const Call& call,
-      const std::vector<vkernel::SyscallResult>& results,
-      vkernel::ExecContext& ctx);
-
   vkernel::Kernel* kernel_;
   const SpecLibrary* lib_;
-  DispatchMode mode_;
   /// Per-call results, reused across runs.
   std::vector<vkernel::SyscallResult> results_;
   vkernel::Buffer out_scratch_;   ///< Kernel-written buffer, reused.

@@ -41,8 +41,8 @@ class Barrier {
   uint64_t generation_ = 0;
 };
 
-/// Decorrelates shard RNG streams; shard 0 keeps the master seed so a
-/// single-worker run replays the serial campaign stream bit-for-bit.
+/// Decorrelates shard RNG streams; shard 0 keeps the master seed, so a
+/// one-worker run is the campaign loop on that seed.
 /// Other shards hash the pair — adding multiples of the SplitMix64
 /// increment would merely offset the master stream, not decorrelate it.
 uint64_t
@@ -61,17 +61,6 @@ struct ShardOutcome {
 };
 
 }  // namespace
-
-CampaignResult
-OrchestratorResult::ToCampaignResult() const
-{
-  CampaignResult result;
-  result.coverage = coverage;
-  result.crashes = crashes;
-  result.programs_executed = programs_executed;
-  result.corpus_size = corpus_size;
-  return result;
-}
 
 Orchestrator::Orchestrator(const SpecLibrary* lib, BootFn boot,
                            OrchestratorOptions options)

@@ -14,8 +14,9 @@
 ///  - Cross-shard seed exchange happens only at epoch barriers, in shard
 ///    id order, so results are deterministic for a fixed (seed, workers,
 ///    sync_interval) triple regardless of thread scheduling.
-///  - With one worker the orchestrator consumes the exact RNG stream of
-///    the serial `RunCampaign` loop and produces bit-identical results.
+///  - With one worker nothing is exchanged, so the result does not depend
+///    on `sync_interval`: any run equals one epoch over the whole budget,
+///    which is the plain campaign loop (orchestrator_test pins it).
 
 #ifndef KERNELGPT_FUZZER_ORCHESTRATOR_H_
 #define KERNELGPT_FUZZER_ORCHESTRATOR_H_
@@ -32,12 +33,12 @@ namespace kernelgpt::fuzzer {
 /// Orchestration parameters on top of the per-shard campaign options.
 struct OrchestratorOptions {
   /// Base campaign parameters. `campaign.seed` is the master seed;
-  /// shard 0 uses it unchanged (serial equivalence) and shard k > 0
+  /// shard 0 uses it unchanged (one-worker equivalence) and shard k > 0
   /// seeds from util::HashCombine(seed, k). `campaign.program_budget`
   /// is the GLOBAL budget, sharded across workers.
   CampaignOptions campaign;
 
-  /// Worker-thread count; 1 reproduces the serial campaign exactly.
+  /// Worker-thread count; 1 runs the campaign loop with no exchange.
   int num_workers = 1;
 
   /// Programs each shard executes between cross-shard corpus syncs.
@@ -103,7 +104,7 @@ struct OrchestratorResult {
   /// Union of all shard coverage bitmaps.
   vkernel::Coverage coverage;
   /// Crash title -> total occurrence count across shards (titles
-  /// deduplicate crashes, exactly like the serial campaign).
+  /// deduplicate crashes).
   std::map<std::string, int> crashes;
   size_t programs_executed = 0;
   /// Sum of final shard corpus sizes.
@@ -118,9 +119,6 @@ struct OrchestratorResult {
   std::vector<EpochStats> epochs;
 
   size_t UniqueCrashCount() const { return crashes.size(); }
-
-  /// View as the serial result type (drop-in for existing reporting).
-  CampaignResult ToCampaignResult() const;
 };
 
 /// Runs sharded campaigns over one spec library.

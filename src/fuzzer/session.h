@@ -3,9 +3,9 @@
 /// suites, kernel boot, orchestrator/distiller wiring, and round
 /// scheduling — the syzkaller-manager analog for the whole fuzzing
 /// lifecycle (fuzz -> distill -> re-seed, round over round). The
-/// experiment harness (`ExperimentContext::Fuzz`) drives a Session; the
-/// serial `RunCampaign` remains for single-kernel, single-round runs and
-/// as the reference the 1-worker orchestrator is checked against.
+/// experiment harness (`ExperimentContext::Fuzz`) drives a Session; a
+/// single fuzzing run is a one-round session with distillation off, whose
+/// round 0 runs on the master seed itself.
 ///
 /// A session schedules rounds deterministically from a single master
 /// seed. Two seed schedules cover the two historical pipelines:

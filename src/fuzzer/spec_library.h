@@ -17,35 +17,8 @@
 
 namespace kernelgpt::fuzzer {
 
-/// Executor operation a syscall's base name resolves to. Resolution
-/// happens once in SpecLibrary::Finalize(); the executor's hot path
-/// dispatches with a switch on this opcode instead of re-comparing the
-/// name string on every call.
-enum class SyscallOp : uint8_t {
-  kUnknown = 0,
-  kOpen,
-  kOpenat,
-  kClose,
-  kDup,
-  kIoctl,
-  kRead,
-  kWrite,
-  kPoll,
-  kMmap,
-  kSocket,
-  kSetSockOpt,
-  kGetSockOpt,
-  kBind,
-  kConnect,
-  kSendTo,
-  kSendMsg,
-  kRecvFrom,
-  kListen,
-  kAccept,
-};
-
-/// Maps a base syscall name to its opcode (kUnknown when unhandled).
-SyscallOp ResolveSyscallOp(const std::string& name);
+using syzlang::ResolveSyscallOp;
+using syzlang::SyscallOp;
 
 /// Immutable after Finalize(); cheap to query during fuzzing.
 class SpecLibrary {

@@ -2,6 +2,32 @@
 
 namespace kernelgpt::syzlang {
 
+SyscallOp
+ResolveSyscallOp(const std::string& name)
+{
+  if (name == "open") return SyscallOp::kOpen;
+  if (name == "openat") return SyscallOp::kOpenat;
+  if (name == "close") return SyscallOp::kClose;
+  if (name == "dup") return SyscallOp::kDup;
+  if (name == "ioctl") return SyscallOp::kIoctl;
+  if (name == "read") return SyscallOp::kRead;
+  if (name == "write") return SyscallOp::kWrite;
+  if (name == "poll") return SyscallOp::kPoll;
+  if (name == "mmap") return SyscallOp::kMmap;
+  if (name == "socket") return SyscallOp::kSocket;
+  if (name == "setsockopt") return SyscallOp::kSetSockOpt;
+  if (name == "getsockopt") return SyscallOp::kGetSockOpt;
+  if (name == "bind") return SyscallOp::kBind;
+  if (name == "connect") return SyscallOp::kConnect;
+  if (name == "sendto") return SyscallOp::kSendTo;
+  if (name == "sendmsg") return SyscallOp::kSendMsg;
+  if (name == "recvfrom") return SyscallOp::kRecvFrom;
+  if (name == "recvmsg") return SyscallOp::kRecvFrom;
+  if (name == "listen") return SyscallOp::kListen;
+  if (name == "accept") return SyscallOp::kAccept;
+  return SyscallOp::kUnknown;
+}
+
 Decl
 Decl::Make(ResourceDef d)
 {

@@ -47,6 +47,36 @@ struct SyscallDef {
   }
 };
 
+/// Operation a syscall's base name resolves to. The validator accepts
+/// exactly the names that resolve to an operation; the fuzzer resolves
+/// each call once in SpecLibrary::Finalize() and its executor dispatches
+/// with a switch on the result.
+enum class SyscallOp : uint8_t {
+  kUnknown = 0,
+  kOpen,
+  kOpenat,
+  kClose,
+  kDup,
+  kIoctl,
+  kRead,
+  kWrite,
+  kPoll,
+  kMmap,
+  kSocket,
+  kSetSockOpt,
+  kGetSockOpt,
+  kBind,
+  kConnect,
+  kSendTo,
+  kSendMsg,
+  kRecvFrom,
+  kListen,
+  kAccept,
+};
+
+/// Maps a base syscall name to its operation (kUnknown when unsupported).
+SyscallOp ResolveSyscallOp(const std::string& name);
+
 /// `dm_ioctl { ... }` or `u [ ... ]` — a record type.
 struct StructDef {
   std::string name;

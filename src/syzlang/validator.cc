@@ -9,18 +9,6 @@ namespace kernelgpt::syzlang {
 
 namespace {
 
-const std::unordered_set<std::string>&
-SupportedSyscalls()
-{
-  static const std::unordered_set<std::string> kSet = {
-      "openat",     "open",    "ioctl",   "read",       "write",
-      "close",      "mmap",    "poll",    "socket",     "bind",
-      "connect",    "accept",  "listen",  "sendto",     "recvfrom",
-      "sendmsg",    "recvmsg", "setsockopt", "getsockopt", "dup",
-  };
-  return kSet;
-}
-
 /// Collected name environment for reference resolution. `consts` holds
 /// only the spec's own `define`s; they shadow the caller's table, which
 /// is read in place rather than copied.
@@ -111,12 +99,14 @@ class ValidatorImpl {
 
   void CheckSyscall(const SyscallDef& c) {
     const std::string decl = c.FullName();
-    if (!SupportedSyscalls().count(c.name)) {
+    const SyscallOp op = ResolveSyscallOp(c.name);
+    if (op == SyscallOp::kUnknown) {
       AddError(ErrorKind::kUnknownSyscall, decl, c.name,
                util::Format("unknown syscall '%s'", c.name.c_str()));
     }
-    if (c.name == "ioctl" || c.name == "read" || c.name == "write" ||
-        c.name == "setsockopt" || c.name == "getsockopt") {
+    if (op == SyscallOp::kIoctl || op == SyscallOp::kRead ||
+        op == SyscallOp::kWrite || op == SyscallOp::kSetSockOpt ||
+        op == SyscallOp::kGetSockOpt) {
       bool fd_first =
           !c.params.empty() &&
           (c.params[0].type.kind == TypeKind::kResource ||
@@ -348,12 +338,6 @@ ValidationResult::ErroredDecls() const
     if (!seen) out.push_back(e.decl);
   }
   return out;
-}
-
-bool
-IsSupportedSyscall(const std::string& name)
-{
-  return SupportedSyscalls().count(name);
 }
 
 ValidationResult

@@ -25,7 +25,7 @@ enum class ErrorKind {
   kEmptyStruct,          ///< struct/union with no fields.
   kRecursiveStruct,      ///< Struct contains itself without ptr indirection.
   kBadResourceBase,      ///< resource underlying type is invalid.
-  kUnknownSyscall,       ///< Base syscall name is not in the supported set.
+  kUnknownSyscall,       ///< Base name resolves to SyscallOp::kUnknown.
   kMissingFdParam,       ///< ioctl-family call without a leading fd param.
   kBadIntWidth,          ///< Scalar with unsupported bit width.
   kDanglingUnion,        ///< Union arm with void payload only.
@@ -56,10 +56,6 @@ struct ValidationResult {
   /// Distinct declaration names that have at least one error.
   std::vector<std::string> ErroredDecls() const;
 };
-
-/// Base syscall names the virtual kernel supports; descriptions for other
-/// names are rejected (kUnknownSyscall).
-bool IsSupportedSyscall(const std::string& name);
 
 /// Validates `spec`. `consts` provides macro resolution (pass an empty
 /// table to require all constants be numeric literals or local defines);

@@ -7,8 +7,8 @@
 #include "drivers/corpus.h"
 #include "drivers/model_runtime.h"
 #include "drivers/model_spec.h"
-#include "fuzzer/campaign.h"
 #include "fuzzer/minimizer.h"
+#include "fuzzer/orchestrator.h"
 #include "syzlang/parser.h"
 #include "vkernel/kernel.h"
 
@@ -43,6 +43,18 @@ class FuzzerTest : public ::testing::Test {
         drivers::GroundTruthDeviceSpec(*Corpus::Instance().FindDevice("kvm")));
     lib.Finalize();
     return lib;
+  }
+
+  /// One campaign on one worker over a RegisterAll-booted kernel.
+  static OrchestratorResult RunOneWorker(const SpecLibrary& lib,
+                                         const CampaignOptions& campaign) {
+    OrchestratorOptions options;
+    options.campaign = campaign;
+    options.num_workers = 1;
+    return RunShardedCampaign(
+        lib,
+        [](vkernel::Kernel* kernel) { Corpus::Instance().RegisterAll(kernel); },
+        options);
   }
 
   static syzlang::ConstTable* consts_;
@@ -202,13 +214,11 @@ TEST_F(FuzzerTest, ExecutorRunsDmProgram)
 
 TEST_F(FuzzerTest, CampaignFindsDmBugs)
 {
-  vkernel::Kernel kernel;
-  Corpus::Instance().RegisterAll(&kernel);
   SpecLibrary lib = DmLibrary();
   CampaignOptions options;
   options.program_budget = 20000;
   options.seed = 5;
-  CampaignResult result = RunCampaign(&kernel, lib, options);
+  OrchestratorResult result = RunOneWorker(lib, options);
   EXPECT_TRUE(result.crashes.count("kmalloc bug in ctl_ioctl"));
   EXPECT_TRUE(result.crashes.count("kmalloc bug in dm_table_create"));
   EXPECT_TRUE(result.crashes.count(
@@ -221,12 +231,8 @@ TEST_F(FuzzerTest, CampaignDeterministicForSeed)
   CampaignOptions options;
   options.program_budget = 3000;
   options.seed = 99;
-  vkernel::Kernel k1;
-  Corpus::Instance().RegisterAll(&k1);
-  CampaignResult a = RunCampaign(&k1, lib, options);
-  vkernel::Kernel k2;
-  Corpus::Instance().RegisterAll(&k2);
-  CampaignResult b = RunCampaign(&k2, lib, options);
+  OrchestratorResult a = RunOneWorker(lib, options);
+  OrchestratorResult b = RunOneWorker(lib, options);
   EXPECT_EQ(a.coverage.Count(), b.coverage.Count());
   EXPECT_EQ(a.crashes, b.crashes);
 }
@@ -234,13 +240,11 @@ TEST_F(FuzzerTest, CampaignDeterministicForSeed)
 TEST_F(FuzzerTest, KvmSecondaryResourceChainCovered)
 {
   // The generator must thread fd_kvm -> fd_kvm_vm -> fd_kvm_vcpu.
-  vkernel::Kernel kernel;
-  Corpus::Instance().RegisterAll(&kernel);
   SpecLibrary lib = KvmLibrary();
   CampaignOptions options;
   options.program_budget = 15000;
   options.seed = 31;
-  CampaignResult result = RunCampaign(&kernel, lib, options);
+  OrchestratorResult result = RunOneWorker(lib, options);
   // KVM_RUN's deep blocks are only reachable through the full chain.
   const drivers::DeviceSpec* kvm = Corpus::Instance().FindDevice("kvm");
   ASSERT_NE(kvm, nullptr);
@@ -251,12 +255,11 @@ TEST_F(FuzzerTest, KvmSecondaryResourceChainCovered)
 
 TEST_F(FuzzerTest, EmptyLibraryYieldsNothing)
 {
-  vkernel::Kernel kernel;
   SpecLibrary lib;
   lib.Finalize();
   CampaignOptions options;
   options.program_budget = 100;
-  CampaignResult result = RunCampaign(&kernel, lib, options);
+  OrchestratorResult result = RunOneWorker(lib, options);
   EXPECT_EQ(result.programs_executed, 0u);
   EXPECT_EQ(result.coverage.Count(), 0u);
 }

@@ -1,20 +1,22 @@
-// Tests for the hot-path execution engine: per-call opcode dispatch
-// parity against the legacy string-comparison chain under both
-// personalities, a pinned hash of that program stream's outcomes,
-// dense-coverage equivalence with set semantics, zero-copy buffer
-// behaviour, RunBatch parity with individual runs, and the 1-worker
-// orchestrator's identity with the serial campaign. The per-program
-// reset is checked against a freshly booted kernel in boot_image_test.
+// Tests for the hot-path execution engine: a pinned hash of a program
+// stream's outcomes under both personalities (every opcode, including
+// each descriptor-taking call on a bad fd), ENOSYS for a base name with
+// no opcode, dense-coverage equivalence with set semantics, zero-copy
+// buffer behaviour, and RunBatch parity with individual runs. The
+// per-program reset is checked against a freshly booted kernel in
+// boot_image_test; the one-worker campaign outcome is pinned in
+// orchestrator_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 
 #include "experiments/context.h"
-#include "fuzzer/campaign.h"
+#include "fuzzer/executor.h"
 #include "fuzzer/generator.h"
-#include "fuzzer/orchestrator.h"
+#include "syzlang/parser.h"
 #include "util/rng.h"
 #include "vkernel/coverage.h"
 #include "vkernel/kernel.h"
@@ -36,9 +38,34 @@ class HotPathTest : public ::testing::Test {
 
   static void Boot(vkernel::KernelModel* kernel) { Context().BootKernel(kernel); }
 
+  /// The suite plus one variant of each base call it declares none of,
+  /// so the pinned stream dispatches every opcode.
+  static SpecLibrary PinLibrary() {
+    SpecLibrary lib = SuiteLibrary();
+    syzlang::ParseResult base = syzlang::Parse(
+        "open$dm(file ptr[in, string[\"/dev/mapper/control\"]], "
+        "flags const[2]) fd_dm\n"
+        "close$dm(fd fd_dm)\n"
+        "dup$dm(fd fd_dm) fd_dm\n"
+        "read$dm(fd fd_dm, buf ptr[out, array[int8]], len len[buf])\n"
+        "write$dm(fd fd_dm, buf ptr[in, array[int8]], len len[buf])\n"
+        "poll$dm(fd fd_dm)\n"
+        "mmap$dm(fd fd_dm, len int64)\n"
+        "sendmsg$tcp(fd sock_tcp)\n"
+        "recvmsg$tcp(fd sock_tcp, buf ptr[out, array[int8]])\n",
+        "hotpath");
+    EXPECT_TRUE(base.ok());
+    lib.Add(base.spec);
+    lib.Finalize();
+    return lib;
+  }
+
   /// Deterministic program stream covering every syscall: first one
-  /// program per syscall index, then a generated mix.
-  static std::vector<Prog> ParityPrograms(const SpecLibrary& lib) {
+  /// program per syscall index, then a generated mix, then two bad-fd
+  /// programs per call whose first argument is a descriptor — one on a
+  /// descriptor no call produced, one that closes the producer's fd
+  /// before the call.
+  static std::vector<Prog> PinPrograms(const SpecLibrary& lib) {
     util::Rng rng(2024);
     Generator generator(&lib, &rng);
     std::vector<Prog> progs;
@@ -50,6 +77,32 @@ class HotPathTest : public ::testing::Test {
     for (int i = 0; i < 200; ++i) {
       Prog prog = generator.Generate(6);
       if (!prog.empty()) progs.push_back(std::move(prog));
+    }
+
+    size_t close_index = lib.syscalls().size();
+    for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+      if (lib.OpcodeOf(i) == SyscallOp::kClose) close_index = i;
+    }
+    EXPECT_LT(close_index, lib.syscalls().size());
+    for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+      Prog prog;
+      const size_t at = static_cast<size_t>(generator.AppendCall(&prog, i));
+      const Call& call = prog.calls[at];
+      if (call.args.empty() || call.args[0].kind != Arg::Kind::kResourceRef) {
+        continue;
+      }
+      Prog never_valid;
+      never_valid.calls.push_back(call);
+      for (Arg& arg : never_valid.calls[0].args) arg.ref_call = -1;
+      progs.push_back(std::move(never_valid));
+
+      if (call.args[0].ref_call < 0) continue;
+      Call close;
+      close.syscall_index = close_index;
+      close.args.push_back(call.args[0]);
+      prog.calls.insert(prog.calls.begin() + static_cast<long>(at),
+                        std::move(close));
+      progs.push_back(std::move(prog));
     }
     return progs;
   }
@@ -69,55 +122,20 @@ TEST_F(HotPathTest, EverySuiteSyscallResolvesToAnOpcode)
   }
 }
 
-// The opcode switch and the legacy name chain must agree on every call:
-// same per-call results, end fd shape, module state, coverage and
-// crashes — across every syscall variant the corpus specs declare
-// (generation visits them all), under both personalities.
-TEST_F(HotPathTest, OpcodeDispatchMatchesLegacyNameDispatch)
-{
-  SpecLibrary lib = SuiteLibrary();
-  const std::vector<Prog> progs = ParityPrograms(lib);
-
-  for (const vkernel::KernelPolicy& policy :
-       {vkernel::KernelPolicy::Strict(), vkernel::KernelPolicy::Permissive()}) {
-    SCOPED_TRACE(policy.name);
-    vkernel::Kernel kernel_new(policy);
-    vkernel::Kernel kernel_old(policy);
-    Boot(&kernel_new);
-    Boot(&kernel_old);
-    Executor opcode_exec(&kernel_new, &lib, Executor::DispatchMode::kOpcode);
-    Executor legacy_exec(&kernel_old, &lib,
-                         Executor::DispatchMode::kLegacyNames);
-
-    vkernel::Coverage cov_new;
-    vkernel::Coverage cov_old;
-    for (size_t i = 0; i < progs.size(); ++i) {
-      ExecTrace ta;
-      ExecTrace tb;
-      ExecResult a = opcode_exec.Run(progs[i], &cov_new, &ta);
-      ExecResult b = legacy_exec.Run(progs[i], &cov_old, &tb);
-      EXPECT_EQ(a.crashed, b.crashed) << i;
-      EXPECT_EQ(a.crash_title, b.crash_title) << i;
-      EXPECT_EQ(a.calls_executed, b.calls_executed) << i;
-      EXPECT_EQ(a.new_blocks, b.new_blocks) << i;
-      EXPECT_TRUE(ta.results == tb.results) << i;
-      EXPECT_TRUE(ta.end_shape == tb.end_shape) << i;
-      EXPECT_EQ(ta.module_state, tb.module_state) << i;
-    }
-    EXPECT_EQ(cov_new.blocks(), cov_old.blocks());
-  }
-}
-
-// The parity program stream's outcomes on a booted strict kernel, then a
+// The program stream's outcomes on a booted strict kernel, then a
 // booted permissive one, hash to a recorded constant: every per-call
 // (retval, errno), end fd shape, module state, crash title, call count
 // and new-block count, plus each kernel's accumulated coverage. The
-// parity test above compares two dispatch paths of the same build; this
-// pin is what catches a change that moves both.
+// constant was recorded while the string-comparison dispatch chain still
+// existed and matched the opcode switch call for call on this stream.
 TEST_F(HotPathTest, ExecutionOutcomeIsPinned)
 {
-  SpecLibrary lib = SuiteLibrary();
-  const std::vector<Prog> progs = ParityPrograms(lib);
+  SpecLibrary lib = PinLibrary();
+  const std::vector<Prog> progs = PinPrograms(lib);
+  std::set<SyscallOp> ops;
+  for (size_t i = 0; i < lib.syscalls().size(); ++i) ops.insert(lib.OpcodeOf(i));
+  EXPECT_EQ(ops.size(), 19u);  // Every opcode; none is kUnknown.
+  EXPECT_EQ(ops.count(SyscallOp::kUnknown), 0u);
 
   uint64_t h = 0;
   for (const vkernel::KernelPolicy& policy :
@@ -142,8 +160,42 @@ TEST_F(HotPathTest, ExecutionOutcomeIsPinned)
     }
     for (uint64_t id : cov.SortedBlocks()) h = util::HashCombine(h, id);
   }
-  EXPECT_EQ(progs.size(), 1039u);
-  EXPECT_EQ(h, 2609450546063905714ULL);
+  EXPECT_EQ(progs.size(), 2616u);
+  EXPECT_EQ(h, 18153226469534837243ULL);
+}
+
+// A base name with no opcode (a spec that skipped validation) still runs:
+// the call counts as executed, fails with ENOSYS and reaches no handler.
+TEST_F(HotPathTest, UnknownBaseNameExecutesAsEnosys)
+{
+  syzlang::ParseResult parsed = syzlang::Parse("fcntl(arg intptr)\n", "unknown");
+  ASSERT_TRUE(parsed.ok());
+  SpecLibrary lib;
+  lib.Add(parsed.spec);
+  lib.Finalize();
+  ASSERT_EQ(lib.syscalls().size(), 1u);
+  ASSERT_EQ(lib.OpcodeOf(0), SyscallOp::kUnknown);
+  util::Rng rng(1);
+  Generator generator(&lib, &rng);
+  Prog prog;
+  generator.AppendCall(&prog, 0);
+
+  for (const vkernel::KernelPolicy& policy :
+       {vkernel::KernelPolicy::Strict(), vkernel::KernelPolicy::Permissive()}) {
+    SCOPED_TRACE(policy.name);
+    vkernel::Kernel kernel(policy);
+    Boot(&kernel);
+    Executor exec(&kernel, &lib);
+    vkernel::Coverage cov;
+    ExecTrace trace;
+    ExecResult r = exec.Run(prog, &cov, &trace);
+    EXPECT_EQ(r.calls_executed, 1u);
+    EXPECT_FALSE(r.crashed);
+    EXPECT_EQ(r.new_blocks, 0u);
+    EXPECT_EQ(cov.Count(), 0u);
+    ASSERT_EQ(trace.results.size(), 1u);
+    EXPECT_EQ(trace.results[0].verrno, vkernel::kENOSYS);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +406,7 @@ TEST_F(HotPathTest, BufferViewReadsWithoutCopyAndMaterializesOnWrite)
 }
 
 // ---------------------------------------------------------------------------
-// Batch replay and campaign identity
+// Batch replay
 // ---------------------------------------------------------------------------
 
 TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
@@ -387,28 +439,6 @@ TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
     EXPECT_EQ(batched[i].new_blocks, single.new_blocks) << i;
   }
   EXPECT_EQ(cov_batch.blocks(), cov_single.blocks());
-}
-
-TEST_F(HotPathTest, OneWorkerOrchestratorStillBitIdenticalToSerial)
-{
-  SpecLibrary lib = SuiteLibrary();
-  CampaignOptions campaign;
-  campaign.seed = 314;
-  campaign.program_budget = 4000;
-
-  vkernel::Kernel kernel;
-  Boot(&kernel);
-  CampaignResult serial = RunCampaign(&kernel, lib, campaign);
-
-  OrchestratorOptions options;
-  options.campaign = campaign;
-  options.num_workers = 1;
-  OrchestratorResult sharded = RunShardedCampaign(
-      lib, [](vkernel::KernelModel* k) { Boot(k); }, options);
-
-  EXPECT_EQ(serial.programs_executed, sharded.programs_executed);
-  EXPECT_EQ(serial.crashes, sharded.crashes);
-  EXPECT_EQ(serial.coverage.blocks(), sharded.coverage.blocks());
 }
 
 }  // namespace

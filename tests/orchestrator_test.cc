@@ -1,14 +1,16 @@
-// Tests for the parallel sharded campaign orchestrator: serial
-// equivalence of a 1-worker run, determinism of N-worker merges,
-// cross-shard corpus syncing, and a multi-worker stress smoke test
-// (run this suite under -fsanitize=thread to check the barriers).
+// Tests for the parallel sharded campaign orchestrator: the pinned
+// outcome of a 1-worker run and its independence of the sync interval,
+// determinism of N-worker merges, cross-shard corpus syncing, and a
+// multi-worker stress smoke test (run this suite under -fsanitize=thread
+// to check the barriers).
 
 #include <gtest/gtest.h>
 
 #include "drivers/corpus.h"
 #include "drivers/model_spec.h"
-#include "fuzzer/campaign.h"
+#include "experiments/context.h"
 #include "fuzzer/orchestrator.h"
+#include "util/rng.h"
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
@@ -40,47 +42,128 @@ class OrchestratorTest : public ::testing::Test {
     Corpus::Instance().RegisterAll(kernel);
   }
 
+  /// The one-worker runs the pins below hold: the dm spec alone and the
+  /// whole Syzkaller + KernelGPT suite.
+  struct OneWorkerCase {
+    const char* name;
+    SpecLibrary lib;
+    uint64_t seed;
+    int budget;
+  };
+  static std::vector<OneWorkerCase> OneWorkerCases() {
+    return {
+        {"dm", DmLibrary(), 77, 8000},
+        {"suite",
+         experiments::ExperimentContext::Default()
+             .SyzkallerPlusKernelGptSuite(),
+         314, 4000},
+    };
+  }
+
+  static OrchestratorOptions OneWorker(const OneWorkerCase& c) {
+    OrchestratorOptions options;
+    options.campaign.seed = c.seed;
+    options.campaign.program_budget = c.budget;
+    options.num_workers = 1;
+    return options;
+  }
+
+  static uint64_t CoverageHash(const vkernel::Coverage& coverage) {
+    uint64_t h = 0;
+    for (uint64_t id : coverage.SortedBlocks()) h = util::HashCombine(h, id);
+    return h;
+  }
+
+  static uint64_t CorpusHash(const std::vector<Prog>& corpus) {
+    uint64_t h = 0;
+    for (const Prog& prog : corpus) h = util::HashCombine(h, HashProg(prog));
+    return h;
+  }
+
   static syzlang::ConstTable* consts_;
 };
 
 syzlang::ConstTable* OrchestratorTest::consts_ = nullptr;
 
-TEST_F(OrchestratorTest, OneWorkerBitIdenticalToSerialCampaign)
+// A one-worker run's outcome, recorded: programs executed, corpus size,
+// crash map, and hashes of the sorted coverage ids and of the final
+// corpus in order. The values were recorded while the serial campaign
+// loop (RunCampaign) still existed and matched it on programs, corpus
+// size, crashes and coverage ids.
+TEST_F(OrchestratorTest, OneWorkerOutcomeIsPinned)
 {
-  SpecLibrary lib = DmLibrary();
-
-  CampaignOptions campaign;
-  campaign.program_budget = 8000;
-  campaign.seed = 77;
-
-  vkernel::Kernel kernel;
-  Boot(&kernel);
-  CampaignResult serial = RunCampaign(&kernel, lib, campaign);
-
-  OrchestratorOptions options;
-  options.campaign = campaign;
-  options.num_workers = 1;
-  options.sync_interval = 100;  // Must not matter with one worker.
-  OrchestratorResult sharded = RunShardedCampaign(lib, Boot, options);
-
-  EXPECT_EQ(serial.programs_executed, sharded.programs_executed);
-  EXPECT_EQ(serial.corpus_size, sharded.corpus_size);
-  EXPECT_EQ(serial.crashes, sharded.crashes);
-  // Bit-identical coverage: the same block id sets, not just counts.
-  EXPECT_EQ(serial.coverage.blocks(), sharded.coverage.blocks());
+  struct Expected {
+    size_t programs;
+    size_t corpus_size;
+    std::map<std::string, int> crashes;
+    uint64_t coverage_hash;
+    uint64_t corpus_hash;
+  };
+  const std::vector<Expected> expected = {
+      {8000,
+       5,
+       {{"general protection fault in cleanup_mapped_device", 1657},
+        {"kmalloc bug in ctl_ioctl", 1160},
+        {"kmalloc bug in dm_table_create", 297}},
+       7490358686679214067ULL,
+       815326737795877908ULL},
+      {4000,
+       256,
+       {{"BUG: corrupted list in udmabuf_release", 30},
+        {"WARNING in i2c_transfer_buffer", 4},
+        {"WARNING in ptmx_set_termios", 5},
+        {"WARNING in usb_ep_queue", 7},
+        {"WARNING in vb2_core_reqbufs", 8},
+        {"general protection fault in cleanup_mapped_device", 3},
+        {"general protection fault in dvb_vb2_expbuf", 3},
+        {"kernel BUG in btrfs_get_root_ref", 2},
+        {"memory leak in __ip6_append_data", 8},
+        {"memory leak in dvb_dvr_do_ioctl", 5},
+        {"memory leak in posix_clock_open", 13},
+        {"memory leak in rfkill_register", 10},
+        {"possible deadlock in dvb_demux_release", 39},
+        {"vnet: state-machine violation: tcp connect in LISTEN", 1},
+        {"zero-size vmalloc in ubi_read_volume_table", 1}},
+       9712307016428346320ULL,
+       9465650739110375543ULL},
+  };
+  const std::vector<OneWorkerCase> cases = OneWorkerCases();
+  ASSERT_EQ(cases.size(), expected.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    OrchestratorResult result =
+        RunShardedCampaign(cases[i].lib, Boot, OneWorker(cases[i]));
+    EXPECT_EQ(result.programs_executed, expected[i].programs);
+    EXPECT_EQ(result.corpus_size, expected[i].corpus_size);
+    EXPECT_EQ(result.crashes, expected[i].crashes);
+    EXPECT_EQ(CoverageHash(result.coverage), expected[i].coverage_hash);
+    EXPECT_EQ(CorpusHash(result.corpus), expected[i].corpus_hash);
+  }
 }
 
-TEST_F(OrchestratorTest, OneWorkerToCampaignResultRoundTrips)
+// With one worker nothing is exchanged between epochs, so the epoch
+// length cannot matter: 100-program epochs give the same run as one
+// epoch over the whole budget, which is the campaign loop alone.
+TEST_F(OrchestratorTest, OneWorkerEpochChunkingIsInvisible)
 {
-  SpecLibrary lib = DmLibrary();
-  OrchestratorOptions options;
-  options.campaign.program_budget = 2000;
-  options.campaign.seed = 5;
-  OrchestratorResult sharded = RunShardedCampaign(lib, Boot, options);
-  CampaignResult as_serial = sharded.ToCampaignResult();
-  EXPECT_EQ(as_serial.crashes, sharded.crashes);
-  EXPECT_EQ(as_serial.coverage.Count(), sharded.coverage.Count());
-  EXPECT_EQ(as_serial.programs_executed, sharded.programs_executed);
+  for (const OneWorkerCase& c : OneWorkerCases()) {
+    SCOPED_TRACE(c.name);
+    OrchestratorOptions chunked = OneWorker(c);
+    chunked.sync_interval = 100;
+    OrchestratorOptions single = OneWorker(c);
+    single.sync_interval = c.budget;
+    OrchestratorResult a = RunShardedCampaign(c.lib, Boot, chunked);
+    OrchestratorResult b = RunShardedCampaign(c.lib, Boot, single);
+
+    EXPECT_EQ(a.epochs.size(), static_cast<size_t>(c.budget / 100));
+    EXPECT_EQ(b.epochs.size(), 1u);
+    EXPECT_EQ(a.programs_executed, b.programs_executed);
+    EXPECT_EQ(a.corpus_size, b.corpus_size);
+    EXPECT_EQ(a.crashes, b.crashes);
+    // Bit-identical coverage and corpus, not just counts.
+    EXPECT_EQ(a.coverage.blocks(), b.coverage.blocks());
+    EXPECT_EQ(CorpusHash(a.corpus), CorpusHash(b.corpus));
+  }
 }
 
 TEST_F(OrchestratorTest, MultiWorkerMergeIsDeterministic)
@@ -122,7 +205,7 @@ TEST_F(OrchestratorTest, BudgetIsShardedExactly)
 
   ASSERT_EQ(result.shards.size(), 4u);
   // Budgets 2501+2500+2500+2500; executed <= budget (empty programs are
-  // skipped without counting, exactly like the serial loop).
+  // skipped without counting).
   size_t total = 0;
   for (const auto& shard : result.shards) {
     EXPECT_LE(shard.programs_executed, 2501u);

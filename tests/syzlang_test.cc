@@ -312,6 +312,18 @@ TEST(ValidatorTest, UnknownSyscallReported)
   ValidationResult v = Validate(r.spec, ConstTable());
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.errors[0].kind, ErrorKind::kUnknownSyscall);
+
+  // Every base name the executor dispatches is known.
+  for (const char* name :
+       {"open", "openat", "close", "dup", "ioctl", "read", "write", "poll",
+        "mmap", "socket", "setsockopt", "getsockopt", "bind", "connect",
+        "sendto", "sendmsg", "recvfrom", "recvmsg", "listen", "accept"}) {
+    ParseResult known = Parse(std::string(name) + "$x(fd fd)\n");
+    ASSERT_TRUE(known.ok()) << name;
+    for (const ValidationError& e : Validate(known.spec, ConstTable()).errors) {
+      EXPECT_NE(e.kind, ErrorKind::kUnknownSyscall) << name;
+    }
+  }
 }
 
 TEST(ValidatorTest, ExternalDeclsResolve)
