@@ -10,8 +10,8 @@
 //   2. <self> crash  <dir> 1   — new process, Resume, 1 more round, then
 //                                dies MID-SAVE (after the manifest tmp
 //                                file is durable, before the rename
-//                                commits it) via the crash-injection
-//                                hook; the directory keeps only the 2
+//                                commits it) via a kind=exit fault
+//                                rule; the directory keeps only the 2
 //                                committed rounds plus an uncommitted
 //                                journal tail
 //   3. <self> resume <dir> 2   — new process, Resume recovers to round 2
@@ -34,6 +34,7 @@
 #include "drivers/model_spec.h"
 #include "fuzzer/prog.h"
 #include "fuzzer/session.h"
+#include "util/fault.h"
 #include "vkernel/kernel.h"
 
 using namespace kernelgpt;
@@ -152,14 +153,18 @@ RunPhase(const std::string& mode, const std::string& dir, int rounds)
   PrintState(mode == "run" ? "after run:" : "after resume:",
              *session.Find("dm"));
   if (mode == "crash") {
-    // Die mid-save: the hook fires once the manifest's tmp file is
+    // Die mid-save: the rule fires once the manifest's tmp file is
     // durable but before the rename commits it — the widest window in
     // which a non-atomic writer would have destroyed the old manifest.
-    ::setenv("KERNELGPT_CRASH_AFTER_TMP_WRITE", "session.manifest", 1);
+    if (util::Status s = util::FaultInjector::Instance().ArmFromSpec(
+            "site=fileio.rename,kind=exit,match=session.manifest");
+        !s.ok()) {
+      return Die(s, "arm crash rule");
+    }
     util::Status s = session.Save(dir);
     std::fprintf(stderr, "crash phase survived Save (%s)\n",
                  s.ok() ? "ok" : s.message().c_str());
-    return 1;  // Unreachable when the hook fires.
+    return 1;  // Unreachable when the rule fires.
   }
   if (util::Status s = session.Save(dir); !s.ok()) return Die(s, "save");
   std::printf("saved %d rounds to %s\n", session.rounds_completed(),
@@ -194,7 +199,7 @@ main(int argc, char** argv)
   };
   const Phase phases[] = {
       {self + " run " + dir + " 2", 0},
-      {self + " crash " + dir + " 1", 42},  // The injection hook _exits 42.
+      {self + " crash " + dir + " 1", 42},  // The exit rule _exits 42.
       {self + " resume " + dir + " 2", 0},
       {self + " check " + dir + " 4", 0},
   };

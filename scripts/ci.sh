@@ -49,6 +49,18 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
     -R '^(orchestrator_test|distiller_test|service_test|session_test|snapshot_test|fleet_test|diff_test|vnet_test|boot_image_test|hotpath_test)$')
 
 echo
+echo "== Cross-process resume (kill mid-save, recover, compare) =="
+# The only check that a snapshot written by one process is resumed by
+# another: 2 rounds, a process that dies (exit 42) between the manifest's
+# durable tmp file and its rename, a process that recovers and runs 2
+# more, and a process that compares the result with a straight 4-round
+# session. The example re-executes itself for each phase and fails on any
+# unexpected exit code or state mismatch.
+RESUME_DIR="$(mktemp -d)"
+"${BUILD_DIR}/examples/example_resumable_campaign" "${RESUME_DIR}/snapshot"
+rm -rf "${RESUME_DIR}"
+
+echo
 echo "== Fleet-recovery soak (armed fault plan) =="
 # The whole fleet_test suite again with a hostile environment plan: a
 # burst of worker exceptions plus one ENOSPC on the first journal

@@ -208,24 +208,9 @@ ExperimentContext::Fuzz(const fuzzer::SpecLibrary& lib, int program_budget,
                         int reps, uint64_t seed_base, int num_workers) const
 {
   FuzzSummary summary;
-  util::Status status =
-      Fuzz(lib, program_budget, reps, seed_base, num_workers, &summary);
-  // The benches keep the historical die-loudly contract; services use
-  // the Status overload and handle the failure themselves.
-  if (!status.ok()) util::Fatal("ExperimentContext::Fuzz: " + status.message());
-  return summary;
-}
-
-util::Status
-ExperimentContext::Fuzz(const fuzzer::SpecLibrary& lib, int program_budget,
-                        int reps, uint64_t seed_base, int num_workers,
-                        FuzzSummary* out) const
-{
-  FuzzSummary summary;
-  *out = FuzzSummary();
   // A library with no syscalls cannot be registered as a Session suite;
   // the historical contract for it was an all-zero summary.
-  if (reps <= 0 || lib.syscalls().empty()) return util::Status::Ok();
+  if (reps <= 0 || lib.syscalls().empty()) return summary;
 
   // Repetitions are the arithmetic seed schedule (seed_base + rep * 7919)
   // with independent rounds: no corpus carry-over, no distillation —
@@ -242,7 +227,7 @@ ExperimentContext::Fuzz(const fuzzer::SpecLibrary& lib, int program_budget,
   fuzzer::Session session = MakeSession(options);
   util::Status status = session.RegisterSuite(kSessionSuite, &lib);
   if (status.ok()) status = session.Run();
-  if (!status.ok()) return status;
+  if (!status.ok()) util::Fatal("ExperimentContext::Fuzz: " + status.message());
 
   fuzzer::SuiteState& state = *session.Find(kSessionSuite);
   for (const fuzzer::RoundReport& report : state.rounds) {
@@ -255,8 +240,7 @@ ExperimentContext::Fuzz(const fuzzer::SpecLibrary& lib, int program_budget,
   summary.corpus = std::move(state.corpus);
   summary.avg_coverage /= reps;
   summary.avg_crashes /= reps;
-  *out = std::move(summary);
-  return util::Status::Ok();
+  return summary;
 }
 
 fuzzer::DistillResult
@@ -264,28 +248,18 @@ ExperimentContext::DistillCorpus(const fuzzer::SpecLibrary& lib,
                                  const std::vector<fuzzer::Prog>& corpus) const
 {
   fuzzer::DistillResult result;
-  util::Status status = DistillCorpus(lib, corpus, &result);
+  fuzzer::Session session = MakeSession(fuzzer::SessionOptions{});
+  if (!session.RegisterSuite(kSessionSuite, &lib).ok()) {
+    // Legacy behavior for an unusable library: an empty result that still
+    // reports the input size.
+    result.stats.input_programs = corpus.size();
+    return result;
+  }
+  util::Status status = session.DistillInto(kSessionSuite, corpus, &result);
   if (!status.ok()) {
     util::Fatal("ExperimentContext::DistillCorpus: " + status.message());
   }
   return result;
-}
-
-util::Status
-ExperimentContext::DistillCorpus(const fuzzer::SpecLibrary& lib,
-                                 const std::vector<fuzzer::Prog>& corpus,
-                                 fuzzer::DistillResult* out) const
-{
-  *out = fuzzer::DistillResult();
-  fuzzer::Session session = MakeSession(fuzzer::SessionOptions{});
-  util::Status status = session.RegisterSuite(kSessionSuite, &lib);
-  if (!status.ok()) {
-    // Legacy behavior for an unusable library: an empty result that still
-    // reports the input size.
-    out->stats.input_programs = corpus.size();
-    return util::Status::Ok();
-  }
-  return session.DistillInto(kSessionSuite, corpus, out);
 }
 
 }  // namespace kernelgpt::experiments

@@ -124,8 +124,10 @@ class ExperimentContext {
   /// coverage count, average unique-crash count, and merged coverage.
   /// Campaigns run on the sharded orchestrator; `num_workers == 1`
   /// reproduces the historical serial results bit-for-bit. (Since the
-  /// Session redesign this is a shim over one arithmetic-schedule
-  /// fuzzer::Session; results are unchanged, byte for byte.)
+  /// Session redesign this runs one arithmetic-schedule fuzzer::Session;
+  /// results are unchanged, byte for byte.) A campaign failure (a worker
+  /// exception, a session error) is util::Fatal: the benches and tests
+  /// that call this keep the die-loudly contract.
   struct FuzzSummary {
     double avg_coverage = 0;
     double avg_crashes = 0;
@@ -141,23 +143,12 @@ class ExperimentContext {
                    int reps, uint64_t seed_base = 1,
                    int num_workers = 1) const;
 
-  /// Status-returning Fuzz: campaign failures (a worker exception, a
-  /// session error) come back as a Status instead of util::Fatal. The
-  /// aborting overload above is a shim over this one.
-  util::Status Fuzz(const fuzzer::SpecLibrary& lib, int program_budget,
-                    int reps, uint64_t seed_base, int num_workers,
-                    FuzzSummary* out) const;
-
   /// Runs the between-campaign distillation pass over a merged corpus
-  /// (usually FuzzSummary::corpus) with this context's kernel boot.
+  /// (usually FuzzSummary::corpus) with this context's kernel boot; a
+  /// session error is util::Fatal.
   fuzzer::DistillResult DistillCorpus(
       const fuzzer::SpecLibrary& lib,
       const std::vector<fuzzer::Prog>& corpus) const;
-
-  /// Status-returning DistillCorpus; the aborting overload shims this.
-  util::Status DistillCorpus(const fuzzer::SpecLibrary& lib,
-                             const std::vector<fuzzer::Prog>& corpus,
-                             fuzzer::DistillResult* out) const;
 
  private:
   ksrc::DefinitionIndex index_;

@@ -32,7 +32,7 @@ Distiller::Distill(const std::vector<Prog>& merged) const
   seen.reserve(merged.size());
   for (const Prog& prog : merged) {
     if (prog.empty()) continue;
-    if (options_.dedupe_exact && !seen.insert(HashProg(prog)).second) {
+    if (!seen.insert(HashProg(prog)).second) {
       ++result.stats.exact_duplicates;
       continue;
     }
@@ -82,10 +82,6 @@ Distiller::Distill(const std::vector<Prog>& merged) const
     first_crash.emplace(execs[i].crash_title, &candidates[i]);
   }
   for (const auto& [title, prog] : first_crash) {
-    if (!options_.minimize_crashes) {
-      result.crash_reproducers[title] = *prog;
-      continue;
-    }
     MinimizeResult minimized = MinimizeCrash(&executor, *prog, title);
     result.stats.minimize_executions += minimized.executions;
     result.crash_reproducers[title] =

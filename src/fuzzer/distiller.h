@@ -23,12 +23,10 @@
 
 namespace kernelgpt::fuzzer {
 
-/// Distillation parameters.
+/// Distillation parameters. Structurally identical programs (by
+/// HashProg) are always dropped before replay, and one reproducer per
+/// crash title is always shrunk via MinimizeCrash.
 struct DistillOptions {
-  /// Drop structurally identical programs (by HashProg) before replay.
-  bool dedupe_exact = true;
-  /// Shrink one reproducer per crash title via MinimizeCrash.
-  bool minimize_crashes = true;
   /// Builds the private replay kernel (null: a strict Kernel).
   vkernel::ModelFactory model_factory;
 };

@@ -158,14 +158,6 @@ Session::Register(const std::string& name,
   if (name.empty()) {
     return util::Status::Error("session: suite name must not be empty");
   }
-  if (name.find('\n') != std::string::npos ||
-      name.find('\r') != std::string::npos) {
-    // Names are embedded verbatim in the line-oriented manifest and
-    // journal header; a newline would make Save() emit a file Resume()
-    // can never parse.
-    return util::Status::Error(
-        "session: suite name must not contain line breaks");
-  }
   if (rounds_completed_ > 0) {
     return util::Status::Error(util::Format(
         "session: cannot register suite '%s' after round %d has run "

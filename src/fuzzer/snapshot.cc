@@ -1,8 +1,7 @@
 #include "fuzzer/snapshot.h"
 
-#include <cerrno>
+#include <charconv>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
@@ -13,130 +12,6 @@
 
 namespace kernelgpt::fuzzer {
 namespace {
-
-// -- Line-oriented parsing helpers -------------------------------------------
-// For the two text files: the session manifest and the journal header.
-// Every helper returns false on malformed input and leaves a message in
-// `err`; the public entry points convert that into a Status. No helper
-// may crash on arbitrary bytes — snapshots are user-supplied files.
-
-struct LineCursor {
-  std::string_view text;
-  size_t pos = 0;
-  size_t line_no = 0;  // 1-based number of the line Next() last returned.
-  std::string err;
-
-  explicit LineCursor(std::string_view t) : text(t) {}
-
-  /// Returns the next line (without the trailing newline); false at EOF.
-  bool Next(std::string_view* line) {
-    if (pos >= text.size()) {
-      err = util::Format("unexpected end of snapshot after line %zu", line_no);
-      return false;
-    }
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    *line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    return true;
-  }
-
-  std::string Where() const { return util::Format("line %zu", line_no); }
-};
-
-int
-HexNibble(char c)
-{
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-bool
-ParseU64(std::string_view tok, int base, uint64_t* out)
-{
-  // strtoull silently wraps negative input and skips leading whitespace;
-  // both would let a corrupt field parse "successfully", so an unsigned
-  // field must start with a digit.
-  if (tok.empty() || HexNibble(tok[0]) < 0) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  uint64_t v = std::strtoull(buf.c_str(), &end, base);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Reads one line of the form "<keyword> <rest>" (or bare "<keyword>")
-/// and returns the rest. Fails when the keyword differs.
-bool
-ExpectKeyword(LineCursor* cur, std::string_view keyword,
-              std::string_view* rest)
-{
-  std::string_view line;
-  if (!cur->Next(&line)) return false;
-  if (line == keyword) {
-    *rest = {};
-    return true;
-  }
-  if (util::StartsWith(line, keyword) && line.size() > keyword.size() &&
-      line[keyword.size()] == ' ') {
-    *rest = line.substr(keyword.size() + 1);
-    return true;
-  }
-  cur->err = util::Format("%s: expected '%.*s', got '%.*s'",
-                          cur->Where().c_str(),
-                          static_cast<int>(keyword.size()), keyword.data(),
-                          static_cast<int>(line.size()), line.data());
-  return false;
-}
-
-/// "<keyword> <decimal count>" lines ("coverage 412", "progs 9", ...).
-bool
-ExpectCount(LineCursor* cur, std::string_view keyword, uint64_t* count)
-{
-  std::string_view rest;
-  if (!ExpectKeyword(cur, keyword, &rest)) return false;
-  if (!ParseU64(rest, 10, count)) {
-    cur->err = util::Format("%s: bad %.*s count '%.*s'", cur->Where().c_str(),
-                            static_cast<int>(keyword.size()), keyword.data(),
-                            static_cast<int>(rest.size()), rest.data());
-    return false;
-  }
-  return true;
-}
-
-/// Checks a "kernelgpt-<kind> v<N>" header; any other version is a
-/// rejection, any other shape is corruption.
-bool
-ExpectVersionHeader(LineCursor* cur, std::string_view kind)
-{
-  std::string_view line;
-  if (!cur->Next(&line)) return false;
-  const std::string want =
-      util::Format("kernelgpt-%.*s v%d", static_cast<int>(kind.size()),
-                   kind.data(), kSnapshotVersion);
-  if (line == want) return true;
-  const std::string prefix =
-      util::Format("kernelgpt-%.*s v", static_cast<int>(kind.size()),
-                   kind.data());
-  uint64_t version = 0;
-  if (util::StartsWith(line, prefix) &&
-      ParseU64(line.substr(prefix.size()), 10, &version)) {
-    cur->err = util::Format(
-        "snapshot version mismatch: file is v%llu, this build reads v%d",
-        static_cast<unsigned long long>(version), kSnapshotVersion);
-  } else {
-    cur->err = util::Format("%s: not a %.*s snapshot (got '%.*s')",
-                            cur->Where().c_str(), static_cast<int>(kind.size()),
-                            kind.data(), static_cast<int>(line.size()),
-                            line.data());
-  }
-  return false;
-}
 
 /// A call's syzlang full name; "#<index>" for an index past the library,
 /// which no library resolves, so parsing such a program fails by name.
@@ -311,8 +186,9 @@ struct ByteReader {
   }
 };
 
-/// Frames one suite-file section: varint length, payload, CRC32 of the
-/// payload.
+/// Frames one section: varint length, payload, CRC32 of the payload.
+/// Suite-file sections, the manifest, the journal header and every
+/// journal record all use this one frame.
 void
 PutSection(std::string_view payload, std::string* out)
 {
@@ -325,7 +201,8 @@ PutSection(std::string_view payload, std::string* out)
 }
 
 /// Unframes the next section of `data` starting at `*pos`. On success
-/// advances `*pos` past the trailer and yields the payload view.
+/// advances `*pos` past the trailer and yields the payload view; on
+/// failure leaves `*pos` alone and says why in `*err`.
 bool
 NextSection(std::string_view data, size_t* pos, std::string_view* payload,
             std::string* err)
@@ -333,12 +210,16 @@ NextSection(std::string_view data, size_t* pos, std::string_view* payload,
   ByteReader head(data.substr(*pos));
   uint64_t len = 0;
   if (!head.U64(&len)) {
-    *err = "truncated section header";
+    *err = "truncated frame header";
     return false;
   }
   const size_t at = data.size() - head.Remaining();
+  // Compared against the bytes left, never as `at + len`: a crafted
+  // length near 2^64 would wrap that sum back into the file.
   if (len > head.Remaining() || head.Remaining() - len < 4) {
-    *err = "truncated section payload";
+    *err = util::Format("torn payload (%llu bytes framed, %zu on disk)",
+                        static_cast<unsigned long long>(len),
+                        head.Remaining());
     return false;
   }
   *payload = data.substr(at, len);
@@ -349,10 +230,51 @@ NextSection(std::string_view data, size_t* pos, std::string_view* payload,
            << (8 * i);
   }
   if (util::Crc32(*payload) != crc) {
-    *err = "section checksum mismatch";
+    *err = "checksum mismatch";
     return false;
   }
   *pos = at + len + 4;
+  return true;
+}
+
+/// The header every KGPB file opens with: the magic, then the version.
+std::string
+FileHeader()
+{
+  std::string out(kBinaryMagic);
+  PutVarint(static_cast<uint64_t>(kSnapshotVersion), &out);
+  return out;
+}
+
+std::string
+VersionMismatch(uint64_t version)
+{
+  return util::Format("version mismatch: file is v%llu, this build reads v%d",
+                      static_cast<unsigned long long>(version),
+                      kSnapshotVersion);
+}
+
+/// The one header check every reader shares: the magic, then the
+/// version (another one is refused naming both). Leaves `*pos` past the
+/// header.
+bool
+ReadFileHeader(std::string_view data, size_t* pos, std::string* err)
+{
+  if (data.substr(0, kBinaryMagic.size()) != kBinaryMagic) {
+    *err = "bad magic";
+    return false;
+  }
+  ByteReader r(data.substr(kBinaryMagic.size()));
+  uint64_t version = 0;
+  if (!r.U64(&version)) {
+    *err = "truncated version";
+    return false;
+  }
+  if (version != static_cast<uint64_t>(kSnapshotVersion)) {
+    *err = VersionMismatch(version);
+    return false;
+  }
+  *pos = data.size() - r.Remaining();
   return true;
 }
 
@@ -676,8 +598,7 @@ SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
   PutVarint(suite.rounds.size(), &rounds);
   for (const RoundReport& r : suite.rounds) PutRound(r, &rounds);
 
-  std::string out(kBinaryMagic);
-  PutVarint(static_cast<uint64_t>(kSnapshotVersion), &out);
+  std::string out = FileHeader();
   PutSection(meta, &out);
   PutSection(coverage, &out);
   PutSection(crashes, &out);
@@ -697,22 +618,8 @@ ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
                                (err.empty() ? "" : ": " + err));
   };
 
-  if (data.substr(0, kBinaryMagic.size()) != kBinaryMagic) {
-    return fail("bad magic");
-  }
-  size_t pos = kBinaryMagic.size();
-  {
-    ByteReader r(data.substr(pos));
-    uint64_t version = 0;
-    if (!r.U64(&version)) return fail("truncated version");
-    if (version != static_cast<uint64_t>(kSnapshotVersion)) {
-      return util::Status::Error(util::Format(
-          "snapshot version mismatch: file is v%llu, this build reads v%d",
-          static_cast<unsigned long long>(version), kSnapshotVersion));
-    }
-    pos = data.size() - r.Remaining();
-  }
-
+  size_t pos = 0;
+  if (!ReadFileHeader(data, &pos, &err)) return fail("header");
   std::string_view meta, coverage, crashes, corpus, repros, rounds;
   if (!NextSection(data, &pos, &meta, &err)) return fail("meta section");
   if (!NextSection(data, &pos, &coverage, &err)) {
@@ -825,97 +732,80 @@ DumpSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
 std::string
 SerializeManifest(const SessionManifest& manifest)
 {
-  std::string out = util::Format("kernelgpt-session v%d\n", kSnapshotVersion);
-  out += util::Format("seed %llx\n",
-                      static_cast<unsigned long long>(manifest.seed));
-  out += util::Format("schedule %s\n", manifest.schedule.c_str());
-  out += util::Format("seed_stride %llu\n",
-                      static_cast<unsigned long long>(manifest.seed_stride));
-  out += util::Format("carry_corpus %d\n", manifest.carry_corpus ? 1 : 0);
-  out += util::Format("distill %d\n", manifest.distill ? 1 : 0);
-  out += util::Format("rounds_completed %d\n", manifest.rounds_completed);
-  out += util::Format("stale_rounds %d\n", manifest.stale_rounds);
-  out += util::Format("suites %zu\n", manifest.suites.size());
-  for (size_t i = 0; i < manifest.suites.size(); ++i) {
-    out += util::Format("suite %zu %016llx %s\n", i,
-                        static_cast<unsigned long long>(manifest.suites[i].first),
-                        manifest.suites[i].second.c_str());
+  std::string payload;
+  PutVarint(manifest.seed, &payload);
+  PutString(manifest.schedule, &payload);
+  PutVarint(manifest.seed_stride, &payload);
+  PutVarint(manifest.carry_corpus ? 1 : 0, &payload);
+  PutVarint(manifest.distill ? 1 : 0, &payload);
+  PutVarint(static_cast<uint64_t>(manifest.rounds_completed), &payload);
+  PutVarint(static_cast<uint64_t>(manifest.stale_rounds), &payload);
+  PutVarint(manifest.suites.size(), &payload);
+  for (const auto& [fingerprint, name] : manifest.suites) {
+    PutVarint(fingerprint, &payload);
+    PutString(name, &payload);
   }
-  out += "end\n";
+  std::string out = FileHeader();
+  PutSection(payload, &out);
   return out;
 }
 
 util::Status
-ParseManifest(std::string_view text, SessionManifest* out)
+ParseManifest(std::string_view data, SessionManifest* out)
 {
-  LineCursor cur{text};
   *out = SessionManifest{};
-  auto fail = [&cur](const std::string& context) {
+  std::string err;
+  auto fail = [&err](const std::string& context) {
     return util::Status::Error("session manifest: " + context +
-                               (cur.err.empty() ? "" : ": " + cur.err));
+                               (err.empty() ? "" : ": " + err));
   };
 
-  if (!ExpectVersionHeader(&cur, "session")) return fail("header");
-
-  std::string_view rest;
-  if (!ExpectKeyword(&cur, "seed", &rest) || !ParseU64(rest, 16, &out->seed)) {
-    return fail("seed");
-  }
-  if (!ExpectKeyword(&cur, "schedule", &rest) ||
-      (rest != "hash-chain" && rest != "arithmetic")) {
-    return fail("schedule");
-  }
-  out->schedule = std::string(rest);
-  if (!ExpectKeyword(&cur, "seed_stride", &rest) ||
-      !ParseU64(rest, 10, &out->seed_stride)) {
-    return fail("seed_stride");
-  }
-  uint64_t flag = 0;
-  if (!ExpectCount(&cur, "carry_corpus", &flag) || flag > 1) {
-    return fail("carry_corpus");
-  }
-  out->carry_corpus = flag == 1;
-  if (!ExpectCount(&cur, "distill", &flag) || flag > 1) {
-    return fail("distill");
-  }
-  out->distill = flag == 1;
-  uint64_t n = 0;
-  if (!ExpectCount(&cur, "rounds_completed", &n)) {
-    return fail("rounds_completed");
-  }
-  out->rounds_completed = static_cast<int>(n);
-  if (!ExpectCount(&cur, "stale_rounds", &n)) return fail("stale_rounds");
-  out->stale_rounds = static_cast<int>(n);
-
-  if (!ExpectCount(&cur, "suites", &n)) return fail("suites");
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!ExpectKeyword(&cur, "suite", &rest)) return fail("suite entry");
-    // "suite <index> <fingerprint> <name...>" — name may contain spaces.
-    const std::vector<std::string> head = util::SplitWhitespace(rest);
-    uint64_t index = 0, fingerprint = 0;
-    if (head.size() < 3 || !ParseU64(head[0], 10, &index) || index != i ||
-        !ParseU64(head[1], 16, &fingerprint)) {
-      cur.err = util::Format("%s: bad suite entry '%.*s'", cur.Where().c_str(),
-                             static_cast<int>(rest.size()), rest.data());
-      return fail("suite entry");
+  // Before v4 the manifest was text; such a directory is refused by
+  // version like every other file.
+  constexpr std::string_view kTextHeader = "kernelgpt-session v";
+  if (util::StartsWith(data, kTextHeader)) {
+    const std::string_view digits = data.substr(kTextHeader.size());
+    uint64_t version = 0;
+    const auto parsed = std::from_chars(
+        digits.data(), digits.data() + digits.size(), version);
+    if (parsed.ec == std::errc()) {
+      err = VersionMismatch(version);
+      return fail("header");
     }
-    // The name starts after the second token, located positionally: a
-    // substring search for the fingerprint text would mis-anchor when it
-    // also occurs inside the index token (e.g. index "12", unpadded
-    // fingerprint "2") and corrupt the suite name.
-    const size_t index_end = rest.find(' ');
-    const size_t fp_begin = rest.find_first_not_of(' ', index_end);
-    const size_t fp_end = rest.find(' ', fp_begin);
-    const size_t name_at =
-        fp_end == std::string_view::npos
-            ? std::string_view::npos
-            : rest.find_first_not_of(' ', fp_end);
-    if (name_at == std::string_view::npos) return fail("suite entry");
-    out->suites.emplace_back(fingerprint, std::string(rest.substr(name_at)));
   }
 
-  std::string_view end;
-  if (!ExpectKeyword(&cur, "end", &end)) return fail("trailer");
+  size_t pos = 0;
+  std::string_view payload;
+  if (!ReadFileHeader(data, &pos, &err)) return fail("header");
+  if (!NextSection(data, &pos, &payload, &err)) return fail("section");
+  if (pos != data.size()) return fail("trailing bytes after the section");
+
+  ByteReader r(payload);
+  uint64_t carry = 0, distill = 0, rounds = 0, stale = 0;
+  if (!r.U64(&out->seed) || !r.Str(&out->schedule) ||
+      !r.U64(&out->seed_stride) || !r.U64(&carry) || !r.U64(&distill) ||
+      !r.U64(&rounds) || !r.U64(&stale)) {
+    return fail("truncated fields");
+  }
+  if (out->schedule != "hash-chain" && out->schedule != "arithmetic") {
+    return fail("unknown schedule '" + out->schedule + "'");
+  }
+  if (carry > 1 || distill > 1) return fail("corpus flags out of range");
+  if (rounds > INT_MAX || stale > INT_MAX) {
+    return fail("round counters above INT_MAX");
+  }
+  out->carry_corpus = carry == 1;
+  out->distill = distill == 1;
+  out->rounds_completed = static_cast<int>(rounds);
+  out->stale_rounds = static_cast<int>(stale);
+
+  size_t n = 0;
+  if (!r.Size(&n)) return fail("suite count");
+  out->suites.resize(n);
+  for (auto& [fingerprint, name] : out->suites) {
+    if (!r.U64(&fingerprint) || !r.Str(&name)) return fail("suite entry");
+  }
+  if (!r.AtEnd()) return fail("trailing bytes after the suites");
   return util::Status::Ok();
 }
 
@@ -997,87 +887,55 @@ ParseDelta(std::string_view data, const SpecLibrary& lib, SuiteDelta* out)
 std::string
 SerializeJournalHeader(const JournalHeader& header)
 {
-  std::string out = util::Format("kernelgpt-journal v%d\n", kSnapshotVersion);
-  out += util::Format("suite %016llx %s\n",
-                      static_cast<unsigned long long>(header.fingerprint),
-                      header.suite_name.c_str());
-  out += util::Format("base_rounds %d\n", header.base_rounds);
+  std::string payload;
+  PutVarint(header.fingerprint, &payload);
+  PutString(header.suite_name, &payload);
+  PutVarint(static_cast<uint64_t>(header.base_rounds), &payload);
+  std::string out = FileHeader();
+  PutSection(payload, &out);
   return out;
 }
 
 std::string
 FrameJournalRecord(std::string_view payload)
 {
-  std::string out = util::Format("rec %zu %08x\n", payload.size(),
-                                 util::Crc32(payload));
-  out.append(payload.data(), payload.size());
+  std::string out;
+  PutSection(payload, &out);
   return out;
 }
 
 util::Status
-ScanJournal(std::string_view text, JournalScan* out)
+ScanJournal(std::string_view data, JournalScan* out)
 {
-  LineCursor cur{text};
   *out = JournalScan{};
-  auto fail = [&cur](const std::string& context) {
+  std::string err;
+  auto fail = [&err](const std::string& context) {
     return util::Status::Error("suite journal: " + context +
-                               (cur.err.empty() ? "" : ": " + cur.err));
+                               (err.empty() ? "" : ": " + err));
   };
 
-  if (!ExpectVersionHeader(&cur, "journal")) return fail("header");
-  std::string_view rest;
-  if (!ExpectKeyword(&cur, "suite", &rest)) return fail("suite binding");
-  const size_t space = rest.find(' ');
-  if (space == std::string_view::npos || space + 1 >= rest.size() ||
-      !ParseU64(rest.substr(0, space), 16, &out->header.fingerprint)) {
-    cur.err = util::Format("%s: bad suite binding '%.*s'",
-                           cur.Where().c_str(),
-                           static_cast<int>(rest.size()), rest.data());
-    return fail("suite binding");
-  }
-  out->header.suite_name = std::string(rest.substr(space + 1));
+  size_t pos = 0;
+  std::string_view binding;
+  if (!ReadFileHeader(data, &pos, &err)) return fail("header");
+  if (!NextSection(data, &pos, &binding, &err)) return fail("suite binding");
+  ByteReader r(binding);
   uint64_t base = 0;
-  if (!ExpectCount(&cur, "base_rounds", &base)) return fail("base_rounds");
+  if (!r.U64(&out->header.fingerprint) || !r.Str(&out->header.suite_name) ||
+      !r.U64(&base) || base > INT_MAX || !r.AtEnd()) {
+    return fail("suite binding fields");
+  }
   out->header.base_rounds = static_cast<int>(base);
-  out->header_end = cur.pos;
+  out->header_end = pos;
 
   // Records: everything from here on is a torn-tail candidate, never a
   // Status error — the caller knows which records the manifest committed.
-  size_t pos = cur.pos;
-  while (pos < text.size()) {
-    const size_t record_no = out->records.size() + 1;
-    const size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      out->tail_error = util::Format("record %zu: torn header", record_no);
-      return util::Status::Ok();
+  while (pos < data.size()) {
+    std::string_view payload;
+    if (!NextSection(data, &pos, &payload, &err)) {
+      out->tail_error = util::Format("record %zu: %s",
+                                     out->records.size() + 1, err.c_str());
+      break;
     }
-    const std::string_view head = text.substr(pos, nl - pos);
-    uint64_t len = 0, crc = 0;
-    const std::vector<std::string> tok = util::SplitWhitespace(head);
-    if (tok.size() != 3 || tok[0] != "rec" || !ParseU64(tok[1], 10, &len) ||
-        !ParseU64(tok[2], 16, &crc)) {
-      out->tail_error =
-          util::Format("record %zu: bad record header '%.*s'", record_no,
-                       static_cast<int>(head.size()), head.data());
-      return util::Status::Ok();
-    }
-    const size_t payload_at = nl + 1;
-    // Compared against the bytes left, not as payload_at + len: a crafted
-    // length near 2^64 would wrap that sum back into the file.
-    if (len > text.size() - payload_at) {
-      out->tail_error = util::Format(
-          "record %zu: torn payload (%llu bytes framed, %zu on disk)",
-          record_no, static_cast<unsigned long long>(len),
-          text.size() - payload_at);
-      return util::Status::Ok();
-    }
-    const std::string_view payload = text.substr(payload_at, len);
-    if (util::Crc32(payload) != static_cast<uint32_t>(crc)) {
-      out->tail_error =
-          util::Format("record %zu: checksum mismatch", record_no);
-      return util::Status::Ok();
-    }
-    pos = payload_at + len;
     out->records.emplace_back(std::string(payload), pos);
   }
   return util::Status::Ok();

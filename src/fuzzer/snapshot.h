@@ -31,8 +31,9 @@
 /// delta) instead of O(whole corpus). The session manifest is the commit
 /// point: records are durable before the manifest names their round, so a
 /// torn or uncommitted journal tail is recovered by truncating back to the
-/// last record the manifest committed. The manifest, the journal header
-/// and the record framing are short text lines.
+/// last record the manifest committed. Every file is KGPB: the manifest
+/// and the journal header are one checksummed section each, and every
+/// journal record is framed like a suite-file section.
 
 #ifndef KERNELGPT_FUZZER_SNAPSHOT_H_
 #define KERNELGPT_FUZZER_SNAPSHOT_H_
@@ -53,8 +54,9 @@ namespace kernelgpt::fuzzer {
 /// Bump when any on-disk encoding changes incompatibly. Parsers reject any
 /// other version with a Status error naming both versions. v2 added the
 /// round record's differential-divergence counter; v3 made journal records
-/// KGPB payloads and dropped the text codec.
-inline constexpr int kSnapshotVersion = 3;
+/// KGPB payloads and dropped the text codec; v4 made the manifest, the
+/// journal header and the record frames KGPB.
+inline constexpr int kSnapshotVersion = 4;
 
 /// One round's trend record — the durable round-over-round report a
 /// session emits. Everything except `epochs` round-trips through
@@ -114,11 +116,14 @@ struct SessionManifest {
 /// the precondition for a snapshot's programs to replay identically.
 uint64_t SuiteFingerprint(const SpecLibrary& lib);
 
-// -- Suite snapshots (KGPB) --------------------------------------------------
-// Layout:
+// -- KGPB files ---------------------------------------------------------------
+// Every file opens with the same header, checked by one reader:
 //
 //   magic "KGPB"            4 bytes
 //   version                 varint (kSnapshotVersion)
+//
+// A suite file then holds
+//
 //   sections                in fixed order: meta (name, fingerprint,
 //                           counters, interned call-name table), coverage
 //                           (delta-encoded sorted ids), crashes, corpus,
@@ -154,13 +159,17 @@ util::Status ParseSuite(std::string_view data, const SpecLibrary& lib,
 /// diagnostics. Nothing parses it back.
 std::string DumpSuite(const SuiteSnapshot& suite, const SpecLibrary& lib);
 
-/// Renders the session manifest ("kernelgpt-session v<kSnapshotVersion>"
-/// header, then one line per field).
+/// Renders the session manifest: the KGPB header, then one section
+/// holding every field in declaration order (strings length-prefixed, so
+/// a suite name may hold any bytes).
 std::string SerializeManifest(const SessionManifest& manifest);
 
-/// Parses a SerializeManifest rendering; any malformed line or version
-/// mismatch is an error Status.
-util::Status ParseManifest(std::string_view text, SessionManifest* out);
+/// Parses a SerializeManifest rendering. Truncation, checksum damage,
+/// trailing bytes, out-of-range fields and another version (including
+/// the text manifest written before v4) are all an error Status; so is a
+/// suite file (more than one section) or a journal (more sections, or a
+/// binding section too short for the manifest's fields).
+util::Status ParseManifest(std::string_view data, SessionManifest* out);
 
 // -- Incremental journal -----------------------------------------------------
 
@@ -214,12 +223,13 @@ struct JournalHeader {
   int base_rounds = 0;
 };
 
-/// Renders the journal header ("kernelgpt-journal v<kSnapshotVersion>" +
-/// suite binding).
+/// Renders the journal header: the KGPB header, then one section binding
+/// the file to its suite (fingerprint, name, base_rounds).
 std::string SerializeJournalHeader(const JournalHeader& header);
 
-/// Frames one record for appending: "rec <payload bytes> <crc32>\n"
-/// followed by the payload verbatim. The CRC is over the payload only.
+/// Frames one record for appending, exactly like a suite-file section:
+/// varint payload length, the payload verbatim, u32le CRC32 of the
+/// payload.
 std::string FrameJournalRecord(std::string_view payload);
 
 /// Result of scanning a journal file: the header, every complete
@@ -229,16 +239,17 @@ std::string FrameJournalRecord(std::string_view payload);
 /// committed (error) or not (recover by truncating to `records.back()`).
 struct JournalScan {
   JournalHeader header;
-  size_t header_end = 0;  ///< Offset just past the header lines.
+  size_t header_end = 0;  ///< Offset just past the header section.
   /// (payload, end offset) per valid record, in file order.
   std::vector<std::pair<std::string, size_t>> records;
   std::string tail_error;  ///< Empty on a clean EOF.
 };
 
 /// Parses a journal file. Only header problems (not a journal, version
-/// mismatch) are Status errors; record-level damage ends the scan and is
-/// reported via `out->tail_error`.
-util::Status ScanJournal(std::string_view text, JournalScan* out);
+/// mismatch, a damaged binding section) are Status errors; record-level
+/// damage (a truncated frame header, a torn payload, a checksum
+/// mismatch) ends the scan and is reported via `out->tail_error`.
+util::Status ScanJournal(std::string_view data, JournalScan* out);
 
 // -- File helpers ------------------------------------------------------------
 

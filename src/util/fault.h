@@ -63,8 +63,8 @@ enum class FaultKind {
   kCrash,   ///< Throw InjectedCrash — "the process died here". A
             ///< supervisor (fuzzer::Fleet) treats it as worker death and
             ///< restarts from the last durable snapshot.
-  kExit,    ///< Really _exit(42), for cross-process recovery tests (the
-            ///< in-process analog of KERNELGPT_CRASH_AFTER_TMP_WRITE).
+  kExit,    ///< Really _exit(42), for cross-process recovery tests
+            ///< (at "fileio.rename": die mid-save, tmp file durable).
 };
 
 /// The exception an armed kThrow/kStatus/kErrno rule raises at sites

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/fault.h"
@@ -139,19 +138,12 @@ AtomicWriteFile(const std::string& path, std::string_view content)
   }
   ::close(fd);
 
-  // Crash-injection hooks for the kill-mid-save tests: die with the tmp
-  // file durable but the rename not yet issued — the widest window in
-  // which a non-atomic writer would have destroyed the previous file.
-  // The env hook predates util::FaultInjector and is kept for the
-  // cross-process example; the fault point covers scripted plans (a
-  // kind=crash rule here simulates death-mid-save for a supervisor, a
-  // kind=exit rule really dies like the env hook).
+  // Crash-injection seam for the kill-mid-save tests: the tmp file is
+  // durable but the rename not yet issued — the widest window in which a
+  // non-atomic writer would have destroyed the previous file. A
+  // kind=crash rule here simulates death mid-save for a supervisor; a
+  // kind=exit rule really dies, for cross-process recovery.
   KERNELGPT_FILEIO_FAULT("fileio.rename", "cannot rename into", path);
-  if (const char* want = std::getenv("KERNELGPT_CRASH_AFTER_TMP_WRITE")) {
-    if (*want != '\0' && path.find(want) != std::string::npos) {
-      ::_exit(42);
-    }
-  }
 
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     Status status = ErrnoStatus("rename failed", tmp, errno);

@@ -29,10 +29,11 @@ uint32_t Crc32(std::string_view s);
 /// directory. A crash at any point leaves either the previous file intact
 /// or the new one complete — never a truncated or half-written file.
 ///
-/// Test hook: when the KERNELGPT_CRASH_AFTER_TMP_WRITE environment
-/// variable is set to a substring of `path`, the process _exit(42)s after
-/// the tmp file is durable but before the rename — the crash window the
-/// resumable_campaign example's kill-mid-save leg exercises.
+/// The "fileio.rename" fault point (util/fault.h) sits between the
+/// durable tmp file and the rename: a kind=exit rule there, e.g.
+/// `site=fileio.rename,kind=exit,match=session.manifest`, dies in the
+/// crash window the resumable_campaign example's kill-mid-save leg
+/// exercises.
 Status AtomicWriteFile(const std::string& path, std::string_view content);
 
 /// Appends `content` to `path` (creating it if missing) and fsyncs before

@@ -11,7 +11,8 @@
 //    exactly, and the arithmetic schedule reproduces independent
 //    repetition campaigns exactly (the ExperimentContext::Fuzz contract);
 //  - misconfiguration (empty/duplicate suites, unbounded schedules,
-//    late registration) surfaces as Status errors;
+//    late registration) surfaces as Status errors, while any suite name,
+//    line breaks included, saves and resumes bit-identically;
 //  - the coverage-plateau stop rule ends the schedule early.
 
 #include <gtest/gtest.h>
@@ -201,36 +202,54 @@ TEST_F(SessionTest, SuiteSnapshotIsAByteFixpointIncludingReproducersAndRounds)
 TEST_F(SessionTest, VersionMismatchIsRejectedWithBothVersionsNamed)
 {
   const std::string current = "v" + std::to_string(kSnapshotVersion);
-  const std::string previous = "v" + std::to_string(kSnapshotVersion - 1);
+  auto expect_mismatch = [&current](const util::Status& status,
+                                    const std::string& file_version,
+                                    const std::string& label) {
+    EXPECT_FALSE(status.ok()) << label;
+    EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
+        << label << ": " << status.message();
+    EXPECT_NE(status.message().find(file_version), std::string::npos)
+        << label << ": " << status.message();
+    EXPECT_NE(status.message().find(current), std::string::npos)
+        << label << ": " << status.message();
+  };
 
-  // The suite file's version varint sits just past the 4-byte magic; both
+  // Every file's version varint sits just past the 4-byte magic; both
   // versions encode in one byte.
   SpecLibrary lib = DmLibrary();
   SuiteSnapshot suite;
   std::string data = SerializeSuite(suite, lib);
   ASSERT_EQ(data[4], kSnapshotVersion);
   data[4] = 99;
-  util::Status status = ParseSuite(data, lib, &suite);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("v99"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find(current), std::string::npos)
-      << status.message();
+  expect_mismatch(ParseSuite(data, lib, &suite), "v99", "suite");
 
-  // A directory of the previous version is refused at its manifest.
   SessionManifest manifest;
-  std::string text = SerializeManifest(manifest);
-  text.replace(text.find(current), current.size(), previous);
-  status = ParseManifest(text, &manifest);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find(previous), std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find(current), std::string::npos)
-      << status.message();
+  data = SerializeManifest(manifest);
+  ASSERT_EQ(data[4], kSnapshotVersion);
+  data[4] = 99;
+  expect_mismatch(ParseManifest(data, &manifest), "v99", "manifest");
+
+  JournalScan scan;
+  data = SerializeJournalHeader(JournalHeader{});
+  ASSERT_EQ(data[4], kSnapshotVersion);
+  data[4] = 99;
+  expect_mismatch(ScanJournal(data, &scan), "v99", "journal");
+
+  // A v3 directory is refused at its manifest, which was still text.
+  ASSERT_EQ(kSnapshotVersion, 4);
+  const std::string v3 =
+      "kernelgpt-session v3\n"
+      "seed 7\n"
+      "schedule hash-chain\n"
+      "seed_stride 7919\n"
+      "carry_corpus 1\n"
+      "distill 1\n"
+      "rounds_completed 2\n"
+      "stale_rounds 0\n"
+      "suites 1\n"
+      "suite 0 1234567890abcdef dm\n"
+      "end\n";
+  expect_mismatch(ParseManifest(v3, &manifest), "v3", "text manifest");
 }
 
 TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
@@ -288,13 +307,21 @@ TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
 
   SessionManifest manifest;
   EXPECT_FALSE(ParseManifest("", &manifest).ok());  // Empty input.
-  // A negative unsigned field must not wrap through strtoull into a huge
-  // value.
-  std::string negative = SerializeManifest(SessionManifest{});
-  const size_t at = negative.find("rounds_completed 0");
-  ASSERT_NE(at, std::string::npos);
-  negative.replace(at, 18, "rounds_completed -1");
-  EXPECT_FALSE(ParseManifest(negative, &manifest).ok());
+  // A CRC-valid round counter above INT_MAX (what a negative int
+  // encodes) is damage, not a count to wrap.
+  manifest.schedule = "hash-chain";
+  manifest.rounds_completed = -1;
+  EXPECT_FALSE(ParseManifest(SerializeManifest(manifest), &manifest).ok());
+  // A file of another kind is never misread as a manifest: a suite file
+  // has more sections; a journal has more sections, or a binding section
+  // (even one naming a schedule) too short for the manifest's fields.
+  EXPECT_FALSE(ParseManifest(good, &manifest).ok());
+  JournalHeader header;
+  header.suite_name = "hash-chain";
+  const std::string journal = SerializeJournalHeader(header);
+  EXPECT_FALSE(ParseManifest(journal, &manifest).ok());
+  EXPECT_FALSE(
+      ParseManifest(journal + FrameJournalRecord("x"), &manifest).ok());
 }
 
 TEST_F(SessionTest, FailedResumeLeavesTheSessionUntouched)
@@ -532,8 +559,6 @@ TEST_F(SessionTest, MisconfigurationSurfacesAsStatusErrors)
                                     .WithOrchestrator(SmallRound()));
   EXPECT_FALSE(session.Run().ok());  // No suites registered.
   EXPECT_FALSE(session.RegisterSuite("", &lib).ok());
-  // A line break in a name would corrupt the line-oriented manifest.
-  EXPECT_FALSE(session.RegisterSuite("dm\nextra", &lib).ok());
   EXPECT_FALSE(session.RegisterSuite("empty", &empty).ok());
   EXPECT_FALSE(session.RegisterSuite("null", nullptr).ok());
   ASSERT_TRUE(session.RegisterSuite("dm", &lib).ok());
@@ -551,6 +576,37 @@ TEST_F(SessionTest, MisconfigurationSurfacesAsStatusErrors)
   Session unbounded = MakeSession(SessionOptions().WithRounds(0));
   ASSERT_TRUE(unbounded.RegisterSuite("dm", &lib).ok());
   EXPECT_FALSE(unbounded.Run().ok());
+}
+
+TEST_F(SessionTest, AnySuiteNameSavesAndResumesBitIdentically)
+{
+  // Snapshot files prefix every name with its length, so a line break in
+  // a suite name is just another byte.
+  SpecLibrary lib = DmLibrary();
+  const std::string name = "dm\nextra";
+  const std::string dir_a = ScratchDir("line_break_a");
+  const std::string dir_b = ScratchDir("line_break_b");
+  SessionOptions options;
+  options.WithSeed(19).WithRounds(2).WithOrchestrator(SmallRound());
+
+  Session first = MakeSession(options);
+  ASSERT_TRUE(first.RegisterSuite(name, &lib).ok());
+  ASSERT_TRUE(first.Run().ok());
+  ASSERT_TRUE(first.Save(dir_a).ok());
+
+  Session second = MakeSession(options);
+  ASSERT_TRUE(second.RegisterSuite(name, &lib).ok());
+  util::Status status = second.Resume(dir_a);
+  ASSERT_TRUE(status.ok()) << status.message();
+  ExpectSameState(*second.Find(name), *first.Find(name), "resumed");
+  ASSERT_TRUE(second.Save(dir_b).ok());
+  for (const char* file :
+       {"session.manifest", "suite_0.snap", "suite_0.journal"}) {
+    std::string a, b;
+    ASSERT_TRUE(ReadFileToString(dir_a + "/" + file, &a).ok());
+    ASSERT_TRUE(ReadFileToString(dir_b + "/" + file, &b).ok());
+    EXPECT_EQ(a, b) << file << " changed across Save -> Resume -> Save";
+  }
 }
 
 TEST_F(SessionTest, CoveragePlateauStopsTheSchedule)

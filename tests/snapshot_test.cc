@@ -4,9 +4,11 @@
 //  - journal record framing + KGPB delta records are byte fixpoints, a
 //    framed length near 2^64 ends the scan instead of wrapping, and every
 //    damaged record payload is a util::Status, never a crash;
-//  - ParseManifest locates suite names positionally (regression: an
-//    unpadded fingerprint whose text also occurs inside the index token
-//    used to mis-anchor a substring search and corrupt the name);
+//  - the KGPB manifest is a byte fixpoint whatever bytes a suite name
+//    holds, and every truncation and single-bit flip of it is a Status
+//    that leaves a refused Resume's directory byte-identical (regression:
+//    the text manifest carried no checksum, so a flip of its round or
+//    plateau counter resumed a different session);
 //  - an incremental Save appends to the journal without rewriting the
 //    base snapshot, and the journal replay is bit-identical to an
 //    uninterrupted run;
@@ -22,6 +24,8 @@
 
 #include <climits>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +147,27 @@ Varint(uint64_t v)
   return out;
 }
 
+/// The bytes of every file in `dir`, by name.
+std::map<std::string, std::string>
+DirBytes(const std::string& dir)
+{
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(entry.path().string(), &bytes).ok());
+    files[entry.path().filename().string()] = std::move(bytes);
+  }
+  return files;
+}
+
+/// Replaces `path` without the fsyncs of WriteStringToFile, for batteries
+/// that install hundreds of damaged files.
+void
+OverwriteFile(const std::string& path, const std::string& bytes)
+{
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 // -- Primitives --------------------------------------------------------------
 
 TEST_F(SnapshotTest, Crc32MatchesTheStandardCheckValue)
@@ -176,8 +201,10 @@ TEST_F(SnapshotTest, JournalFramingRoundTripsAndFlagsEveryTornTail)
   header.suite_name = "dm suite";
   header.base_rounds = 3;
   std::string text = SerializeJournalHeader(header);
+  // The second payload is long enough for a two-byte length varint, so a
+  // cut can fall inside a frame header.
   const std::string r1 = "payload one\n";
-  const std::string r2 = "payload two, longer\n";
+  const std::string r2 = std::string(200, 'x') + "\n";
   text += FrameJournalRecord(r1);
   text += FrameJournalRecord(r2);
 
@@ -205,10 +232,17 @@ TEST_F(SnapshotTest, JournalFramingRoundTripsAndFlagsEveryTornTail)
                                                                           : 0;
     EXPECT_EQ(torn.records.size(), expect) << "cut " << cut;
     // A cut exactly on a record boundary looks like a crash between
-    // appends — clean EOF; anywhere else must be flagged as torn.
+    // appends — clean EOF; anywhere else must be flagged as torn, and
+    // say whether the frame header or the payload was cut.
     const bool boundary =
         cut == scan.header_end || cut == scan.records[0].second;
     EXPECT_EQ(torn.tail_error.empty(), boundary) << "cut " << cut;
+    if (boundary) continue;
+    const char* why = cut == scan.records[0].second + 1
+                          ? "truncated frame header"
+                          : "torn payload";
+    EXPECT_NE(torn.tail_error.find(why), std::string::npos)
+        << "cut " << cut << ": " << torn.tail_error;
   }
 
   // A flipped payload byte fails the checksum and ends the scan there.
@@ -217,12 +251,21 @@ TEST_F(SnapshotTest, JournalFramingRoundTripsAndFlagsEveryTornTail)
   JournalScan damaged;
   ASSERT_TRUE(ScanJournal(corrupt, &damaged).ok());
   EXPECT_EQ(damaged.records.size(), 1u);
-  EXPECT_NE(damaged.tail_error.find("checksum"), std::string::npos)
+  EXPECT_NE(damaged.tail_error.find("checksum mismatch"), std::string::npos)
       << damaged.tail_error;
 
-  // Header damage is a Status error — there is nothing to recover onto.
-  EXPECT_FALSE(ScanJournal("kernelgpt-journal v999\n", &damaged).ok());
+  // Header damage is a Status error — there is nothing to recover onto:
+  // text, a truncated header, a flipped binding byte, another file kind.
   EXPECT_FALSE(ScanJournal("not a journal\n", &damaged).ok());
+  for (size_t cut = 0; cut < scan.header_end; ++cut) {
+    EXPECT_FALSE(ScanJournal(text.substr(0, cut), &damaged).ok())
+        << "cut " << cut;
+  }
+  corrupt = text;
+  corrupt[scan.header_end - 5] ^= 0x01;
+  EXPECT_FALSE(ScanJournal(corrupt, &damaged).ok());
+  EXPECT_FALSE(ScanJournal(SerializeManifest(SessionManifest{}), &damaged)
+                   .ok());
 }
 
 TEST_F(SnapshotTest, AWrappingRecordLengthEndsTheScan)
@@ -230,12 +273,14 @@ TEST_F(SnapshotTest, AWrappingRecordLengthEndsTheScan)
   // Regression: a framed length near 2^64 wrapped `payload_at + len` back
   // onto the record's own start (34 bytes earlier), passed the bounds
   // check, matched the empty payload's CRC of 0 and rescanned the same
-  // record forever.
+  // record forever. The frame is crafted here: a ten-byte varint length
+  // and the empty payload's CRC.
   JournalHeader header;
   header.fingerprint = 0xabcdef;
   header.suite_name = "dm";
   const std::string text = SerializeJournalHeader(header) +
-                           "rec 18446744073709551582 00000000\n";
+                           Varint(18446744073709551582ull) +
+                           std::string(4, '\0');
   JournalScan scan;
   ASSERT_TRUE(ScanJournal(text, &scan).ok());
   EXPECT_TRUE(scan.records.empty());
@@ -379,48 +424,114 @@ TEST_F(SnapshotTest, DamagedDeltaRecordsAreAStatusNeverACrash)
   EXPECT_TRUE(rejected(SerializeDelta(bad, *lib_))) << "negative increment";
 }
 
-// -- ParseManifest regression ------------------------------------------------
+// -- Manifest ----------------------------------------------------------------
 
-TEST_F(SnapshotTest, ManifestSuiteNamesParsePositionally)
+TEST_F(SnapshotTest, ManifestIsAByteFixpointForAnySuiteName)
 {
-  // Regression: with an unpadded fingerprint whose text also occurs
-  // inside the index token ("suite 12 2 name12"), the old substring
-  // anchor found the "2" inside "12" and corrupted the name to
-  // "2 name12". Names must be located positionally after the second
-  // token.
-  std::string text =
-      "kernelgpt-session v" + std::to_string(kSnapshotVersion) +
-      "\n"
-      "seed 2a\n"
-      "schedule hash-chain\n"
-      "seed_stride 7919\n"
-      "carry_corpus 1\n"
-      "distill 1\n"
-      "rounds_completed 0\n"
-      "stale_rounds 0\n"
-      "suites 13\n";
-  for (int i = 0; i < 13; ++i) {
-    text += "suite " + std::to_string(i) + " 2 name" + std::to_string(i) + "\n";
-  }
-  text += "end\n";
-
+  // Names are length-prefixed bytes: digits that look like an index or a
+  // fingerprint (the text manifest once anchored a name by searching for
+  // the fingerprint and found it inside the index "12"), spaces and line
+  // breaks all survive.
   SessionManifest manifest;
-  util::Status status = ParseManifest(text, &manifest);
+  manifest.seed = 0x2a;
+  manifest.schedule = "arithmetic";
+  manifest.seed_stride = 7919;
+  manifest.carry_corpus = false;
+  manifest.rounds_completed = 12;
+  manifest.stale_rounds = 2;
+  for (const char* name :
+       {"12", "2 name12", "Syzkaller + KernelGPT", "dm\nextra"}) {
+    manifest.suites.emplace_back(0x2, name);
+  }
+  const std::string once = SerializeManifest(manifest);
+  SessionManifest parsed;
+  util::Status status = ParseManifest(once, &parsed);
   ASSERT_TRUE(status.ok()) << status.message();
-  ASSERT_EQ(manifest.suites.size(), 13u);
-  EXPECT_EQ(manifest.suites[12].first, 0x2u);
-  EXPECT_EQ(manifest.suites[12].second, "name12");
-  EXPECT_EQ(manifest.suites[2].second, "name2");
+  EXPECT_EQ(parsed.seed, manifest.seed);
+  EXPECT_EQ(parsed.schedule, manifest.schedule);
+  EXPECT_EQ(parsed.seed_stride, manifest.seed_stride);
+  EXPECT_EQ(parsed.carry_corpus, manifest.carry_corpus);
+  EXPECT_EQ(parsed.distill, manifest.distill);
+  EXPECT_EQ(parsed.rounds_completed, manifest.rounds_completed);
+  EXPECT_EQ(parsed.stale_rounds, manifest.stale_rounds);
+  EXPECT_EQ(parsed.suites, manifest.suites);
+  EXPECT_EQ(SerializeManifest(parsed), once);
+}
 
-  // Names with spaces still survive the round trip.
-  SessionManifest padded;
-  padded.seed = 1;
-  padded.schedule = "hash-chain";
-  padded.suites.emplace_back(0x12, "Syzkaller + KernelGPT");
-  const std::string once = SerializeManifest(padded);
-  ASSERT_TRUE(ParseManifest(once, &manifest).ok());
-  EXPECT_EQ(manifest.suites[0].second, "Syzkaller + KernelGPT");
-  EXPECT_EQ(SerializeManifest(manifest), once);
+TEST_F(SnapshotTest, ADamagedManifestRefusesResumeAndTouchesNoFile)
+{
+  // The directory of a plateau-ruled session after three autosaved
+  // rounds. Its text manifest once resumed after a one-bit flip of the
+  // round counter (3 -> 2: Resume then truncated the committed round-3
+  // record) or of the plateau counter (2 -> 3: it resumed a plateaued
+  // session). Now every truncation and every single-bit flip of the
+  // manifest is refused with a Status, and the refused Resume leaves
+  // every file in the directory as it was.
+  const std::string dir = ScratchDir("damaged-manifest");
+  auto options = [&dir] {
+    return SmallSession().WithRounds(3).WithAutosave(dir, 1).WithPlateau(3);
+  };
+  {
+    Session session = MakeSession(options());
+    ASSERT_TRUE(session.RegisterSuite("dm", lib_).ok());
+    ASSERT_TRUE(session.Run().ok());
+  }
+  const std::string path = dir + "/session.manifest";
+  const std::string good = MustRead(path);
+  SessionManifest manifest;
+  ASSERT_TRUE(ParseManifest(good, &manifest).ok());
+  ASSERT_EQ(manifest.rounds_completed, 3);
+  ASSERT_EQ(manifest.stale_rounds, 2);
+  const std::map<std::string, std::string> before = DirBytes(dir);
+
+  // The probe's flips, on this format: the byte holding the counter
+  // changed by the one bit that turns 3 into 2, and 2 into 3.
+  auto probe_flip = [&good, &manifest](int SessionManifest::*field,
+                                       int value) {
+    SessionManifest flipped = manifest;
+    flipped.*field = value;
+    const std::string other = SerializeManifest(flipped);
+    size_t at = 0;
+    while (good[at] == other[at]) ++at;
+    EXPECT_EQ(good[at] ^ other[at], 1);
+    std::string damaged = good;
+    damaged[at] = other[at];
+    return damaged;
+  };
+  std::vector<std::pair<std::string, std::string>> damaged = {
+      {"rounds_completed 3 -> 2",
+       probe_flip(&SessionManifest::rounds_completed, 2)},
+      {"stale_rounds 2 -> 3", probe_flip(&SessionManifest::stale_rounds, 3)},
+  };
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    damaged.emplace_back("cut at byte " + std::to_string(cut),
+                         good.substr(0, cut));
+  }
+  for (size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    damaged.emplace_back("flip of bit " + std::to_string(bit), flipped);
+  }
+  damaged.emplace_back("a trailing byte", good + '\0');
+
+  for (const auto& [label, bytes] : damaged) {
+    OverwriteFile(path, bytes);
+    util::Status status = util::Status::Ok();
+    Session resumed = ResumeFresh(dir, &status, options());
+    EXPECT_FALSE(status.ok()) << label;
+    EXPECT_EQ(resumed.rounds_completed(), 0) << label;
+    std::map<std::string, std::string> expected = before;
+    expected["session.manifest"] = bytes;
+    EXPECT_EQ(DirBytes(dir), expected) << label;
+  }
+
+  // The intact manifest still resumes the committed round.
+  OverwriteFile(path, good);
+  util::Status status = util::Status::Ok();
+  Session resumed = ResumeFresh(dir, &status, options());
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(resumed.rounds_completed(), 3);
+  EXPECT_EQ(DirBytes(dir), before);
 }
 
 // -- Incremental save --------------------------------------------------------
@@ -666,8 +777,9 @@ TEST_F(TornTailTest, CraftedCommittedRecordsAreAStatusError)
   const std::string header = journal.substr(0, scan.header_end);
 
   // The committed record replaced by one whose framed length wraps.
-  ExpectResumeRefused(header + "rec 18446744073709551582 00000000\n",
-                      "wrapping length");
+  ExpectResumeRefused(
+      header + Varint(18446744073709551582ull) + std::string(4, '\0'),
+      "wrapping length");
 
   // The committed record re-framed with a CRC-valid INT_MAX increment for
   // a title the base already counts: the sum would overflow the int.

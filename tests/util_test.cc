@@ -462,6 +462,41 @@ TEST(FaultTest, InjectedErrnoReadsLikeARealSyscallFailure)
   EXPECT_EQ(status.message().find("ENOSPC"), std::string::npos);
 }
 
+TEST(FaultTest, AnExitRuleAtTheRenameDiesWithTheTmpFileDurable)
+{
+  // The cross-process kill-mid-save: a kind=exit rule at "fileio.rename"
+  // really _exits 42 after the tmp file is durable and before the rename,
+  // so the old file survives and the tmp file holds the new bytes.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "kernelgpt_exit_rule";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "session.manifest").string();
+  ASSERT_TRUE(AtomicWriteFile(path, "old bytes").ok());
+
+  EXPECT_EXIT(
+      {
+        ScopedDisarm guard;
+        if (!FaultInjector::Instance()
+                 .ArmFromSpec(
+                     "site=fileio.rename,kind=exit,match=session.manifest")
+                 .ok()) {
+          std::_Exit(1);
+        }
+        (void)AtomicWriteFile(path, "new bytes");
+        std::_Exit(0);  // Reached only if the rule did not fire.
+      },
+      ::testing::ExitedWithCode(42), "");
+
+  std::string text;
+  ASSERT_TRUE(ReadFileToString(path, &text).ok());
+  EXPECT_EQ(text, "old bytes");
+  ASSERT_TRUE(ReadFileToString(path + ".tmp", &text).ok());
+  EXPECT_EQ(text, "new bytes");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RetryTest, DelayDoublesAndClamps)
 {
   RetryPolicy policy;
