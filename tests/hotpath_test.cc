@@ -5,7 +5,8 @@
 // buffer behaviour, and RunBatch parity with individual runs. The
 // per-program reset is checked against a freshly booted kernel in
 // boot_image_test; the one-worker campaign outcome is pinned in
-// orchestrator_test.
+// orchestrator_test. The generator's and mutator's output over a spec
+// with every type shape is pinned here too.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "experiments/context.h"
 #include "fuzzer/executor.h"
 #include "fuzzer/generator.h"
+#include "fuzzer/mutator.h"
 #include "syzlang/parser.h"
 #include "util/rng.h"
 #include "vkernel/coverage.h"
@@ -162,6 +164,150 @@ TEST_F(HotPathTest, ExecutionOutcomeIsPinned)
   }
   EXPECT_EQ(progs.size(), 2616u);
   EXPECT_EQ(h, 18153226469534837243ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Generation
+// ---------------------------------------------------------------------------
+
+// Every type shape the corpus suites lack, in one spec: unions with a
+// scalar, fixed-array, struct, void and variable-array arm; variable and
+// fixed arrays of structs; len/bytesize of an array, a string, a struct,
+// `parent`, a scalar and a missing field; duplicate field names; fields
+// truncated to their declared size; an undefined struct; flags with no
+// values and with unresolved values; ranges; literal and random strings;
+// filename; in, out and inout pointers; and a resource that shares its
+// name with a struct.
+constexpr char kEveryShapeSpec[] = R"(
+resource fd_pin[fd]
+resource pin_node[fd]
+define PIN_BIG 256
+pin_flags = 0x1, 0x4, PIN_BIG, PIN_UNRESOLVED
+
+pin_leaf {
+	a int8
+	b int16[2:9]
+	c const[PIN_BIG, int16]
+}
+
+pin_node {
+	x int32
+	y flags[pin_flags, int8]
+	z intptr
+}
+
+pin_union [
+	s int32
+	f array[int8, 6]
+	t pin_leaf
+	e array[int16]
+]
+
+pin_odd_union [
+	v void
+	w array[int8]
+	n pin_node
+]
+
+pin_var {
+	a int8
+	tail array[int16]
+}
+
+pin_void {
+	v void
+	b int16
+}
+
+pin_lens {
+	n_arr len[arr, int8]
+	n_str len[str, int16]
+	n_leaf len[leaf, int32]
+	n_self len[parent, int16]
+	n_scalar len[k, int8]
+	n_missing len[nosuch, int8]
+	b_arr bytesize[arr, int32]
+	b_str bytesize[str, int64]
+	b_self bytesize[parent, int8]
+	k int32
+	arr array[pin_leaf]
+	str string
+	leaf pin_leaf
+	lit string["lit"]
+	fname filename
+	nv flags[pin_no_flags, int16]
+	fl flags[pin_flags, int64]
+	r int64[100:200]
+	ip intptr
+	p ptr[in, int32]
+	u pin_union
+	rf fd_pin
+	nd pin_node
+	ghost pin_ghost
+}
+
+pin_dups {
+	n len[d, int8]
+	bs bytesize[d, int16]
+	nv len[v, int8]
+	nt len[t, int8]
+	d array[int8]
+	d string
+	d array[int32, 2]
+	v pin_var
+	t array[pin_var, 2]
+	w pin_void
+	fa array[pin_leaf, 2]
+	o pin_odd_union
+	d int8
+}
+
+openat$pin(dir const[0], path ptr[in, string["/dev/pin"]], flags flags[pin_flags]) fd_pin
+ioctl$pin_node(fd fd_pin, cmd const[1], arg ptr[in, pin_node]) pin_node
+ioctl$pin_lens(fd fd_pin, cmd const[2], arg ptr[inout, pin_lens])
+ioctl$pin_out(fd fd_pin, cmd const[3], arg ptr[out, pin_lens])
+ioctl$pin_out_var(fd fd_pin, cmd const[4], arg ptr[out, array[int8]])
+ioctl$pin_union(fd fd_pin, cmd const[5], arg ptr[in, pin_union], odd ptr[in, pin_odd_union])
+ioctl$pin_dups(fd fd_pin, cmd const[6], arg ptr[inout, pin_dups], node pin_node)
+write$pin(fd fd_pin, buf ptr[in, array[pin_leaf]], len len[buf, int64], bs bytesize[buf], l len[nothing])
+ioctl$pin_misc(fd fd, cmd const[PIN_BIG], name filename, s ptr[in, string], g ptr[in, pin_ghost], direct pin_leaf, ghost pin_ghost, a array[int8], str string, v void, r int32[0:3], nv flags[pin_no_flags], res fd_pin)
+close$pin(fd pin_node)
+)";
+
+// One AppendCall per syscall, 2000 generated programs and 2000 mutants
+// of them over kEveryShapeSpec hash to a constant recorded before
+// generation was compiled into plans, and so does the next draw, so a
+// skipped or extra draw anywhere in the stream shows.
+TEST_F(HotPathTest, GeneratorOutputIsPinnedForEveryTypeShape)
+{
+  syzlang::ParseResult parsed = syzlang::Parse(kEveryShapeSpec, "shapes");
+  ASSERT_TRUE(parsed.ok()) << (parsed.errors.empty() ? "" : parsed.errors[0]);
+  SpecLibrary lib;
+  lib.Add(parsed.spec);
+  lib.Finalize();
+  ASSERT_EQ(lib.syscalls().size(), 10u);
+
+  util::Rng rng(4242);
+  Generator generator(&lib, &rng);
+  Mutator mutator(&lib, &generator, &rng);
+  uint64_t h = 0;
+  for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+    Prog prog;
+    generator.AppendCall(&prog, i);
+    h = util::HashCombine(h, HashProg(prog));
+  }
+  std::vector<Prog> progs;
+  for (int i = 0; i < 2000; ++i) {
+    progs.push_back(generator.Generate(6));
+    h = util::HashCombine(h, HashProg(progs.back()));
+  }
+  for (int i = 0; i < 2000; ++i) {
+    Prog mutant = progs[static_cast<size_t>(i)];
+    mutator.Mutate(&mutant);
+    h = util::HashCombine(h, HashProg(mutant));
+  }
+  h = util::HashCombine(h, rng.Next());
+  EXPECT_EQ(h, 13752896055426586473ULL);
 }
 
 // A base name with no opcode (a spec that skipped validation) still runs:
