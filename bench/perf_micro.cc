@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "drivers/corpus.h"
 #include "drivers/model_render.h"
 #include "drivers/model_spec.h"
@@ -87,6 +89,31 @@ BM_FuzzThroughput(benchmark::State& state)
                           state.range(0));
 }
 BENCHMARK(BM_FuzzThroughput)->Arg(2000);
+
+/// Program generation over the full suite at the campaign's program
+/// length. Arg(0) keeps one warm Generator; Arg(1) constructs a fresh
+/// Generator every 256 programs, as pipebench's per-layer timing does.
+/// Items = generated programs.
+void
+BM_Generate(benchmark::State& state)
+{
+  const auto& context = experiments::ExperimentContext::Default();
+  fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
+  const bool fresh = state.range(0) != 0;
+  const int max_len = fuzzer::CampaignOptions().max_prog_len;
+  util::Rng rng(42);
+  auto generator = std::make_unique<fuzzer::Generator>(&lib, &rng);
+  int64_t programs = 0;
+  for (auto _ : state) {
+    if (fresh && programs % 256 == 0) {
+      generator = std::make_unique<fuzzer::Generator>(&lib, &rng);
+    }
+    benchmark::DoNotOptimize(generator->Generate(max_len));
+    ++programs;
+  }
+  state.SetItemsProcessed(programs);
+}
+BENCHMARK(BM_Generate)->Arg(0)->Arg(1);
 
 /// End-to-end dispatched-call cost: replays a fixed program set (no
 /// generation or mutation) through Executor::Run, so each item is one

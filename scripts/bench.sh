@@ -154,7 +154,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline' \
+  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline|BM_Generate' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -293,6 +293,12 @@ result = {
             if items_per_sec("BM_DiffRunnerOverhead/0")
             and items_per_sec("BM_DiffRunnerOverhead/1") else None
         ),
+    },
+    # Program generation over the full suite: one warm Generator, and a
+    # fresh Generator every 256 programs (pipebench's layer timing).
+    "generator": {
+        "ns_per_prog": ns_per_item("BM_Generate/0"),
+        "ns_per_prog_fresh_per_256": ns_per_item("BM_Generate/1"),
     },
     # Spec generation: one ExperimentContext built from scratch (corpus
     # index, handler extraction, then KernelGpt generation with

@@ -42,7 +42,9 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # long-lived kernel exactly as on a freshly booted one (boot_image_test),
 # and a program stream that dispatches every opcode, each call that takes
 # a descriptor also on a never-valid and on a closed fd, must hash to its
-# pinned outcome on strict and permissive kernels (hotpath_test).
+# pinned outcome on strict and permissive kernels, while the generator's
+# and mutator's output over a spec with every type shape must hash to its
+# pinned stream, down to the next RNG draw (hotpath_test).
 # Rerun through ctest so the gate stays in sync with the suites instead
 # of a hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \

@@ -1,287 +1,242 @@
 #include "fuzzer/generator.h"
 
-#include <algorithm>
-
 namespace kernelgpt::fuzzer {
 
 using syzlang::Dir;
 using syzlang::SyscallDef;
 using syzlang::Type;
-using syzlang::TypeKind;
-
-Generator::Generator(const SpecLibrary* lib, util::Rng* rng)
-    : lib_(lib), rng_(rng)
-{
-  // Pre-size the slot array so InfoFor() never reallocates mid-use (a
-  // held TypeInfo& must stay valid across recursive generation calls).
-  slots_.resize(lib_->TypeSlotCount());
-}
-
-Generator::TypeInfo&
-Generator::StructInfoFor(const Type& type)
-{
-  TypeInfo& info = InfoFor(type);
-  if (!info.struct_known) {
-    info.struct_def = lib_->FindStruct(type.ref_name);
-    info.is_resource_ref = lib_->HasResource(type.ref_name);
-    info.struct_known = true;
-  }
-  return info;
-}
-
-size_t
-Generator::CachedTypeSize(const Type& type)
-{
-  TypeInfo& info = InfoFor(type);
-  if (!info.size_known) {
-    info.type_size = lib_->TypeSize(type);
-    info.size_known = true;
-  }
-  return info.type_size;
-}
-
-uint64_t
-Generator::ScalarFor(const Type& type)
-{
-  int bits = type.bits == 0 ? 64 : type.bits;
-  uint64_t mask = bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
-  switch (type.kind) {
-    case TypeKind::kConst: {
-      TypeInfo& info = InfoFor(type);
-      if (!info.const_known) {
-        info.const_value = lib_->ResolveConst(type.const_name);
-        info.const_known = true;
-      }
-      return info.const_value;
-    }
-    case TypeKind::kFlags: {
-      TypeInfo& info = InfoFor(type);
-      if (!info.flags_known) {
-        if (const syzlang::FlagsDef* flags =
-                lib_->FindFlags(type.flags_name)) {
-          for (const auto& name : flags->values) {
-            info.flag_values.push_back(lib_->ResolveConst(name));
-          }
-        }
-        info.flags_known = true;
-      }
-      if (info.flag_values.empty()) return rng_->Next() & mask;
-      uint64_t value = 0;
-      for (uint64_t flag : info.flag_values) {
-        if (rng_->Chance(0.4)) value |= flag;
-      }
-      return value & mask;
-    }
-    case TypeKind::kInt: {
-      if (type.has_range) {
-        // Mostly in-range (the point of semantic specs), occasionally a
-        // boundary probe.
-        if (rng_->Chance(0.9)) {
-          return static_cast<uint64_t>(
-                     rng_->Range(type.range_lo, type.range_hi)) &
-                 mask;
-        }
-        return rng_->Chance(0.5)
-                   ? static_cast<uint64_t>(type.range_lo) & mask
-                   : static_cast<uint64_t>(type.range_hi) & mask;
-      }
-      // Special-value biased generation (syzkaller-style).
-      switch (rng_->Below(6)) {
-        case 0: return 0;
-        case 1: return 1;
-        case 2: return mask;
-        case 3: return rng_->Below(64);
-        case 4: return rng_->Next() & mask & 0xffff;
-        default: return rng_->Next() & mask;
-      }
-    }
-    default:
-      return rng_->Next() & mask;
-  }
-}
 
 namespace {
 
-void
-AppendScalarBytes(std::vector<uint8_t>* out, uint64_t value, size_t size)
+/// Stores the low min(width, 8) bytes of `value` little-endian at
+/// `(*out)[at]`; the caller has zeroed every byte past the eighth.
+inline void
+StoreLe(std::vector<uint8_t>* out, size_t at, uint64_t value, uint64_t width)
 {
-  size_t at = out->size();
-  out->resize(at + size);
-  for (size_t i = 0; i < size; ++i) {
+  const uint64_t n = width < 8 ? width : 8;
+  for (uint64_t i = 0; i < n; ++i) {
     (*out)[at + i] = static_cast<uint8_t>(value >> (8 * i));
   }
 }
 
 }  // namespace
 
+Generator::Generator(const SpecLibrary* lib, util::Rng* rng)
+    : lib_(lib), rng_(rng) {}
+
+template <typename Fn>
+auto
+Generator::WithPlan(const Type& type, Fn fn) const
+{
+  if (const TypePlan* plan = lib_->PlanOf(type)) {
+    return fn(lib_->plans(), *plan);
+  }
+  GenPlans scratch;
+  const uint32_t index = lib_->CompileType(type, &scratch);
+  return fn(scratch, scratch.types[index]);
+}
+
+uint64_t
+Generator::Draw(const GenPlans& plans, uint32_t scalar)
+{
+  const ScalarPlan& s = plans.scalars[scalar];
+  switch (s.op) {
+    case ScalarPlan::Op::kConst:
+      return s.value;
+    case ScalarPlan::Op::kFlags: {
+      uint64_t value = 0;
+      for (uint32_t i = s.begin; i < s.end; ++i) {
+        if (rng_->Chance(0.4)) value |= plans.flag_values[i];
+      }
+      return value & s.mask;
+    }
+    case ScalarPlan::Op::kRange:
+      // Mostly in-range (the point of semantic specs), occasionally a
+      // boundary probe.
+      if (rng_->Chance(0.9)) {
+        return static_cast<uint64_t>(rng_->Range(s.lo, s.hi)) & s.mask;
+      }
+      return rng_->Chance(0.5) ? static_cast<uint64_t>(s.lo) & s.mask
+                               : static_cast<uint64_t>(s.hi) & s.mask;
+    case ScalarPlan::Op::kSpecial:
+      // Special-value biased generation (syzkaller-style).
+      switch (rng_->Below(6)) {
+        case 0: return 0;
+        case 1: return 1;
+        case 2: return s.mask;
+        case 3: return rng_->Below(64);
+        case 4: return rng_->Next() & s.mask & 0xffff;
+        default: return rng_->Next() & s.mask;
+      }
+    case ScalarPlan::Op::kRaw:
+      break;
+  }
+  return rng_->Next() & s.mask;
+}
+
+uint64_t
+Generator::ScalarFor(const Type& type)
+{
+  return WithPlan(type, [this](const GenPlans& plans, const TypePlan& plan) {
+    return Draw(plans, plan.scalar);
+  });
+}
+
+void
+Generator::Emit(const GenPlans& plans, uint32_t index,
+                std::vector<uint8_t>* out)
+{
+  const PayloadNode& node = plans.nodes[index];
+  switch (node.op) {
+    case PayloadNode::Op::kScalar: {
+      const uint64_t value = Draw(plans, node.scalar);
+      const uint64_t n = node.width < 8 ? node.width : 8;
+      for (uint64_t i = 0; i < n; ++i) {
+        out->push_back(static_cast<uint8_t>(value >> (8 * i)));
+      }
+      if (node.width > n) out->resize(out->size() + (node.width - n));
+      return;
+    }
+    case PayloadNode::Op::kZeros:
+      out->resize(out->size() + node.width);
+      return;
+    case PayloadNode::Op::kLiteral:
+      out->insert(out->end(), plans.bytes.begin() + node.begin,
+                  plans.bytes.begin() + node.end);
+      return;
+    case PayloadNode::Op::kString: {
+      const uint64_t n = rng_->Below(16);
+      for (uint64_t i = 0; i < n; ++i) {
+        out->push_back(static_cast<uint8_t>('a' + rng_->Below(26)));
+      }
+      out->push_back(0);
+      return;
+    }
+    case PayloadNode::Op::kArray: {
+      const uint64_t count = node.count > 0 ? node.count : rng_->Below(17);
+      for (uint64_t i = 0; i < count; ++i) Emit(plans, node.child, out);
+      return;
+    }
+    case PayloadNode::Op::kUnion: {
+      // Pick one arm and pad or cut it to the union size.
+      const size_t start = out->size();
+      if (node.begin != node.end) {
+        const UnionArm& arm =
+            plans.arms[node.begin + rng_->Below(node.end - node.begin)];
+        Emit(plans, arm.node, out);
+        if (out->size() == start) {
+          const uint64_t value = Draw(plans, arm.scalar);
+          out->resize(start + arm.width);
+          StoreLe(out, start, value, arm.width);
+        }
+      }
+      out->resize(start + node.width);
+      return;
+    }
+    case PayloadNode::Op::kStruct:
+      EmitStruct(plans, node, out);
+      return;
+    case PayloadNode::Op::kTemplate: {
+      const size_t at = out->size();
+      out->insert(out->end(), plans.bytes.begin() + node.begin,
+                  plans.bytes.begin() + node.end);
+      for (uint32_t l = node.aux_begin; l < node.aux_end; ++l) {
+        const TemplateLeaf& leaf = plans.leaves[l];
+        for (uint64_t r = 0; r < leaf.repeat; ++r) {
+          const uint64_t value = Draw(plans, leaf.scalar);
+          StoreLe(out, at + leaf.offset + r * leaf.width, value, leaf.width);
+        }
+      }
+      return;
+    }
+  }
+}
+
+void
+Generator::EmitStruct(const GenPlans& plans, const PayloadNode& node,
+                      std::vector<uint8_t>* out)
+{
+  // Registers hold len slot offsets and len target payload sizes.
+  constexpr uint32_t kInlineRegs = 8;
+  uint64_t inline_regs[kInlineRegs] = {};
+  std::vector<uint64_t> heap_regs;
+  uint64_t* regs = inline_regs;
+  if (node.regs > kInlineRegs) {
+    heap_regs.resize(node.regs);
+    regs = heap_regs.data();
+  }
+  const size_t start = out->size();
+  for (uint32_t f = node.begin; f < node.end; ++f) {
+    const FieldStep& step = plans.fields[f];
+    const size_t at = out->size();
+    Emit(plans, step.node, out);
+    if (step.reg != FieldStep::kNoReg) {
+      regs[step.reg] = step.is_len_slot ? at : out->size() - at;
+    }
+    // Fixed-size fields keep their declared size.
+    if (step.declared > 0) out->resize(at + step.declared);
+  }
+  for (uint32_t x = node.aux_begin; x < node.aux_end; ++x) {
+    const LenFixup& fix = plans.fixups[x];
+    const uint64_t value = fix.src == LenFixup::kParent
+                               ? out->size() - start
+                               : regs[fix.src] / fix.divisor;
+    StoreLe(out, regs[fix.slot_reg], value, fix.width);
+  }
+}
+
 std::vector<uint8_t>
 Generator::BuildPayload(const Type& type)
 {
-  std::vector<uint8_t> out;
-  switch (type.kind) {
-    case TypeKind::kString: {
-      if (!type.str_literal.empty()) {
-        out.assign(type.str_literal.begin(), type.str_literal.end());
-        out.push_back(0);
-      } else {
-        size_t n = rng_->Below(16);
-        for (size_t i = 0; i < n; ++i) {
-          out.push_back(static_cast<uint8_t>('a' + rng_->Below(26)));
-        }
-        out.push_back(0);
+  return WithPlan(type, [this](const GenPlans& plans, const TypePlan& plan) {
+    std::vector<uint8_t> out;
+    Emit(plans, plan.payload, &out);
+    return out;
+  });
+}
+
+Arg
+Generator::Build(const GenPlans& plans, const TypePlan& plan)
+{
+  Arg arg;
+  switch (plan.arg) {
+    case TypePlan::Arg::kResourceRef:
+      arg.kind = Arg::Kind::kResourceRef;
+      return arg;
+    case TypePlan::Arg::kBuffer:
+      arg.kind = Arg::Kind::kBuffer;
+      arg.dir = plan.dir;
+      arg.bytes.reserve(plan.pointee_size);
+      Emit(plans, plan.pointee, &arg.bytes);
+      if (plan.dir == Dir::kOut) {
+        // Out buffers are kernel-filled; provide capacity only.
+        arg.bytes.assign(plan.pointee_size ? plan.pointee_size : 64, 0);
       }
-      return out;
+      return arg;
+    case TypePlan::Arg::kFilename: {
+      static constexpr char kPath[] = "/dev/null";
+      arg.kind = Arg::Kind::kBuffer;
+      arg.bytes.assign(kPath, kPath + sizeof(kPath));
+      return arg;
     }
-    case TypeKind::kArray: {
-      const Type& elem = type.elems.at(0);
-      uint64_t count =
-          type.array_len > 0 ? type.array_len : rng_->Below(17);
-      size_t elem_size = CachedTypeSize(elem);
-      out.reserve(count * (elem_size ? elem_size : 4));
-      for (uint64_t i = 0; i < count; ++i) {
-        if (elem.kind == TypeKind::kStructRef) {
-          auto nested = BuildPayload(elem);
-          out.insert(out.end(), nested.begin(), nested.end());
-        } else {
-          AppendScalarBytes(&out, ScalarFor(elem),
-                            elem_size ? elem_size : 4);
-        }
-      }
-      return out;
-    }
-    case TypeKind::kStructRef: {
-      const syzlang::StructDef* def = StructInfoFor(type).struct_def;
-      if (!def) {
-        out.assign(8, 0);
-        return out;
-      }
-      if (def->is_union) {
-        // Pick one arm and pad to the union size.
-        size_t total = CachedTypeSize(type);
-        if (!def->fields.empty()) {
-          const auto& arm =
-              def->fields[rng_->Below(def->fields.size())];
-          out = BuildPayload(arm.type);
-          if (out.empty()) {
-            AppendScalarBytes(&out, ScalarFor(arm.type),
-                              CachedTypeSize(arm.type));
-          }
-        }
-        out.resize(total, 0);
-        return out;
-      }
-      // First pass: generate non-len fields, remembering array element
-      // counts; second pass fills len fields with the observed counts.
-      struct Slot {
-        size_t offset;
-        size_t size;
-        std::string target;  ///< Non-empty: len of this sibling.
-        bool bytesize = false;
-      };
-      std::vector<Slot> len_slots;
-      std::unordered_map<std::string, uint64_t> elem_counts;
-      std::unordered_map<std::string, uint64_t> byte_sizes;
-      out.reserve(CachedTypeSize(type));
-      for (const auto& field : def->fields) {
-        const Type& ft = field.type;
-        if (ft.kind == TypeKind::kLen || ft.kind == TypeKind::kBytesize) {
-          Slot slot;
-          slot.offset = out.size();
-          slot.size = ft.bits == 0 ? 8 : static_cast<size_t>(ft.bits) / 8;
-          slot.target = ft.len_target;
-          slot.bytesize = ft.kind == TypeKind::kBytesize;
-          len_slots.push_back(slot);
-          AppendScalarBytes(&out, 0, slot.size);
-          continue;
-        }
-        if (ft.kind == TypeKind::kArray || ft.kind == TypeKind::kString ||
-            ft.kind == TypeKind::kStructRef) {
-          std::vector<uint8_t> payload = BuildPayload(ft);
-          size_t elem_size = ft.kind == TypeKind::kArray
-                                 ? std::max<size_t>(
-                                       CachedTypeSize(ft.elems.at(0)), 1)
-                                 : 1;
-          elem_counts[field.name] = payload.size() / elem_size;
-          byte_sizes[field.name] = payload.size();
-          // Fixed-size fields keep their declared size.
-          size_t declared = CachedTypeSize(ft);
-          if (declared > 0) payload.resize(declared, 0);
-          out.insert(out.end(), payload.begin(), payload.end());
-          continue;
-        }
-        size_t size = CachedTypeSize(ft);
-        AppendScalarBytes(&out, ScalarFor(ft), size ? size : 4);
-      }
-      for (const Slot& slot : len_slots) {
-        uint64_t value = 0;
-        if (slot.target == "parent") {
-          value = out.size();
-        } else if (slot.bytesize) {
-          auto it = byte_sizes.find(slot.target);
-          if (it != byte_sizes.end()) value = it->second;
-        } else {
-          auto it = elem_counts.find(slot.target);
-          if (it != elem_counts.end()) value = it->second;
-        }
-        for (size_t i = 0; i < slot.size; ++i) {
-          out[slot.offset + i] = static_cast<uint8_t>(value >> (8 * i));
-        }
-      }
-      return out;
-    }
-    default: {
-      size_t size = CachedTypeSize(type);
-      AppendScalarBytes(&out, ScalarFor(type), size ? size : 4);
-      return out;
-    }
+    case TypePlan::Arg::kLen:
+      arg.kind = Arg::Kind::kScalar;
+      arg.scalar = 0;  // Linked by LinkLens.
+      return arg;
+    case TypePlan::Arg::kScalar:
+      break;
   }
+  arg.kind = Arg::Kind::kScalar;
+  arg.scalar = Draw(plans, plan.scalar);
+  return arg;
 }
 
 Arg
 Generator::BuildArg(const Type& type)
 {
-  Arg arg;
-  switch (type.kind) {
-    case TypeKind::kResource:
-      arg.kind = Arg::Kind::kResourceRef;
-      return arg;
-    case TypeKind::kStructRef: {
-      // A bare name can be a resource reference after parsing round-trips.
-      if (StructInfoFor(type).is_resource_ref) {
-        arg.kind = Arg::Kind::kResourceRef;
-        return arg;
-      }
-      arg.kind = Arg::Kind::kBuffer;
-      arg.bytes = BuildPayload(type);
-      return arg;
-    }
-    case TypeKind::kPtr:
-      arg.kind = Arg::Kind::kBuffer;
-      arg.dir = type.dir;
-      arg.bytes = BuildPayload(type.elems.at(0));
-      if (type.dir == Dir::kOut) {
-        // Out buffers are kernel-filled; provide capacity only.
-        size_t want = CachedTypeSize(type.elems.at(0));
-        arg.bytes.assign(want ? want : 64, 0);
-      }
-      return arg;
-    case TypeKind::kFilename: {
-      arg.kind = Arg::Kind::kBuffer;
-      std::string path = "/dev/null";
-      arg.bytes.assign(path.begin(), path.end());
-      arg.bytes.push_back(0);
-      return arg;
-    }
-    case TypeKind::kLen:
-    case TypeKind::kBytesize:
-      arg.kind = Arg::Kind::kScalar;
-      arg.scalar = 0;  // Linked by LinkLens.
-      return arg;
-    default:
-      arg.kind = Arg::Kind::kScalar;
-      arg.scalar = ScalarFor(type);
-      return arg;
-  }
+  return WithPlan(type, [this](const GenPlans& plans, const TypePlan& plan) {
+    return Build(plans, plan);
+  });
 }
 
 void
@@ -303,39 +258,40 @@ Generator::LinkLens(const SyscallDef& def, Call* call)
 int
 Generator::AppendCall(Prog* prog, size_t syscall_index, int depth)
 {
-  if (syscall_index >= lib_->syscalls().size()) return -1;
-  const SyscallDef& def = lib_->syscalls()[syscall_index];
+  const GenPlans& plans = lib_->plans();
+  if (syscall_index >= plans.calls.size()) return -1;
+  const CallPlan& plan = plans.calls[syscall_index];
   Call call;
   call.syscall_index = syscall_index;
+  call.args.reserve(plan.params);
 
-  for (const auto& param : def.params) {
-    Arg arg = BuildArg(param.type);
+  for (uint32_t p = 0; p < plan.params; ++p) {
+    const TypePlan& param = plans.types[plan.first_param + p];
+    Arg arg = Build(plans, param);
     if (arg.kind == Arg::Kind::kResourceRef) {
-      const std::string& res = param.type.kind == TypeKind::kResource
-                                   ? param.type.ref_name
-                                   : param.type.ref_name;
       // Reuse the most recent producer already in the program.
       for (int c = static_cast<int>(prog->calls.size()) - 1; c >= 0; --c) {
-        const SyscallDef& prev =
-            lib_->syscalls()[prog->calls[static_cast<size_t>(c)].syscall_index];
-        if (prev.returns_resource && *prev.returns_resource == res) {
+        const size_t prev = prog->calls[static_cast<size_t>(c)].syscall_index;
+        if (plans.calls[prev].returns == param.resource) {
           arg.ref_call = c;
           break;
         }
       }
       if (arg.ref_call < 0 && depth < 4) {
         // Prefer producers that do not themselves consume this resource
-        // (socket/openat over accept); precomputed in Finalize().
-        const auto& pool = lib_->SafeProducersOf(res);
-        if (!pool.empty()) {
-          size_t producer = pool[rng_->Below(pool.size())];
+        // (socket/openat over accept); pooled by Finalize().
+        const size_t r = static_cast<size_t>(param.resource);
+        const uint32_t begin = plans.pools[r];
+        const uint32_t size = plans.pools[r + 1] - begin;
+        if (size > 0) {
+          const size_t producer = plans.producers[begin + rng_->Below(size)];
           arg.ref_call = AppendCall(prog, producer, depth + 1);
         }
       }
     }
     call.args.push_back(std::move(arg));
   }
-  LinkLens(def, &call);
+  LinkLens(lib_->syscalls()[syscall_index], &call);
   prog->calls.push_back(std::move(call));
   return static_cast<int>(prog->calls.size()) - 1;
 }
@@ -344,11 +300,13 @@ Prog
 Generator::Generate(int max_len)
 {
   Prog prog;
-  if (lib_->syscalls().empty()) return prog;
+  const size_t calls = lib_->plans().calls.size();
+  if (calls == 0) return prog;
   int want = 1 + static_cast<int>(rng_->Below(static_cast<uint64_t>(
                  max_len > 0 ? max_len : 1)));
+  prog.calls.reserve(static_cast<size_t>(want));
   while (static_cast<int>(prog.calls.size()) < want) {
-    size_t idx = rng_->Below(lib_->syscalls().size());
+    size_t idx = rng_->Below(calls);
     AppendCall(&prog, idx);
     if (prog.calls.size() > 3 * static_cast<size_t>(want)) break;
   }

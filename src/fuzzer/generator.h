@@ -1,20 +1,20 @@
 /// \file
 /// Specification-guided program generation: chooses syscalls, satisfies
 /// their resource dependencies by inserting producer calls, and builds
-/// semantically valid arguments from the spec types (honoring const
-/// values, ranges, flag sets, string literals, and len relations).
+/// semantically valid arguments (honoring const values, ranges, flag
+/// sets, string literals, and len relations) by executing the generation
+/// plans SpecLibrary::Finalize() compiled for each type.
 
 #ifndef KERNELGPT_FUZZER_GENERATOR_H_
 #define KERNELGPT_FUZZER_GENERATOR_H_
-
-#include <unordered_map>
 
 #include "fuzzer/prog.h"
 #include "util/rng.h"
 
 namespace kernelgpt::fuzzer {
 
-/// Program generator bound to one spec library.
+/// Program generator bound to one finalized spec library. It keeps no
+/// state of its own beyond the library and the RNG it draws from.
 class Generator {
  public:
   Generator(const SpecLibrary* lib, util::Rng* rng);
@@ -41,56 +41,19 @@ class Generator {
   uint64_t ScalarFor(const syzlang::Type& type);
 
  private:
-  /// Serializes one field of a struct into `out`, returning the patch
-  /// offset when the field is a len awaiting its target size.
-  void AppendField(const syzlang::StructDef& def, std::vector<uint8_t>* out);
+  /// Runs `fn(plans, plan)` on `type`'s plan: the library's when it owns
+  /// the type, else one compiled for this call only and never cached.
+  template <typename Fn>
+  auto WithPlan(const syzlang::Type& type, Fn fn) const;
 
-  /// Per-Type resolutions of the name-keyed library lookups (constant
-  /// values, flag sets, struct defs, packed sizes). Spec types are
-  /// stable after SpecLibrary::Finalize(), so they are cached by address
-  /// the first time a type is generated and hit thereafter — the
-  /// generator's hot path stops hashing strings.
-  struct TypeInfo {
-    bool const_known = false;
-    uint64_t const_value = 0;
-    bool flags_known = false;
-    std::vector<uint64_t> flag_values;
-    bool struct_known = false;
-    const syzlang::StructDef* struct_def = nullptr;
-    bool is_resource_ref = false;
-    bool size_known = false;
-    size_t type_size = 0;
-  };
-
-  /// Flat-array lookup via the slot Finalize() stamped on the type;
-  /// types from outside a finalized library fall back to a pointer map.
-  /// slots_ is pre-sized in the constructor so a held TypeInfo& stays
-  /// valid across recursive generation calls. If the library is
-  /// re-Finalize()d behind this generator, slot ids are reassigned, so
-  /// every cached entry is discarded before serving the new numbering.
-  TypeInfo& InfoFor(const syzlang::Type& type) {
-    const int slot = type.cache_slot;
-    if (slot < 0) return fallback_cache_[&type];
-    if (lib_->TypeSlotCount() != slots_.size()) {
-      slots_.assign(lib_->TypeSlotCount(), TypeInfo());
-      fallback_cache_.clear();
-    }
-    if (static_cast<size_t>(slot) >= slots_.size()) {
-      return fallback_cache_[&type];
-    }
-    return slots_[static_cast<size_t>(slot)];
-  }
-
-  /// InfoFor() with the kStructRef fields (struct def, resource-ness)
-  /// resolved — the shared lazy-init for BuildArg and BuildPayload.
-  TypeInfo& StructInfoFor(const syzlang::Type& type);
-
-  size_t CachedTypeSize(const syzlang::Type& type);
+  uint64_t Draw(const GenPlans& plans, uint32_t scalar);
+  void Emit(const GenPlans& plans, uint32_t node, std::vector<uint8_t>* out);
+  void EmitStruct(const GenPlans& plans, const PayloadNode& node,
+                  std::vector<uint8_t>* out);
+  Arg Build(const GenPlans& plans, const TypePlan& plan);
 
   const SpecLibrary* lib_;
   util::Rng* rng_;
-  std::vector<TypeInfo> slots_;
-  std::unordered_map<const syzlang::Type*, TypeInfo> fallback_cache_;
 };
 
 }  // namespace kernelgpt::fuzzer

@@ -54,7 +54,7 @@ Mutator::MutateBuffer(Prog* prog)
     if (rng_->Chance(0.5) && ai < def.params.size()) {
       // Regenerate from the type (fresh semantic values).
       Arg fresh = generator_->BuildArg(def.params[ai].type);
-      if (fresh.kind == Arg::Kind::kBuffer) arg.bytes = fresh.bytes;
+      if (fresh.kind == Arg::Kind::kBuffer) arg.bytes = std::move(fresh.bytes);
     } else if (!arg.bytes.empty()) {
       // Corrupt random bytes.
       int flips = 1 + static_cast<int>(rng_->Below(4));

@@ -1,8 +1,8 @@
 /// \file
 /// A resolved collection of specification files — the fuzzer's view of
 /// "enabled syscalls". Merges one or more SpecFiles, indexes declarations
-/// by name, resolves constants, and computes packed layouts of spec
-/// structs for argument construction.
+/// by name, resolves constants, and compiles every type it owns into a
+/// generation plan (fuzzer/gen_plan.h) that the Generator executes.
 
 #ifndef KERNELGPT_FUZZER_SPEC_LIBRARY_H_
 #define KERNELGPT_FUZZER_SPEC_LIBRARY_H_
@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fuzzer/gen_plan.h"
 #include "syzlang/ast.h"
 #include "syzlang/const_table.h"
 
@@ -20,7 +21,8 @@ namespace kernelgpt::fuzzer {
 using syzlang::ResolveSyscallOp;
 using syzlang::SyscallOp;
 
-/// Immutable after Finalize(); cheap to query during fuzzing.
+/// Immutable after Finalize(); cheap to query during fuzzing, and safe to
+/// share between threads that only read it.
 class SpecLibrary {
  public:
   SpecLibrary() = default;
@@ -32,7 +34,14 @@ class SpecLibrary {
   /// Supplies the constant table (from syz-extract / the corpus index).
   void SetConsts(syzlang::ConstTable consts) { consts_ = std::move(consts); }
 
-  /// Builds the producer index; call once after all Add()s.
+  /// Builds the producer index, numbers every owned type
+  /// (Type::cache_slot) and compiles each into its generation plan,
+  /// with resource names turned into dense ids. Call after the last
+  /// Add(); generation sees the syscalls of the last Finalize(). A
+  /// struct that contains itself by value, which only a merge of
+  /// separately validated files can produce, is cut where the cycle
+  /// closes: that reference generates like an undefined struct (8 zero
+  /// bytes, size 0, no draw).
   void Finalize();
 
   const std::vector<syzlang::SyscallDef>& syscalls() const {
@@ -54,12 +63,6 @@ class SpecLibrary {
   /// Indices of syscalls whose return value produces `resource`.
   const std::vector<size_t>& ProducersOf(const std::string& resource) const;
 
-  /// Producers of `resource` that do not themselves consume it (e.g.
-  /// socket/openat rather than accept). Falls back to ProducersOf() when
-  /// every producer is self-consuming. Precomputed by Finalize() so the
-  /// generator does not rescan producer parameter lists per call.
-  const std::vector<size_t>& SafeProducersOf(const std::string& resource) const;
-
   /// Packed byte size of a type as the generator lays it out. Flexible
   /// arrays count as zero (sized at generation time).
   size_t TypeSize(const syzlang::Type& type) const;
@@ -67,9 +70,21 @@ class SpecLibrary {
   /// Packed byte size of a struct/union definition.
   size_t StructSize(const syzlang::StructDef& def) const;
 
-  /// Number of type cache slots Finalize() assigned (every Type owned by
-  /// this library gets a dense `cache_slot` id; see Type::cache_slot).
-  size_t TypeSlotCount() const { return type_slot_count_; }
+  /// Generation plans of every owned type and syscall (see Finalize()).
+  const GenPlans& plans() const { return plans_; }
+
+  /// Plan of `type` when this library owns it, else nullptr.
+  const TypePlan* PlanOf(const syzlang::Type& type) const {
+    const size_t slot = static_cast<size_t>(type.cache_slot);
+    return type.cache_slot >= 0 && slot < plans_.types.size()
+               ? &plans_.types[slot]
+               : nullptr;
+  }
+
+  /// Compiles a type this library does not own (e.g. a test's ad-hoc
+  /// type) into `out`, resolving names against this library; returns
+  /// the index of its TypePlan in `out->types`.
+  uint32_t CompileType(const syzlang::Type& type, GenPlans* out) const;
 
   /// (len_param, target_param) pairs of syscall `index` — which params
   /// are len[...]/bytesize[...] of which sibling. Precomputed by
@@ -81,8 +96,7 @@ class SpecLibrary {
   std::vector<SyscallOp> opcodes_;
   std::vector<std::vector<std::pair<int, int>>> len_links_;
   std::vector<std::pair<int, int>> no_len_links_;
-  size_t type_slot_count_ = 0;
-  std::unordered_map<std::string, std::vector<size_t>> safe_producers_;
+  GenPlans plans_;
   std::unordered_map<std::string, syzlang::StructDef> structs_;
   std::unordered_map<std::string, syzlang::FlagsDef> flags_;
   std::unordered_map<std::string, syzlang::ResourceDef> resources_;

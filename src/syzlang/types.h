@@ -85,10 +85,9 @@ struct Type {
   /// kPtr/kArray child type (exactly one element when present).
   std::vector<Type> elems;
 
-  /// Dense cache id assigned by SpecLibrary::Finalize() to the types it
-  /// owns; lets the generator keep per-type resolved lookups in a flat
-  /// array instead of a hash map. -1 outside a finalized library.
-  /// Not part of the value (excluded from operator==).
+  /// Dense id SpecLibrary::Finalize() assigns to the types it owns: the
+  /// index of the type's generation plan. -1 outside a finalized
+  /// library. Not part of the value (excluded from operator==).
   int cache_slot = -1;
 
   bool operator==(const Type& other) const;

@@ -23,7 +23,7 @@ class ValidatorImpl {
  public:
   ValidatorImpl(const SpecFile& spec, const ConstTable& consts,
                 const SpecFile* externals, ValidationResult* out)
-      : spec_(spec), base_consts_(consts), out_(out) {
+      : spec_(spec), externals_(externals), base_consts_(consts), out_(out) {
     scope_.resources.insert("fd");  // Builtin.
     CollectScope(spec_);
     if (externals) CollectScope(*externals);
@@ -244,10 +244,17 @@ class ValidatorImpl {
   }
 
   /// Detects structs containing themselves by value (directly or through
-  /// arrays/other structs) which would have infinite size.
+  /// arrays/other structs) which would have infinite size. The walk
+  /// follows the externals' structs too (the spec's own shadow them), so
+  /// a cycle closed only once the files are linked is still refused.
   void CheckStructRecursion() {
     std::unordered_map<std::string, const StructDef*> by_name;
     for (const StructDef* s : spec_.Structs()) by_name[s->name] = s;
+    if (externals_) {
+      for (const StructDef* s : externals_->Structs()) {
+        by_name.emplace(s->name, s);
+      }
+    }
 
     for (const StructDef* s : spec_.Structs()) {
       std::unordered_set<std::string> stack;
@@ -290,6 +297,7 @@ class ValidatorImpl {
   }
 
   const SpecFile& spec_;
+  const SpecFile* externals_;
   const ConstTable& base_consts_;
   Scope scope_;
   ValidationResult* out_;

@@ -174,6 +174,119 @@ TEST_F(FuzzerTest, PayloadForStringLiteral)
   EXPECT_EQ(bytes[0], '/');
 }
 
+// An array element that is a fixed array or a string literal is one
+// scalar in a slot wider than 8 bytes: the low 8 bytes hold the value,
+// the rest are zero. Fixed and variable arrays, in a library syscall and
+// as ad-hoc types.
+TEST_F(FuzzerTest, WideScalarSlotsZeroPastTheEighthByte)
+{
+  syzlang::ParseResult parsed = syzlang::Parse(
+      "ioctl$wide(fd fd, cmd const[1], "
+      "a ptr[in, array[array[int8, 16], 2]], "
+      "s ptr[in, array[string[\"0123456789\"], 2]], "
+      "va ptr[in, array[array[int8, 16]]], "
+      "vs ptr[in, array[string[\"0123456789\"]]])\n");
+  ASSERT_TRUE(parsed.ok());
+  SpecLibrary lib;
+  lib.Add(parsed.spec);
+  lib.Finalize();
+  util::Rng rng(21);
+  Generator generator(&lib, &rng);
+
+  bool saw_value = false;
+  const auto check = [&saw_value](const std::vector<uint8_t>& bytes,
+                                  size_t slot, const std::string& what) {
+    ASSERT_EQ(bytes.size() % slot, 0u) << what;
+    for (size_t at = 0; at < bytes.size(); at += slot) {
+      for (size_t i = 0; i < 8; ++i) saw_value |= bytes[at + i] != 0;
+      for (size_t i = 8; i < slot; ++i) {
+        EXPECT_EQ(bytes[at + i], 0) << what << " slot at " << at << " byte " << i;
+      }
+    }
+  };
+  const size_t slots[] = {16, 11, 16, 11};
+  for (int round = 0; round < 50; ++round) {
+    Prog prog;
+    generator.AppendCall(&prog, 0);
+    const Call& call = prog.calls.back();
+    ASSERT_EQ(call.args.size(), 6u);
+    for (size_t p = 0; p < 4; ++p) {
+      check(call.args[2 + p].bytes, slots[p], "param " + std::to_string(p));
+    }
+    for (size_t p = 0; p < 4; ++p) {
+      const syzlang::Type& pointee = lib.syscalls()[0].params[2 + p].type.elems[0];
+      syzlang::Type ad_hoc = pointee;
+      ad_hoc.cache_slot = -1;
+      check(generator.BuildPayload(ad_hoc), slots[p], "ad-hoc " + std::to_string(p));
+    }
+  }
+  EXPECT_TRUE(saw_value);
+}
+
+// A type the library does not own is resolved on every call: two
+// temporaries built in turn at the same address still get their own
+// constants.
+uint64_t
+TemporaryConstScalar(Generator* generator, const char* name)
+{
+  const syzlang::Type type = syzlang::Type::Const(name);
+  return generator->ScalarFor(type);
+}
+
+TEST_F(FuzzerTest, AdHocTypesAreNeverServedAStaleResolution)
+{
+  syzlang::ParseResult parsed =
+      syzlang::Parse("define A 1\ndefine B 2\nclose$x(fd fd)\n");
+  ASSERT_TRUE(parsed.ok());
+  SpecLibrary lib;
+  lib.Add(parsed.spec);
+  lib.Finalize();
+  util::Rng rng(1);
+  Generator generator(&lib, &rng);
+  EXPECT_EQ(TemporaryConstScalar(&generator, "A"), 1u);
+  EXPECT_EQ(TemporaryConstScalar(&generator, "B"), 2u);
+}
+
+// Two files that each validate against the other can still merge into a
+// by-value struct cycle. The library cuts it where it closes, so sizes,
+// generation and mutation terminate.
+TEST_F(FuzzerTest, MergedStructCycleTerminates)
+{
+  syzlang::ParseResult a = syzlang::Parse(
+      "a_t {\n\tv int8\n\tkids array[b_t]\n}\n"
+      "c_t {\n\tx array[d_t, 2]\n}\n"
+      "ioctl$a(fd fd, cmd const[1], p ptr[in, a_t], q ptr[inout, c_t])\n");
+  syzlang::ParseResult b = syzlang::Parse(
+      "b_t {\n\tw int8\n\tkids array[a_t]\n}\n"
+      "d_t {\n\ty c_t\n\tz int8\n}\n"
+      "ioctl$b(fd fd, cmd const[2], p ptr[in, b_t], q ptr[out, d_t])\n");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  SpecLibrary lib;
+  lib.Add(a.spec);
+  lib.Add(b.spec);
+  lib.Finalize();
+
+  EXPECT_EQ(lib.StructSize(*lib.FindStruct("a_t")), 1u);
+  EXPECT_EQ(lib.StructSize(*lib.FindStruct("b_t")), 1u);
+  EXPECT_LE(lib.StructSize(*lib.FindStruct("c_t")), 2u);
+  EXPECT_LE(lib.TypeSize(syzlang::Type::StructRef("d_t")), 3u);
+
+  util::Rng rng(5);
+  Generator generator(&lib, &rng);
+  Mutator mutator(&lib, &generator, &rng);
+  for (int i = 0; i < 200; ++i) {
+    Prog prog = generator.Generate(6);
+    mutator.Mutate(&prog);
+    EXPECT_FALSE(prog.empty());
+  }
+  for (const char* name : {"a_t", "b_t", "c_t", "d_t"}) {
+    EXPECT_LT(generator.BuildPayload(syzlang::Type::StructRef(name)).size(),
+              4096u)
+        << name;
+  }
+}
+
 TEST_F(FuzzerTest, MutatorPreservesResourceInvariant)
 {
   SpecLibrary lib = KvmLibrary();

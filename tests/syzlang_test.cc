@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "syzlang/const_table.h"
 #include "syzlang/lexer.h"
 #include "syzlang/parser.h"
@@ -304,6 +306,35 @@ TEST(ValidatorTest, PtrIndirectionBreaksRecursion)
   for (const auto& e : v.errors) {
     EXPECT_NE(e.kind, ErrorKind::kRecursiveStruct) << e.message;
   }
+}
+
+// A by-value cycle split across two files: each file alone only names
+// the other's struct, so the recursion walk must follow the externals.
+TEST(ValidatorTest, RecursionThroughExternalStructsReported)
+{
+  ParseResult a = Parse(
+      "a_t {\n\tv int8\n\tkids array[b_t]\n}\n"
+      "ioctl$a(fd fd, cmd const[1], p ptr[in, a_t])\n");
+  ParseResult b = Parse(
+      "b_t {\n\tw int8\n\tkids array[a_t]\n}\n"
+      "ioctl$b(fd fd, cmd const[2], p ptr[in, b_t])\n");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  for (const auto& [spec, other, name] :
+       {std::make_tuple(&a.spec, &b.spec, "a_t"),
+        std::make_tuple(&b.spec, &a.spec, "b_t")}) {
+    ValidationResult v = Validate(*spec, ConstTable(), other);
+    ASSERT_EQ(v.errors.size(), 1u) << name;
+    EXPECT_EQ(v.errors[0].kind, ErrorKind::kRecursiveStruct) << name;
+    EXPECT_EQ(v.errors[0].decl, name);
+  }
+
+  // An acyclic reference into the externals stays valid.
+  ParseResult leaf = Parse("c_t {\n\tx int8\n}\n");
+  ParseResult user = Parse(
+      "d_t {\n\tc array[c_t, 2]\n}\n"
+      "ioctl$d(fd fd, cmd const[3], p ptr[in, d_t])\n");
+  EXPECT_TRUE(Validate(user.spec, ConstTable(), &leaf.spec).ok());
 }
 
 TEST(ValidatorTest, UnknownSyscallReported)
