@@ -47,8 +47,6 @@ struct PayloadNode {
     kArray,     ///< `count` (0: Below(17)) runs of node `child`.
     kUnion,     ///< One of arms[begin, end), then resized to `width`.
     kStruct,    ///< fields[begin, end), then fixups[aux_begin, aux_end).
-    kTemplate,  ///< bytes[begin, end), then leaves[aux_begin, aux_end)
-                ///< drawn into them: a payload no draw can resize.
   };
   Op op = Op::kZeros;
   uint64_t width = 0;
@@ -60,15 +58,6 @@ struct PayloadNode {
   uint32_t aux_begin = 0;
   uint32_t aux_end = 0;
   uint32_t regs = 0;  ///< kStruct: registers its fields and fix-ups use.
-};
-
-/// The scalars a template draws: `repeat` values of scalars[scalar],
-/// `width` bytes each, back to back from `offset`.
-struct TemplateLeaf {
-  uint64_t offset = 0;
-  uint64_t width = 0;
-  uint64_t repeat = 1;
-  uint32_t scalar = 0;
 };
 
 /// One union arm: its payload, and the scalar drawn when that payload
@@ -137,7 +126,6 @@ struct GenPlans {
   std::vector<UnionArm> arms;
   std::vector<FieldStep> fields;
   std::vector<LenFixup> fixups;
-  std::vector<TemplateLeaf> leaves;
   std::vector<uint64_t> flag_values;
   std::vector<uint8_t> bytes;
   /// Safe-producer pool of resource id r: producers[pools[r], pools[r+1]).

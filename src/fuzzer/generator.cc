@@ -136,19 +136,6 @@ Generator::Emit(const GenPlans& plans, uint32_t index,
     case PayloadNode::Op::kStruct:
       EmitStruct(plans, node, out);
       return;
-    case PayloadNode::Op::kTemplate: {
-      const size_t at = out->size();
-      out->insert(out->end(), plans.bytes.begin() + node.begin,
-                  plans.bytes.begin() + node.end);
-      for (uint32_t l = node.aux_begin; l < node.aux_end; ++l) {
-        const TemplateLeaf& leaf = plans.leaves[l];
-        for (uint64_t r = 0; r < leaf.repeat; ++r) {
-          const uint64_t value = Draw(plans, leaf.scalar);
-          StoreLe(out, at + leaf.offset + r * leaf.width, value, leaf.width);
-        }
-      }
-      return;
-    }
   }
 }
 

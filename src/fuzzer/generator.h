@@ -24,7 +24,9 @@ class Generator {
   Prog Generate(int max_len);
 
   /// Builds one argument for a parameter type; resource params get
-  /// `ref_call` = -1 and must be fixed up by the caller.
+  /// `ref_call` = -1 and must be fixed up by the caller. Here and in
+  /// BuildPayload() and ScalarFor(), `type` is owned by the library or
+  /// has cache_slot == -1 (see SpecLibrary::PlanOf()).
   Arg BuildArg(const syzlang::Type& type);
 
   /// Builds the byte payload for a pointee type (struct/array/string).

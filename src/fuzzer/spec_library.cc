@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <tuple>
 #include <unordered_set>
 
 namespace kernelgpt::fuzzer {
@@ -91,7 +89,7 @@ class PlanCompiler {
   TypePlan Build(const Type& type) {
     TypePlan plan;
     plan.scalar = Scalar(type);
-    const Compiled payload = Payload(type);
+    const Compiled payload = Payload(type, plan.scalar);
     plan.payload = payload.node;
     plan.size = payload.size;
     switch (type.kind) {
@@ -168,13 +166,8 @@ class PlanCompiler {
         plan.op = ScalarPlan::Op::kRaw;
         break;
     }
-    // Equal plans draw alike, so each is stored once.
-    auto [it, fresh] = scalar_ids_.try_emplace(
-        std::make_tuple(plan.op, plan.mask, plan.value, plan.lo, plan.hi,
-                        plan.begin, plan.end),
-        static_cast<uint32_t>(plans_.scalars.size()));
-    if (fresh) plans_.scalars.push_back(plan);
-    return it->second;
+    plans_.scalars.push_back(plan);
+    return static_cast<uint32_t>(plans_.scalars.size() - 1);
   }
 
   uint32_t AddNode(const PayloadNode& node) {
@@ -182,38 +175,30 @@ class PlanCompiler {
     return static_cast<uint32_t>(plans_.nodes.size() - 1);
   }
 
-  /// AddNode() for a node with no children, stored once per shape.
-  uint32_t AddLeafNode(const PayloadNode& node) {
-    auto [it, fresh] = leaf_ids_.try_emplace(
-        std::make_tuple(node.op, node.scalar, node.width),
-        static_cast<uint32_t>(plans_.nodes.size()));
-    if (fresh) plans_.nodes.push_back(node);
-    return it->second;
-  }
-
   uint32_t ScalarNode(uint32_t scalar, uint64_t width) {
     PayloadNode node;
     node.op = PayloadNode::Op::kScalar;
     node.scalar = scalar;
     node.width = width;
-    return AddLeafNode(node);
+    return AddNode(node);
   }
 
   Compiled Zeros8() {
     PayloadNode node;
     node.op = PayloadNode::Op::kZeros;
     node.width = 8;
-    return {AddLeafNode(node), 0};
+    return {AddNode(node), 0};
   }
 
-  /// BuildPayload's node for `type`, and TypeSize(type).
-  Compiled Payload(const Type& type) {
+  /// BuildPayload's node for `type`, and TypeSize(type); `scalar` is
+  /// the type's ScalarFor plan.
+  Compiled Payload(const Type& type, uint32_t scalar) {
     switch (type.kind) {
       case TypeKind::kString: {
         PayloadNode node;
         if (type.str_literal.empty()) {
           node.op = PayloadNode::Op::kString;
-          return {AddLeafNode(node), 0};
+          return {AddNode(node), 0};
         }
         node.op = PayloadNode::Op::kLiteral;
         node.begin = static_cast<uint32_t>(plans_.bytes.size());
@@ -233,15 +218,13 @@ class PlanCompiler {
         node.child = elem_type.kind == TypeKind::kStructRef
                          ? elem.payload
                          : ScalarNode(elem.scalar, elem.size ? elem.size : 4);
-        const uint64_t size = elem.size * type.array_len;
-        const uint32_t index = AddNode(node);
-        return {node.count > 0 ? Templatize(index) : index, size};
+        return {AddNode(node), elem.size * type.array_len};
       }
       case TypeKind::kStructRef:
         return Struct(type.ref_name);
       default: {
         const uint64_t size = ScalarSize(type);
-        return {ScalarNode(Scalar(type), size ? size : 4), size};
+        return {ScalarNode(scalar, size ? size : 4), size};
       }
     }
   }
@@ -335,7 +318,7 @@ class PlanCompiler {
         PayloadNode zeros;
         zeros.op = PayloadNode::Op::kZeros;
         zeros.width = field.size;
-        step.node = AddLeafNode(zeros);
+        step.node = AddNode(zeros);
         step.is_len_slot = true;
         if (reg[i] != FieldStep::kNoReg) {
           LenFixup fix;
@@ -368,113 +351,7 @@ class PlanCompiler {
     node.aux_begin = static_cast<uint32_t>(plans_.fixups.size());
     plans_.fixups.insert(plans_.fixups.end(), fixups.begin(), fixups.end());
     node.aux_end = static_cast<uint32_t>(plans_.fixups.size());
-    return {Templatize(AddNode(node)), size};
-  }
-
-  /// Turns node `index` into a kTemplate when no draw can change its
-  /// size: one copy of its bytes (consts, literals and len values
-  /// included), then its drawn scalars in draw order.
-  uint32_t Templatize(uint32_t index) {
-    std::vector<uint8_t> bytes;
-    std::vector<TemplateLeaf> leaves;
-    if (!Flatten(index, &bytes, &leaves)) return index;
-    PayloadNode& node = plans_.nodes[index];
-    node = PayloadNode();
-    node.op = PayloadNode::Op::kTemplate;
-    node.begin = static_cast<uint32_t>(plans_.bytes.size());
-    plans_.bytes.insert(plans_.bytes.end(), bytes.begin(), bytes.end());
-    node.end = static_cast<uint32_t>(plans_.bytes.size());
-    node.aux_begin = static_cast<uint32_t>(plans_.leaves.size());
-    plans_.leaves.insert(plans_.leaves.end(), leaves.begin(), leaves.end());
-    node.aux_end = static_cast<uint32_t>(plans_.leaves.size());
-    return index;
-  }
-
-  /// Appends node `index`'s fixed image to `bytes` and its draws to
-  /// `leaves`; false when a draw can change its size, when a field is
-  /// cut or padded to its declared size, or when it grows too large.
-  bool Flatten(uint32_t index, std::vector<uint8_t>* bytes,
-               std::vector<TemplateLeaf>* leaves) {
-    constexpr size_t kMaxBytes = 1 << 16;
-    constexpr size_t kMaxLeaves = 1024;
-    const PayloadNode node = plans_.nodes[index];
-    const size_t at = bytes->size();
-    switch (node.op) {
-      case PayloadNode::Op::kScalar: {
-        bytes->resize(at + node.width);
-        const ScalarPlan& scalar = plans_.scalars[node.scalar];
-        if (scalar.op == ScalarPlan::Op::kConst) {
-          for (uint64_t i = 0; i < node.width && i < 8; ++i) {
-            (*bytes)[at + i] = static_cast<uint8_t>(scalar.value >> (8 * i));
-          }
-        } else if (!leaves->empty() && leaves->back().scalar == node.scalar &&
-                   leaves->back().width == node.width &&
-                   leaves->back().offset +
-                           leaves->back().repeat * node.width == at) {
-          ++leaves->back().repeat;
-        } else {
-          TemplateLeaf leaf;
-          leaf.offset = at;
-          leaf.width = node.width;
-          leaf.scalar = node.scalar;
-          leaves->push_back(leaf);
-        }
-        break;
-      }
-      case PayloadNode::Op::kZeros:
-        bytes->resize(at + node.width);
-        break;
-      case PayloadNode::Op::kLiteral:
-        bytes->insert(bytes->end(), plans_.bytes.begin() + node.begin,
-                      plans_.bytes.begin() + node.end);
-        break;
-      case PayloadNode::Op::kTemplate:
-        bytes->insert(bytes->end(), plans_.bytes.begin() + node.begin,
-                      plans_.bytes.begin() + node.end);
-        for (uint32_t l = node.aux_begin; l < node.aux_end; ++l) {
-          TemplateLeaf leaf = plans_.leaves[l];
-          leaf.offset += at;
-          leaves->push_back(leaf);
-        }
-        break;
-      case PayloadNode::Op::kArray:
-        if (node.count == 0) return false;
-        for (uint64_t i = 0; i < node.count; ++i) {
-          if (!Flatten(node.child, bytes, leaves)) return false;
-          if (bytes->size() > kMaxBytes || leaves->size() > kMaxLeaves) {
-            return false;
-          }
-        }
-        break;
-      case PayloadNode::Op::kStruct: {
-        std::vector<uint64_t> regs(node.regs);
-        for (uint32_t f = node.begin; f < node.end; ++f) {
-          const FieldStep step = plans_.fields[f];
-          const size_t field_at = bytes->size();
-          if (!Flatten(step.node, bytes, leaves)) return false;
-          const size_t size = bytes->size() - field_at;
-          if (step.declared > 0 && size != step.declared) return false;
-          if (step.reg != FieldStep::kNoReg) {
-            regs[step.reg] = step.is_len_slot ? field_at : size;
-          }
-        }
-        for (uint32_t x = node.aux_begin; x < node.aux_end; ++x) {
-          const LenFixup& fix = plans_.fixups[x];
-          const uint64_t value = fix.src == LenFixup::kParent
-                                     ? bytes->size() - at
-                                     : regs[fix.src] / fix.divisor;
-          for (uint64_t i = 0; i < fix.width && i < 8; ++i) {
-            (*bytes)[regs[fix.slot_reg] + i] =
-                static_cast<uint8_t>(value >> (8 * i));
-          }
-        }
-        break;
-      }
-      case PayloadNode::Op::kString:
-      case PayloadNode::Op::kUnion:
-        return false;
-    }
-    return bytes->size() <= kMaxBytes && leaves->size() <= kMaxLeaves;
+    return {AddNode(node), size};
   }
 
   int32_t ResourceId(const std::string& name) {
@@ -490,11 +367,6 @@ class PlanCompiler {
   std::unordered_map<std::string, Compiled> structs_;
   std::unordered_set<std::string> open_;
   std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> flag_ranges_;
-  std::map<std::tuple<ScalarPlan::Op, uint64_t, uint64_t, int64_t, int64_t,
-                      uint32_t, uint32_t>,
-           uint32_t>
-      scalar_ids_;
-  std::map<std::tuple<PayloadNode::Op, uint32_t, uint64_t>, uint32_t> leaf_ids_;
 };
 
 }  // namespace
@@ -597,9 +469,6 @@ SpecLibrary::Finalize()
     plans_.producers.insert(plans_.producers.end(), pool.begin(), pool.end());
   }
   plans_.pools.push_back(static_cast<uint32_t>(plans_.producers.size()));
-  // A copy holds no spare capacity.
-  GenPlans compact = plans_;
-  plans_ = std::move(compact);
 }
 
 uint32_t

@@ -64,7 +64,9 @@ class SpecLibrary {
   const std::vector<size_t>& ProducersOf(const std::string& resource) const;
 
   /// Packed byte size of a type as the generator lays it out. Flexible
-  /// arrays count as zero (sized at generation time).
+  /// arrays count as zero (sized at generation time). An owned type
+  /// reads its plan and any other is compiled for this call; `type` is
+  /// either, as PlanOf() requires.
   size_t TypeSize(const syzlang::Type& type) const;
 
   /// Packed byte size of a struct/union definition.
@@ -73,7 +75,12 @@ class SpecLibrary {
   /// Generation plans of every owned type and syscall (see Finalize()).
   const GenPlans& plans() const { return plans_; }
 
-  /// Plan of `type` when this library owns it, else nullptr.
+  /// Plan of `type` when this library owns it, else nullptr. Ownership
+  /// is read from Type::cache_slot alone, so `type` must be one this
+  /// library's last Finalize() numbered, or carry cache_slot == -1. A
+  /// copy of an owned type keeps the slot and is served the original's
+  /// plan even after an edit, as is a type another finalized library
+  /// owns; set cache_slot = -1 on such a type before passing it here.
   const TypePlan* PlanOf(const syzlang::Type& type) const {
     const size_t slot = static_cast<size_t>(type.cache_slot);
     return type.cache_slot >= 0 && slot < plans_.types.size()

@@ -247,6 +247,33 @@ TEST_F(FuzzerTest, AdHocTypesAreNeverServedAStaleResolution)
   EXPECT_EQ(TemporaryConstScalar(&generator, "B"), 2u);
 }
 
+// Ownership is read from Type::cache_slot: an edited copy of an owned
+// type keeps its slot and gets the original's plan until the copy's
+// slot is reset, then it is compiled from what it says.
+TEST_F(FuzzerTest, EditedCopyOfAnOwnedTypeNeedsItsSlotReset)
+{
+  syzlang::ParseResult parsed = syzlang::Parse(
+      "define A 1\ndefine B 2\nioctl$x(fd fd, cmd const[A], n int32)\n");
+  ASSERT_TRUE(parsed.ok());
+  SpecLibrary lib;
+  lib.Add(parsed.spec);
+  lib.Finalize();
+  util::Rng rng(1);
+  Generator generator(&lib, &rng);
+
+  syzlang::Type cmd = lib.syscalls()[0].params[1].type;
+  cmd.const_name = "B";
+  EXPECT_EQ(generator.ScalarFor(cmd), 1u);
+  cmd.cache_slot = -1;
+  EXPECT_EQ(generator.ScalarFor(cmd), 2u);
+
+  syzlang::Type n = lib.syscalls()[0].params[2].type;
+  n.bits = 8;
+  EXPECT_EQ(lib.TypeSize(n), 4u);
+  n.cache_slot = -1;
+  EXPECT_EQ(lib.TypeSize(n), 1u);
+}
+
 // Two files that each validate against the other can still merge into a
 // by-value struct cycle. The library cuts it where it closes, so sizes,
 // generation and mutation terminate.
