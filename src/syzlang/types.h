@@ -87,7 +87,8 @@ struct Type {
 
   /// Dense id SpecLibrary::Finalize() assigns to the types it owns: the
   /// index of the type's generation plan. -1 outside a finalized
-  /// library. Not part of the value (excluded from operator==).
+  /// library; a copy keeps it (see SpecLibrary::PlanOf). Not part of
+  /// the value (excluded from operator==).
   int cache_slot = -1;
 
   bool operator==(const Type& other) const;
