@@ -376,61 +376,6 @@ BM_SnapshotSaveLoad(benchmark::State& state)
 }
 BENCHMARK(BM_SnapshotSaveLoad);
 
-/// Incremental-save cost: encoding and framing one steady-state
-/// KGPB round delta (unchanged corpus + new coverage blocks + crash
-/// increments + one reproducer) — the journal record an incremental
-/// Session::Save appends instead of rewriting the whole suite. Arg = the
-/// corpus size the session carries; the record is O(delta), so ns/append
-/// must stay flat as the corpus grows — that flatness is the win over the
-/// O(corpus) BM_SnapshotSaveLoad path.
-void
-BM_SnapshotAppend(benchmark::State& state)
-{
-  const auto& context = experiments::ExperimentContext::Default();
-  fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
-
-  fuzzer::SessionOptions options;
-  options.WithSeed(42).WithRounds(1).WithProgramBudget(4000).WithWorkers(2);
-  options.orchestrator.sync_interval = 200;
-  fuzzer::Session session = context.MakeSession(options);
-  if (!session.RegisterSuite("bench", &lib).ok() || !session.Run().ok()) {
-    state.SkipWithError("session setup failed");
-    return;
-  }
-  const std::vector<fuzzer::Prog>& seed = session.Find("bench")->corpus;
-  if (seed.empty()) {
-    state.SkipWithError("empty corpus");
-    return;
-  }
-
-  // The corpus the session carries — only its SIZE varies across Args;
-  // the per-round delta below is identical, so any time difference
-  // between Args would expose an accidental O(corpus) dependency.
-  std::vector<fuzzer::Prog> corpus;
-  corpus.reserve(static_cast<size_t>(state.range(0)));
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    corpus.push_back(seed[static_cast<size_t>(i) % seed.size()]);
-  }
-
-  fuzzer::SuiteDelta delta;
-  delta.report.round = 7;
-  delta.report.seed = 42;
-  delta.report.programs_executed = 8000;
-  delta.report.cumulative_coverage = 4096;
-  delta.corpus_unchanged = true;  // Steady state once distillation converges.
-  for (uint64_t b = 0; b < 16; ++b) delta.new_coverage.push_back(0x1000 + b);
-  delta.crash_increments["KASAN: bench"] = 3;
-  delta.new_reproducers["KASAN: bench"] = seed[0];
-
-  for (auto _ : state) {
-    std::string payload = fuzzer::SerializeDelta(delta, lib);
-    benchmark::DoNotOptimize(fuzzer::FrameJournalRecord(payload));
-    benchmark::DoNotOptimize(corpus.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SnapshotAppend)->Arg(64)->Arg(1024);
-
 void
 BM_OrchestratorThroughput(benchmark::State& state)
 {

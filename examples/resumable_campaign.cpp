@@ -8,14 +8,13 @@
 // so every resume really crosses a process boundary:
 //   1. <self> run    <dir> 2   — fresh session, 2 rounds, Save(dir)
 //   2. <self> crash  <dir> 1   — new process, Resume, 1 more round, then
-//                                dies MID-SAVE (after the manifest tmp
-//                                file is durable, before the rename
-//                                commits it) via a kind=exit fault
-//                                rule; the directory keeps only the 2
-//                                committed rounds plus an uncommitted
-//                                journal tail
-//   3. <self> resume <dir> 2   — new process, Resume recovers to round 2
-//                                (truncating the tail), 2 more, Save
+//                                dies MID-SAVE (after the new session
+//                                file's tmp copy is durable, before the
+//                                rename commits it) via a kind=exit
+//                                fault rule; the directory keeps the
+//                                session file of the 2 committed rounds
+//   3. <self> resume <dir> 2   — new process, Resume reads the round-2
+//                                session file, 2 more rounds, Save
 //   4. <self> check  <dir> 4   — new process, Resume(dir), compare
 //                                against a straight 4-round session
 //
@@ -153,9 +152,9 @@ RunPhase(const std::string& mode, const std::string& dir, int rounds)
   PrintState(mode == "run" ? "after run:" : "after resume:",
              *session.Find("dm"));
   if (mode == "crash") {
-    // Die mid-save: the rule fires once the manifest's tmp file is
+    // Die mid-save: the rule fires once the session file's tmp copy is
     // durable but before the rename commits it — the widest window in
-    // which a non-atomic writer would have destroyed the old manifest.
+    // which a non-atomic writer would have destroyed the old file.
     if (util::Status s = util::FaultInjector::Instance().ArmFromSpec(
             "site=fileio.rename,kind=exit,match=session.manifest");
         !s.ok()) {
@@ -214,8 +213,8 @@ main(int argc, char** argv)
       return 1;
     }
     if (phase.expect_exit == 42) {
-      std::printf("killed mid-save as planned; the manifest commit never "
-                  "landed\n");
+      std::printf("killed mid-save as planned; the session file's rename "
+                  "never landed\n");
     }
   }
   return 0;

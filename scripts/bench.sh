@@ -154,7 +154,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline|BM_Generate' \
+  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline|BM_Generate' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -245,22 +245,6 @@ result = {
         "us_per_corpus_program": (
             round(ns_per_item("BM_SnapshotSaveLoad") / 1000.0, 2)
             if ns_per_item("BM_SnapshotSaveLoad") else None
-        ),
-    },
-    # Incremental journal append: encoding + framing one
-    # steady-state KGPB round delta — the record an incremental Save
-    # appends.
-    # Flat across corpus sizes by design (the record is O(delta)).
-    "snapshot_append": {
-        "appends_per_sec_corpus64": items_per_sec("BM_SnapshotAppend/64"),
-        "appends_per_sec_corpus1024": items_per_sec("BM_SnapshotAppend/1024"),
-        "us_per_append_corpus64": (
-            round(ns_per_item("BM_SnapshotAppend/64") / 1000.0, 2)
-            if ns_per_item("BM_SnapshotAppend/64") else None
-        ),
-        "us_per_append_corpus1024": (
-            round(ns_per_item("BM_SnapshotAppend/1024") / 1000.0, 2)
-            if ns_per_item("BM_SnapshotAppend/1024") else None
         ),
     },
     # Fault-injection substrate (PR 7): cost of one disarmed

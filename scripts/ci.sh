@@ -31,20 +31,21 @@ echo "== Determinism gate (orchestrator + distiller + service + session + diff) 
 # spec-generation service must emit byte-identical specs at 1 and 4
 # worker threads (service_test), a Save/Resume'd fuzzing session must
 # be bit-identical to an uninterrupted run of the same rounds
-# (session_test), torn-tail / mid-save-crash recovery of the
-# incremental journal must restore the last committed round exactly
-# (snapshot_test), and a fleet supervisor must produce byte-identical
-# reports and tenant states at 1 and 4 supervisor threads (fleet_test),
-# and the differential oracle must render byte-identical divergence
-# reports at 1 and 4 DiffRunner workers and across session save/resume
-# (diff_test), and kernels booted concurrently from the shared boot image
-# must each reproduce the serial run while every program behaves on a
-# long-lived kernel exactly as on a freshly booted one (boot_image_test),
-# and a program stream that dispatches every opcode, each call that takes
-# a descriptor also on a never-valid and on a closed fd, must hash to its
-# pinned outcome on strict and permissive kernels, while the generator's
-# and mutator's output over a spec with every type shape must hash to its
-# pinned stream, down to the next RNG draw (hotpath_test).
+# (session_test), every damaged session file must be refused without
+# touching the directory while the intact one resumes the last committed
+# save exactly (snapshot_test), and a fleet supervisor must produce
+# byte-identical reports and tenant states at 1 and 4 supervisor threads
+# (fleet_test), and the differential oracle must render byte-identical
+# divergence reports at 1 and 4 DiffRunner workers and across session
+# save/resume (diff_test), and kernels booted concurrently from the
+# shared boot image must each reproduce the serial run while every
+# program behaves on a long-lived kernel exactly as on a freshly booted
+# one (boot_image_test), and a program stream that dispatches every
+# opcode, each call that takes a descriptor also on a never-valid and on
+# a closed fd, must hash to its pinned outcome on strict and permissive
+# kernels, while the generator's and mutator's output over a spec with
+# every type shape must hash to its pinned stream, down to the next RNG
+# draw (hotpath_test).
 # Rerun through ctest so the gate stays in sync with the suites instead
 # of a hand-picked gtest filter.
 (cd "${BUILD_DIR}" && ctest --output-on-failure --no-tests=error -j"${JOBS}" \
@@ -64,15 +65,15 @@ rm -rf "${RESUME_DIR}"
 
 echo
 echo "== Fleet-recovery soak (armed fault plan) =="
-# The whole fleet_test suite again with a hostile environment plan: a
-# burst of worker exceptions plus one ENOSPC on the first journal
-# append. fleet_test's env-soak case arms $KERNELGPT_FAULT_PLAN through
-# Fleet::Run's own env path and still requires bit-identical convergence
-# with the fault-free baseline; the remaining cases prove the injector's
-# spec-armed plans win over the env (their counters are scoped). Bounded
-# nth/times windows — never p= — keep the gate deterministic.
+# fleet_test's env-soak case with a hostile environment plan: a burst of
+# worker exceptions plus one ENOSPC on the first session-file write (a
+# tenant's autosave). The case arms $KERNELGPT_FAULT_PLAN through
+# Fleet::Run's own env path, requires bit-identical convergence with the
+# fault-free baseline, and checks that the disk fault fired once and was
+# reported as a degraded tenant. Bounded nth/times windows — never p= —
+# keep the gate deterministic.
 (cd "${BUILD_DIR}" && \
-    KERNELGPT_FAULT_PLAN='seed=7;site=orchestrator.worker,kind=throw,nth=1,times=2;site=fileio.append,kind=errno,errno=ENOSPC,nth=1,times=1' \
+    KERNELGPT_FAULT_PLAN='seed=7;site=orchestrator.worker,kind=throw,nth=1,times=2;site=fileio.atomic_write,kind=errno,errno=ENOSPC,nth=1,times=1' \
     ./fleet_test --gtest_filter='FleetTest.EnvPlanSoakConvergesToTheFaultFreeResult')
 
 echo

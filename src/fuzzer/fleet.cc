@@ -193,9 +193,9 @@ Fleet::RunTenant(Tenant* t)
       report.backoff_ms += r.backoff_ms;
       if (r.ok()) {
         consecutive = 0;
-        // Alive but degraded: the session is carrying a pending-save
-        // backlog because its snapshot directory is failing. Report it;
-        // the session keeps retrying the save on its own schedule.
+        // Alive but degraded: the session's saves are failing, so its
+        // durability lags its live state. Report it; the session keeps
+        // retrying the save on its own schedule.
         if (t->session->save_failures() > 0 &&
             !t->session->last_save_error().empty()) {
           NoteDegraded(&report,

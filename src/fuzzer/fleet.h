@@ -17,9 +17,9 @@
 ///  - K consecutive failed incidents quarantine the tenant; its
 ///    siblings keep running to completion. Nothing a tenant does can
 ///    abort the fleet.
-///  - Degraded-but-alive conditions (a session accumulating a pending-
-///    save backlog because its disk is failing) are surfaced in the
-///    report, never silently swallowed.
+///  - Degraded-but-alive conditions (a session whose saves fail because
+///    its disk is failing) are surfaced in the report, never silently
+///    swallowed.
 ///
 /// Determinism: tenants never share mutable state, every tenant runs
 /// entirely on one supervisor thread, and the report is keyed by

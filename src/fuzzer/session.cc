@@ -1,10 +1,6 @@
 #include "fuzzer/session.h"
 
-#include <algorithm>
-#include <climits>
-#include <cstdlib>
 #include <filesystem>
-#include <unordered_map>
 #include <utility>
 
 #include "fuzzer/generator.h"
@@ -21,124 +17,6 @@ const char*
 ScheduleName(SeedSchedule schedule)
 {
   return schedule == SeedSchedule::kHashChain ? "hash-chain" : "arithmetic";
-}
-
-std::string
-SuiteFileName(size_t index)
-{
-  // Indexed, not name-derived: suite names are free-form display strings
-  // ("Syzkaller + KernelGPT") and the registration order is already the
-  // deterministic identity the manifest records.
-  return util::Format("suite_%zu.snap", index);
-}
-
-std::string
-JournalFileName(size_t index)
-{
-  return util::Format("suite_%zu.journal", index);
-}
-
-/// True for "suite_<digits>.snap" / "suite_<digits>.journal"; yields the
-/// index so Save can remove files orphaned by a smaller suite roster.
-bool
-ParseSuiteFileIndex(const std::string& name, size_t* index)
-{
-  if (!util::StartsWith(name, "suite_")) return false;
-  const size_t dot = name.find('.', 6);
-  if (dot == std::string::npos || dot == 6) return false;
-  const std::string ext = name.substr(dot);
-  if (ext != ".snap" && ext != ".journal") return false;
-  const std::string digits = name.substr(6, dot - 6);
-  if (digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *index = static_cast<size_t>(std::strtoull(digits.c_str(), nullptr, 10));
-  return true;
-}
-
-/// Removes suite files beyond the current roster (a previous save with
-/// more suites would otherwise leave orphans a later Resume could
-/// mis-bind) and stray .tmp leftovers from crashed atomic writers.
-void
-PruneStaleFiles(const std::string& dir, size_t suite_count)
-{
-  std::error_code ec;
-  std::vector<std::filesystem::path> doomed;
-  for (std::filesystem::directory_iterator it(dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    size_t index = 0;
-    if (util::EndsWith(name, ".tmp") ||
-        (ParseSuiteFileIndex(name, &index) && index >= suite_count)) {
-      doomed.push_back(it->path());
-    }
-  }
-  for (const std::filesystem::path& path : doomed) {
-    std::filesystem::remove(path, ec);
-  }
-}
-
-/// Replays one journal delta onto a suite's live state. The recorded
-/// cumulative counters double as integrity checks: a record that merged
-/// into a state it was not written against is reported, never applied
-/// silently wrong.
-util::Status
-ApplyDeltaToState(const SuiteDelta& delta, SuiteState* state)
-{
-  if (delta.report.round != static_cast<int>(state->rounds.size())) {
-    return util::Status::Error(util::Format(
-        "journal replays round %d onto %zu completed rounds",
-        delta.report.round, state->rounds.size()));
-  }
-  for (uint64_t block : delta.new_coverage) state->coverage.Hit(block);
-  if (state->coverage.Count() != delta.report.cumulative_coverage) {
-    return util::Status::Error(util::Format(
-        "coverage diverged replaying round %d (%zu blocks vs %zu recorded)",
-        delta.report.round, state->coverage.Count(),
-        delta.report.cumulative_coverage));
-  }
-  for (const auto& [title, inc] : delta.crash_increments) {
-    // The decoders bound base counts and increments to [0, INT_MAX];
-    // only their sum can overflow.
-    int& count = state->crashes[title];
-    if (inc > INT_MAX - count) {
-      return util::Status::Error(util::Format(
-          "crash count of '%s' overflows replaying round %d (%d + %d)",
-          title.c_str(), delta.report.round, count, inc));
-    }
-    count += inc;
-  }
-  if (state->crashes.size() != delta.report.cumulative_unique_crashes) {
-    return util::Status::Error(util::Format(
-        "crash titles diverged replaying round %d (%zu vs %zu recorded)",
-        delta.report.round, state->crashes.size(),
-        delta.report.cumulative_unique_crashes));
-  }
-  for (const auto& [title, prog] : delta.new_reproducers) {
-    state->crash_reproducers[title] = prog;
-  }
-  if (!delta.corpus_unchanged) {
-    std::vector<Prog> next;
-    next.reserve(delta.corpus.size());
-    for (const SuiteDelta::CorpusEntry& entry : delta.corpus) {
-      if (entry.kept_index >= 0) {
-        if (static_cast<size_t>(entry.kept_index) >= state->corpus.size()) {
-          return util::Status::Error(util::Format(
-              "round %d keeps corpus index %d but the previous corpus has "
-              "%zu programs",
-              delta.report.round, entry.kept_index, state->corpus.size()));
-        }
-        next.push_back(state->corpus[entry.kept_index]);
-      } else {
-        next.push_back(entry.prog);
-      }
-    }
-    state->corpus = std::move(next);
-  }
-  state->programs_executed += delta.report.programs_executed;
-  state->wall_seconds += delta.report.wall_seconds;
-  state->rounds.push_back(delta.report);
-  return util::Status::Ok();
 }
 
 }  // namespace
@@ -183,6 +61,7 @@ Session::Register(const std::string& name,
   }
   Entry entry;
   entry.lib = std::move(lib);
+  entry.fingerprint = SuiteFingerprint(*entry.lib);
   entry.state.name = name;
   suites_.push_back(std::move(entry));
   return util::Status::Ok();
@@ -228,10 +107,6 @@ Session::RunRound()
   const int round = rounds_completed_;
   const uint64_t seed = RoundSeed(round);
   size_t total_delta = 0;
-  // Deltas are only worth capturing once the session is bound to a
-  // snapshot directory — before the first Save there is no journal for
-  // them to land in, and SaveFull never needs them.
-  const bool capture = !bound_dir_.empty();
 
   // Phase 1 — run every suite's campaign (and distillation) into staging,
   // touching no session state. The seed corpus is copied, not moved, so a
@@ -310,22 +185,6 @@ Session::RunRound()
     OrchestratorResult& campaign = staged[i].campaign;
     DistillResult& distilled = staged[i].distilled;
 
-    std::vector<uint64_t> prev_hashes;
-    if (capture) {
-      prev_hashes.reserve(e.state.corpus.size());
-      for (const Prog& p : e.state.corpus) prev_hashes.push_back(HashProg(p));
-    }
-
-    SuiteDelta delta;
-    if (capture) {
-      for (uint64_t block : campaign.coverage.SortedBlocks()) {
-        if (!e.state.coverage.Contains(block)) {
-          delta.new_coverage.push_back(block);
-        }
-      }
-      delta.crash_increments = campaign.crashes;
-    }
-
     RoundReport report;
     report.round = round;
     report.seed = seed;
@@ -351,13 +210,6 @@ Session::RunRound()
 
     if (options_.distill_between_rounds) {
       for (auto& [title, prog] : distilled.crash_reproducers) {
-        if (capture) {
-          auto it = e.state.crash_reproducers.find(title);
-          if (it == e.state.crash_reproducers.end() ||
-              HashProg(it->second) != HashProg(prog)) {
-            delta.new_reproducers[title] = prog;
-          }
-        }
         e.state.crash_reproducers[title] = std::move(prog);
       }
       report.distilled_corpus = distilled.corpus.size();
@@ -365,34 +217,6 @@ Session::RunRound()
     } else {
       report.distilled_corpus = campaign.corpus.size();
       e.state.corpus = std::move(campaign.corpus);
-    }
-
-    if (capture) {
-      // Encode the corpus as a diff against the previous round: either
-      // "unchanged" (the steady state once distillation converges), or a
-      // list of kept-index references plus the genuinely new programs.
-      std::vector<uint64_t> hashes;
-      hashes.reserve(e.state.corpus.size());
-      for (const Prog& p : e.state.corpus) hashes.push_back(HashProg(p));
-      delta.corpus_unchanged = hashes == prev_hashes;
-      if (!delta.corpus_unchanged) {
-        std::unordered_map<uint64_t, int> prev_index;
-        for (size_t k = 0; k < prev_hashes.size(); ++k) {
-          prev_index.emplace(prev_hashes[k], static_cast<int>(k));
-        }
-        delta.corpus.resize(e.state.corpus.size());
-        for (size_t k = 0; k < e.state.corpus.size(); ++k) {
-          auto it = prev_index.find(hashes[k]);
-          if (it != prev_index.end()) {
-            delta.corpus[k].kept_index = it->second;
-          } else {
-            delta.corpus[k].prog = e.state.corpus[k];
-          }
-        }
-      }
-      delta.report = report;
-      delta.report.epochs.clear();  // Never persisted (RoundReport::epochs).
-      e.pending.push_back(std::move(delta));
     }
 
     total_delta += report.coverage_delta;
@@ -403,25 +227,14 @@ Session::RunRound()
       total_delta < options_.plateau_min_gain ? stale_rounds_ + 1 : 0;
   ++rounds_completed_;
 
-  // Autosave and backlog flush degrade instead of killing the round
-  // loop: a failed save leaves the round's deltas queued in the pending
-  // backlog, records the error (save_failures / last_save_error, for
-  // supervisors to report), and retries on the next save trigger. The
+  // Autosave degrades instead of killing the round loop: a failed save
+  // records the error (save_failures / last_save_error, for supervisors
+  // to report) and the next autosave writes the whole session again. The
   // fuzzing state itself is never at risk — only its durability lags
   // until the disk recovers.
   if (options_.autosave_every > 0 && !options_.autosave_dir.empty() &&
       rounds_completed_ % options_.autosave_every == 0) {
     (void)Save(options_.autosave_dir);
-  }
-  // Bound-session backlog flush: rather than drop pending deltas (which
-  // would force the next Save to rewrite a committed base non-atomically
-  // across files), persist them once the backlog hits the horizon. This
-  // keeps pending memory bounded AND guarantees a bound directory only
-  // ever advances through the crash-safe incremental path.
-  const int flush_horizon = std::max(1, options_.journal_compact_every) * 4;
-  if (!bound_dir_.empty() &&
-      rounds_completed_ - durable_rounds_ >= flush_horizon) {
-    (void)Save(bound_dir_);
   }
   return util::Status::Ok();
 }
@@ -445,45 +258,6 @@ Session::Run()
     ++ran;
   }
   return util::Status::Ok();
-}
-
-SessionManifest
-Session::MakeManifest() const
-{
-  SessionManifest manifest;
-  manifest.seed = options_.seed;
-  manifest.schedule = ScheduleName(options_.schedule);
-  manifest.seed_stride = options_.seed_stride;
-  manifest.carry_corpus = options_.carry_corpus;
-  manifest.distill = options_.distill_between_rounds;
-  manifest.rounds_completed = rounds_completed_;
-  manifest.stale_rounds = stale_rounds_;
-  for (const Entry& e : suites_) {
-    manifest.suites.emplace_back(SuiteFingerprint(*e.lib), e.state.name);
-  }
-  return manifest;
-}
-
-util::Status
-Session::WriteManifestFile(const std::string& dir) const
-{
-  return WriteStringToFile(dir + "/session.manifest",
-                           SerializeManifest(MakeManifest()));
-}
-
-bool
-Session::HasPendingRange() const
-{
-  for (const Entry& e : suites_) {
-    int need = durable_rounds_;
-    for (const SuiteDelta& d : e.pending) {
-      if (d.report.round < need) continue;
-      if (d.report.round != need) return false;
-      ++need;
-    }
-    if (need < rounds_completed_) return false;
-  }
-  return true;
 }
 
 util::Status
@@ -511,80 +285,22 @@ Session::SaveInner(const std::string& dir)
         ec.message().c_str()));
   }
 
-  // Incremental path: same directory as the last save/resume, and every
-  // round since then is still held as a pending delta. Anything else
-  // (first save, new directory, pruned deltas — or a journal left in an
-  // unknown state by an earlier failure) rewrites the full base.
-  if (dir != bound_dir_ || force_full_save_ || !HasPendingRange()) {
-    return SaveFull(dir);
+  SessionManifest manifest;
+  manifest.seed = options_.seed;
+  manifest.schedule = ScheduleName(options_.schedule);
+  manifest.seed_stride = options_.seed_stride;
+  manifest.carry_corpus = options_.carry_corpus;
+  manifest.distill = options_.distill_between_rounds;
+  manifest.rounds_completed = rounds_completed_;
+  manifest.stale_rounds = stale_rounds_;
+  for (const Entry& e : suites_) {
+    manifest.suites.emplace_back(e.fingerprint, e.state.name);
   }
-  if (durable_rounds_ == rounds_completed_) return util::Status::Ok();
-
-  // Append the new rounds' records, fsynced, BEFORE the manifest names
-  // them: the manifest rename is the commit point, so a crash in between
-  // merely leaves an uncommitted tail Resume truncates away (and a
-  // deterministic re-run re-appends byte-identical records, which replay
-  // skips as already folded in).
-  for (size_t i = 0; i < suites_.size(); ++i) {
-    Entry& e = suites_[i];
-    std::string batch;
-    for (const SuiteDelta& d : e.pending) {
-      if (d.report.round < durable_rounds_) continue;
-      batch += FrameJournalRecord(SerializeDelta(d, *e.lib));
-    }
-    if (batch.empty()) continue;
-    const std::string journal_path = dir + "/" + JournalFileName(i);
-    std::error_code size_ec;
-    const uintmax_t intact_size =
-        std::filesystem::file_size(journal_path, size_ec);
-    util::Status status = util::AppendFileDurable(journal_path, batch);
-    if (!status.ok()) {
-      // Heal in place: a failed append may have landed partial bytes,
-      // and the journal scanner stops at a torn record — leaving it
-      // would strand every later append behind the tear. Truncate back
-      // to the pre-append size; if even that fails (or the size was
-      // unknowable), the next save must rebuild a fresh base instead of
-      // appending after damage it cannot see.
-      std::error_code trunc_ec;
-      if (!size_ec) {
-        std::filesystem::resize_file(journal_path, intact_size, trunc_ec);
-      }
-      if (size_ec || trunc_ec) force_full_save_ = true;
-      return status;
-    }
-  }
-  util::Status status = WriteManifestFile(dir);
-  if (!status.ok()) return status;
-  durable_rounds_ = rounds_completed_;
-  for (Entry& e : suites_) {
-    e.pending.erase(
-        std::remove_if(e.pending.begin(), e.pending.end(),
-                       [this](const SuiteDelta& d) {
-                         return d.report.round < durable_rounds_;
-                       }),
-        e.pending.end());
-  }
-
-  if (rounds_completed_ - base_rounds_ >=
-      std::max(1, options_.journal_compact_every)) {
-    // Compaction: fold the journal into a fresh base. The directory is
-    // already resumable at this round, so a crash anywhere inside
-    // SaveFull loses nothing — replay just skips records the new base
-    // already folds in.
-    return SaveFull(dir);
-  }
-  return util::Status::Ok();
-}
-
-util::Status
-Session::SaveFull(const std::string& dir)
-{
-  util::Status status = util::Status::Ok();
-  for (size_t i = 0; i < suites_.size(); ++i) {
-    const Entry& e = suites_[i];
+  std::string file = SerializeManifest(manifest);
+  for (const Entry& e : suites_) {
     SuiteSnapshot snapshot;
     snapshot.name = e.state.name;
-    snapshot.fingerprint = SuiteFingerprint(*e.lib);
+    snapshot.fingerprint = e.fingerprint;
     snapshot.programs_executed = e.state.programs_executed;
     snapshot.wall_seconds = e.state.wall_seconds;
     snapshot.coverage = e.state.coverage.SortedBlocks();
@@ -592,29 +308,12 @@ Session::SaveFull(const std::string& dir)
     snapshot.corpus = e.state.corpus;
     snapshot.crash_reproducers = e.state.crash_reproducers;
     snapshot.rounds = e.state.rounds;
-    status = WriteStringToFile(dir + "/" + SuiteFileName(i),
-                               SerializeSuite(snapshot, *e.lib));
-    if (!status.ok()) return status;
-
-    JournalHeader header;
-    header.fingerprint = snapshot.fingerprint;
-    header.suite_name = e.state.name;
-    header.base_rounds = rounds_completed_;
-    status = WriteStringToFile(dir + "/" + JournalFileName(i),
-                               SerializeJournalHeader(header));
-    if (!status.ok()) return status;
+    AppendSuite(snapshot, *e.lib, &file);
   }
-  PruneStaleFiles(dir, suites_.size());
-  // Manifest last: it is the commit point, and everything it names is
-  // already durable when it lands.
-  status = WriteManifestFile(dir);
+  util::Status status =
+      util::AtomicWriteFile(dir + "/session.manifest", file);
   if (!status.ok()) return status;
-
-  bound_dir_ = dir;
-  base_rounds_ = rounds_completed_;
   durable_rounds_ = rounds_completed_;
-  force_full_save_ = false;
-  for (Entry& e : suites_) e.pending.clear();
   return util::Status::Ok();
 }
 
@@ -630,11 +329,13 @@ Session::Resume(const std::string& dir)
         "session: register the snapshot's suites before Resume");
   }
 
-  std::string text;
-  util::Status status = ReadFileToString(dir + "/session.manifest", &text);
+  std::string file;
+  util::Status status =
+      util::ReadFileToString(dir + "/session.manifest", &file);
   if (!status.ok()) return status;
   SessionManifest manifest;
-  status = ParseManifest(text, &manifest);
+  std::vector<SuiteSections> sections;
+  status = ParseSession(file, &manifest, &sections);
   if (!status.ok()) return status;
 
   if (manifest.seed != options_.seed) {
@@ -674,167 +375,39 @@ Session::Resume(const std::string& dir)
           i, manifest.suites[i].second.c_str(),
           suites_[i].state.name.c_str()));
     }
-    const uint64_t fingerprint = SuiteFingerprint(*suites_[i].lib);
-    if (manifest.suites[i].first != fingerprint) {
+    if (manifest.suites[i].first != suites_[i].fingerprint) {
       return util::Status::Error(util::Format(
           "session: suite '%s' specs drifted since the snapshot "
           "(fingerprint %016llx vs %016llx) — its programs would not "
           "replay identically",
           suites_[i].state.name.c_str(),
           static_cast<unsigned long long>(manifest.suites[i].first),
-          static_cast<unsigned long long>(fingerprint)));
+          static_cast<unsigned long long>(suites_[i].fingerprint)));
     }
   }
 
-  // Parse and validate every suite file — base snapshot plus journal
-  // replay — before touching any live state, so a corrupt or missing
-  // file leaves the session exactly as it was (a half-restored session
-  // would match neither a fresh nor a resumed run).
-  struct LoadedSuite {
-    SuiteSnapshot base;
-    int base_rounds = 0;             ///< Rounds the base folds in.
-    std::vector<SuiteDelta> deltas;  ///< To replay, in round order.
-    std::string journal_path;
-    bool rewrite_journal = false;  ///< Missing/corrupt but not needed.
-    size_t truncate_to = 0;        ///< > 0: drop the uncommitted tail.
-  };
-  std::vector<LoadedSuite> loaded(suites_.size());
-  for (size_t i = 0; i < suites_.size(); ++i) {
-    LoadedSuite& l = loaded[i];
-    status = ReadFileToString(dir + "/" + SuiteFileName(i), &text);
-    if (!status.ok()) return status;
-    status = ParseSuite(text, *suites_[i].lib, &l.base);
-    if (!status.ok()) return status;
-    if (l.base.name != suites_[i].state.name ||
-        l.base.fingerprint != manifest.suites[i].first) {
-      return util::Status::Error(util::Format(
-          "session: %s does not belong to this snapshot (suite '%s')",
-          SuiteFileName(i).c_str(), suites_[i].state.name.c_str()));
-    }
-    const int base_rounds = l.base_rounds =
-        static_cast<int>(l.base.rounds.size());
-    if (base_rounds > manifest.rounds_completed) {
-      return util::Status::Error(util::Format(
-          "session: %s folds in %d rounds but the manifest only committed "
-          "%d — the directory mixes snapshot generations",
-          SuiteFileName(i).c_str(), base_rounds, manifest.rounds_completed));
-    }
-
-    // Scan the journal. Header-level damage (missing file, wrong suite,
-    // version mismatch) makes the whole journal unusable; record-level
-    // damage ends the scan at the last intact record. Either way, what
-    // matters is whether the usable records reach the committed round.
-    l.journal_path = dir + "/" + JournalFileName(i);
-    std::string jtext;
-    JournalScan scan;
-    bool have_scan = false;
-    std::string journal_error;
-    util::Status jstatus = ReadFileToString(l.journal_path, &jtext);
-    if (jstatus.ok()) {
-      util::Status sstatus = ScanJournal(jtext, &scan);
-      if (!sstatus.ok()) {
-        journal_error = sstatus.message();
-      } else if (scan.header.fingerprint != manifest.suites[i].first ||
-                 scan.header.suite_name != suites_[i].state.name) {
-        journal_error = "journal belongs to a different suite";
-      } else if (scan.header.base_rounds > base_rounds) {
-        journal_error = util::Format(
-            "journal expects a base of %d rounds but %s has %d",
-            scan.header.base_rounds, SuiteFileName(i).c_str(), base_rounds);
-      } else {
-        have_scan = true;
-      }
-    } else {
-      journal_error = jstatus.message();
-    }
-
-    // Replay plan: skip records the base already folds in (they survive
-    // a crash mid-compaction), apply in strict round order up to the
-    // committed round, and treat everything past it — torn or intact —
-    // as an uncommitted tail to truncate away.
-    int current = base_rounds;
-    size_t keep_end = scan.header_end;
-    std::string record_error = have_scan ? scan.tail_error : journal_error;
-    if (have_scan) {
-      for (auto& [payload, end_offset] : scan.records) {
-        SuiteDelta delta;
-        util::Status dstatus = ParseDelta(payload, *suites_[i].lib, &delta);
-        if (!dstatus.ok()) {
-          record_error = dstatus.message();
-          break;
-        }
-        if (delta.report.round < current) {
-          keep_end = end_offset;
-          continue;
-        }
-        if (delta.report.round > current) {
-          record_error = util::Format(
-              "journal gap: expected round %d, found round %d", current,
-              delta.report.round);
-          break;
-        }
-        if (current >= manifest.rounds_completed) break;
-        l.deltas.push_back(std::move(delta));
-        keep_end = end_offset;
-        ++current;
-      }
-    }
-    if (current < manifest.rounds_completed) {
-      // The damage reaches into committed state: refuse rather than
-      // resume a session that would silently diverge.
-      return util::Status::Error(util::Format(
-          "session: suite '%s' is committed through round %d but its base "
-          "folds in %d rounds and the journal only replays to round %d "
-          "(%s)",
-          suites_[i].state.name.c_str(), manifest.rounds_completed,
-          base_rounds, current,
-          record_error.empty() ? "journal ends early"
-                               : record_error.c_str()));
-    }
-    if (!have_scan) {
-      // Unusable journal, but the base alone covers the commit (e.g. a
-      // pre-journal snapshot, or a crash mid-compaction after the new
-      // base landed): start a fresh journal over this base.
-      l.rewrite_journal = true;
-    } else if (keep_end < jtext.size()) {
-      l.truncate_to = keep_end;
-    }
-  }
-
-  // Heal the on-disk journals before mutating session state — these are
-  // pure disk operations, so a failure still leaves the session object
-  // untouched. Truncating the uncommitted tail is what makes future
-  // appends land after the last committed record instead of after
-  // garbage.
-  for (size_t i = 0; i < suites_.size(); ++i) {
-    LoadedSuite& l = loaded[i];
-    if (l.rewrite_journal) {
-      JournalHeader header;
-      header.fingerprint = manifest.suites[i].first;
-      header.suite_name = suites_[i].state.name;
-      header.base_rounds = l.base_rounds;
-      status = WriteStringToFile(l.journal_path,
-                                 SerializeJournalHeader(header));
-      if (!status.ok()) return status;
-    } else if (l.truncate_to > 0) {
-      std::error_code ec;
-      std::filesystem::resize_file(l.journal_path, l.truncate_to, ec);
-      if (ec) {
-        return util::Status::Error(util::Format(
-            "session: cannot truncate torn tail of '%s': %s",
-            l.journal_path.c_str(), ec.message().c_str()));
-      }
-    }
-  }
-
-  // Build every suite's state off to the side, then install: journal
-  // replay can still fail (e.g. a kept-index out of range), and the
-  // no-partial-restore guarantee must hold through it.
+  // Decode every suite off to the side before touching any live state,
+  // so a damaged suite leaves the session exactly as it was (a
+  // half-restored session would match neither a fresh nor a resumed run).
   std::vector<SuiteState> states(suites_.size());
   for (size_t i = 0; i < suites_.size(); ++i) {
-    SuiteSnapshot& snapshot = loaded[i].base;
+    SuiteSnapshot snapshot;
+    status = ParseSuite(sections[i], *suites_[i].lib, &snapshot);
+    if (!status.ok()) {
+      return util::Status::Error(util::Format(
+          "session: suite '%s': %s", suites_[i].state.name.c_str(),
+          status.message().c_str()));
+    }
+    if (snapshot.rounds.size() !=
+        static_cast<size_t>(manifest.rounds_completed)) {
+      return util::Status::Error(util::Format(
+          "session: suite '%s' holds %zu rounds but the manifest committed "
+          "%d",
+          snapshot.name.c_str(), snapshot.rounds.size(),
+          manifest.rounds_completed));
+    }
     SuiteState& state = states[i];
-    state.name = suites_[i].state.name;
+    state.name = std::move(snapshot.name);
     for (uint64_t block : snapshot.coverage) state.coverage.Hit(block);
     state.crashes = std::move(snapshot.crashes);
     state.crash_reproducers = std::move(snapshot.crash_reproducers);
@@ -842,35 +415,14 @@ Session::Resume(const std::string& dir)
     state.programs_executed = snapshot.programs_executed;
     state.wall_seconds = snapshot.wall_seconds;
     state.rounds = std::move(snapshot.rounds);
-    for (const SuiteDelta& delta : loaded[i].deltas) {
-      status = ApplyDeltaToState(delta, &state);
-      if (!status.ok()) {
-        return util::Status::Error(util::Format(
-            "session: suite '%s': %s", state.name.c_str(),
-            status.message().c_str()));
-      }
-    }
-    if (static_cast<int>(state.rounds.size()) != manifest.rounds_completed) {
-      return util::Status::Error(util::Format(
-          "session: suite '%s' replayed to %zu rounds but the manifest "
-          "committed %d",
-          state.name.c_str(), state.rounds.size(),
-          manifest.rounds_completed));
-    }
   }
 
-  int min_base_rounds = manifest.rounds_completed;
   for (size_t i = 0; i < suites_.size(); ++i) {
     suites_[i].state = std::move(states[i]);
-    suites_[i].pending.clear();
-    min_base_rounds = std::min(min_base_rounds, loaded[i].base_rounds);
   }
   rounds_completed_ = manifest.rounds_completed;
   stale_rounds_ = manifest.stale_rounds;
-  bound_dir_ = dir;
-  base_rounds_ = min_base_rounds;
   durable_rounds_ = manifest.rounds_completed;
-  force_full_save_ = false;
   save_failures_ = 0;
   last_save_error_.clear();
   return util::Status::Ok();

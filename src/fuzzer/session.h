@@ -17,7 +17,7 @@
 ///
 /// `Save(dir)` persists the complete durable state (distilled corpora,
 /// minimized reproducers, cumulative coverage, crash tallies, trend
-/// records, schedule position) through the versioned KGPB snapshot layer;
+/// records, schedule position) into one versioned KGPB file;
 /// `Resume(dir)` restores it into a fresh process, after which the
 /// session continues the exact RNG-deterministic schedule: an interrupted
 /// run and a straight-through run of the same total rounds produce
@@ -86,17 +86,10 @@ struct SessionOptions {
   size_t plateau_min_gain = 1;
 
   /// Autosave: when > 0, RunRound persists the session into
-  /// `autosave_dir` every `autosave_every` rounds (the first save lays
-  /// down a full base snapshot; later saves append per-round journal
-  /// deltas), so the orchestrator loop is crash-resumable without any
-  /// caller involvement.
+  /// `autosave_dir` every `autosave_every` rounds, so the orchestrator
+  /// loop is crash-resumable without any caller involvement.
   int autosave_every = 0;
   std::string autosave_dir;
-
-  /// Journal compaction: once this many rounds have accumulated on top
-  /// of the base snapshot, Save folds the journal back into a fresh base
-  /// and starts an empty journal. Must be >= 1.
-  int journal_compact_every = 8;
 
   /// Differential oracle: when set, every round ends with a DiffRunner
   /// pass comparing the session's kernel (orchestrator.model_factory,
@@ -146,10 +139,6 @@ struct SessionOptions {
   SessionOptions& WithAutosave(std::string dir, int every = 1) {
     autosave_dir = std::move(dir);
     autosave_every = every;
-    return *this;
-  }
-  SessionOptions& WithJournalCompaction(int every) {
-    journal_compact_every = every;
     return *this;
   }
   /// No-op: KGPB is the only snapshot codec. Kept because pipebench
@@ -224,37 +213,31 @@ class Session {
   /// death, and propagates so a supervisor restarts from the snapshot.
   ///
   /// Autosave failures degrade instead of killing the round loop: the
-  /// round's deltas stay queued in the pending backlog, the error is
-  /// recorded (last_save_error / save_failures), and the next save
-  /// attempt rebuilds a clean base. Fuzzing state is never lost to a
-  /// full disk — only its durability lags.
+  /// error is recorded (last_save_error / save_failures), the directory
+  /// keeps the last committed save, and the next autosave writes the
+  /// whole session again. Fuzzing state is never lost to a full disk —
+  /// only its durability lags.
   util::Status RunRound();
 
   /// Runs `options.rounds` rounds (or until the plateau rule fires).
   util::Status Run();
 
-  /// Persists the session under `dir` (created if missing). The first
-  /// save into a directory writes a full base snapshot (manifest + one
-  /// suite file + one empty journal per suite, all atomically replaced);
-  /// subsequent saves into the SAME directory append only each new
-  /// round's delta to the per-suite journals — O(delta) per round, not
-  /// O(corpus) — and commit by atomically replacing the manifest. Every
-  /// `options.journal_compact_every` rounds the journal is folded back
-  /// into a fresh base. A crash at any instant leaves the directory
-  /// resumable at the last committed round. Save -> Resume -> Save
+  /// Persists the session under `dir` (created if missing) as one file,
+  /// `dir/session.manifest`: the manifest section, then every suite's
+  /// sections, written by one util::AtomicWriteFile. Its rename is the
+  /// only commit point, so a crash at any instant leaves the directory
+  /// resumable at the last committed save. Save -> Resume -> Save
   /// round-trips bit-identically.
   util::Status Save(const std::string& dir);
 
-  /// Restores a Save()d session: loads each suite's base snapshot, then
-  /// replays its journal up to the round the manifest committed. A torn
-  /// or uncommitted journal tail (a crash mid-append, or between the
-  /// journal append and the manifest commit) is recovered by truncating
-  /// back to the last committed record; damage to committed records is a
-  /// Status error, never a crash or silent data loss. Call on a fresh
-  /// session after registering the same suites under the same names: the
-  /// manifest's seed/schedule and every suite's spec fingerprint must
-  /// match, or the resume is rejected with a Status describing the
-  /// mismatch.
+  /// Restores a Save()d session from `dir/session.manifest`. Any damage
+  /// to the file — truncation, a flipped bit, a trailing byte, another
+  /// version — is a Status error, never a crash or silent data loss, and
+  /// Resume writes nothing, whether it succeeds or fails. Call on a
+  /// fresh session after registering the same suites under the same
+  /// names: the manifest's seed/schedule and every suite's spec
+  /// fingerprint must match, or the resume is rejected with a Status
+  /// describing the mismatch.
   util::Status Resume(const std::string& dir);
 
   /// Distills an externally merged corpus against a registered suite
@@ -277,11 +260,11 @@ class Session {
 
   /// Save-degradation telemetry for supervisors. `save_failures` counts
   /// consecutive failed persistence attempts (reset by a success);
-  /// `pending_rounds` is how far durability lags the live state.
+  /// `pending_rounds` counts the rounds completed since the last
+  /// successful Save or Resume — how far durability lags the live state.
   int save_failures() const { return save_failures_; }
   const std::string& last_save_error() const { return last_save_error_; }
   int pending_rounds() const { return rounds_completed_ - durable_rounds_; }
-  const std::string& bound_dir() const { return bound_dir_; }
 
   std::vector<std::string> SuiteNames() const;
   const SuiteState* Find(const std::string& name) const;
@@ -291,29 +274,17 @@ class Session {
  private:
   struct Entry {
     std::shared_ptr<const SpecLibrary> lib;  // Aliased no-op for non-owning.
+    /// SuiteFingerprint(*lib), computed once at registration: printing
+    /// and hashing every declaration costs milliseconds, and every Save
+    /// and Resume needs it.
+    uint64_t fingerprint = 0;
     SuiteState state;
-    /// Per-round deltas captured since the session was bound to a
-    /// snapshot directory (first Save or Resume) — the journal records an
-    /// incremental Save appends. Pruned once durable; RunRound flushes
-    /// the backlog to the bound directory before it can grow without
-    /// bound, so a bound directory only ever advances through the
-    /// crash-safe incremental path.
-    std::vector<SuiteDelta> pending;
   };
 
   util::Status Register(const std::string& name,
                         std::shared_ptr<const SpecLibrary> lib);
-  /// Save() minus the degradation bookkeeping (which wraps every return
-  /// path of the save machinery in one place).
+  /// Save() minus the degradation bookkeeping.
   util::Status SaveInner(const std::string& dir);
-  /// Atomically writes manifest + every suite base + fresh journals and
-  /// rebinds the incremental-save state to `dir`.
-  util::Status SaveFull(const std::string& dir);
-  util::Status WriteManifestFile(const std::string& dir) const;
-  SessionManifest MakeManifest() const;
-  /// True when `pending` holds every round in [durable_rounds_,
-  /// rounds_completed_) for every suite.
-  bool HasPendingRange() const;
 
   SessionOptions options_;
   Orchestrator::BootFn boot_;
@@ -321,19 +292,8 @@ class Session {
   int rounds_completed_ = 0;
   int stale_rounds_ = 0;
 
-  /// Incremental-persistence bookkeeping: the directory the session last
-  /// saved to or resumed from, how many rounds its base snapshots fold
-  /// in, and how many rounds its manifest has committed.
-  std::string bound_dir_;
-  int base_rounds_ = 0;
+  /// Rounds the last successful Save or Resume covers.
   int durable_rounds_ = 0;
-
-  /// Save-degradation state. A failed journal append is healed in place
-  /// by truncating the partial bytes away; only when even that truncation
-  /// fails does the next save fall back to rebuilding a fresh base
-  /// (appending after damage the journal scanner would stop at is never
-  /// an option — it would strand committed rounds behind the tear).
-  bool force_full_save_ = false;
   int save_failures_ = 0;
   std::string last_save_error_;
 };

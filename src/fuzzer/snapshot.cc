@@ -187,8 +187,7 @@ struct ByteReader {
 };
 
 /// Frames one section: varint length, payload, CRC32 of the payload.
-/// Suite-file sections, the manifest, the journal header and every
-/// journal record all use this one frame.
+/// The manifest and every suite section use this one frame.
 void
 PutSection(std::string_view payload, std::string* out)
 {
@@ -278,6 +277,26 @@ ReadFileHeader(std::string_view data, size_t* pos, std::string* err)
   return true;
 }
 
+/// Unframes one suite's six sections starting at `*pos`; on failure names
+/// the section that failed in `*err`.
+bool
+NextSuiteSections(std::string_view data, size_t* pos, SuiteSections* out,
+                  std::string* err)
+{
+  const std::pair<const char*, std::string_view*> sections[] = {
+      {"meta", &out->meta},         {"coverage", &out->coverage},
+      {"crashes", &out->crashes},   {"corpus", &out->corpus},
+      {"repros", &out->repros},     {"rounds", &out->rounds},
+  };
+  for (const auto& [name, payload] : sections) {
+    if (!NextSection(data, pos, payload, err)) {
+      *err = util::Format("%s section: %s", name, err->c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Interned call-name table: every distinct syscall full name the
 /// programs reference, in first-use order (deterministic, so the
 /// rendering is a fixpoint).
@@ -311,8 +330,7 @@ CallIndex(const SpecLibrary& lib)
 }
 
 // -- KGPB field groups -------------------------------------------------------
-// One put/read pair per field group, shared by the suite file and the
-// journal record so the two renderings cannot drift apart.
+// One put/read pair per field group of a suite's sections.
 
 /// Sorted block ids: a count, then each id as a delta from its
 /// predecessor (the first from zero), so the varints stay short.
@@ -343,10 +361,10 @@ ReadBlockIds(ByteReader* r, std::vector<uint64_t>* out)
   return true;
 }
 
-/// Title -> count maps (crash tallies and per-round increments): a count,
-/// then (title, varint) pairs in key order. A count is an int in
-/// [0, INT_MAX]; a negative one encodes above INT_MAX, which the reader
-/// rejects with every other out-of-range value.
+/// Title -> count maps (crash tallies): a count, then (title, varint)
+/// pairs in key order. A count is an int in [0, INT_MAX]; a negative one
+/// encodes above INT_MAX, which the reader rejects with every other
+/// out-of-range value.
 void
 PutCrashMap(const std::map<std::string, int>& crashes, std::string* out)
 {
@@ -566,8 +584,9 @@ SuiteFingerprint(const SpecLibrary& lib)
   return h;
 }
 
-std::string
-SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
+void
+AppendSuite(const SuiteSnapshot& suite, const SpecLibrary& lib,
+            std::string* out)
 {
   // Program sections are built first so the meta section can carry the
   // complete interned-name table (first-use order keeps it a fixpoint).
@@ -598,18 +617,44 @@ SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
   PutVarint(suite.rounds.size(), &rounds);
   for (const RoundReport& r : suite.rounds) PutRound(r, &rounds);
 
+  PutSection(meta, out);
+  PutSection(coverage, out);
+  PutSection(crashes, out);
+  PutSection(corpus, out);
+  PutSection(repros, out);
+  PutSection(rounds, out);
+}
+
+std::string
+SerializeSuite(const SuiteSnapshot& suite, const SpecLibrary& lib)
+{
   std::string out = FileHeader();
-  PutSection(meta, &out);
-  PutSection(coverage, &out);
-  PutSection(crashes, &out);
-  PutSection(corpus, &out);
-  PutSection(repros, &out);
-  PutSection(rounds, &out);
+  AppendSuite(suite, lib, &out);
   return out;
 }
 
 util::Status
 ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
+{
+  std::string err;
+  size_t pos = 0;
+  SuiteSections sections;
+  if (!ReadFileHeader(data, &pos, &err)) {
+    return util::Status::Error("suite snapshot: header: " + err);
+  }
+  if (!NextSuiteSections(data, &pos, &sections, &err)) {
+    return util::Status::Error("suite snapshot: " + err);
+  }
+  if (pos != data.size()) {
+    return util::Status::Error(
+        "suite snapshot: trailing bytes after last section");
+  }
+  return ParseSuite(sections, lib, out);
+}
+
+util::Status
+ParseSuite(const SuiteSections& sections, const SpecLibrary& lib,
+           SuiteSnapshot* out)
 {
   *out = SuiteSnapshot{};
   std::string err;
@@ -618,24 +663,9 @@ ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
                                (err.empty() ? "" : ": " + err));
   };
 
-  size_t pos = 0;
-  if (!ReadFileHeader(data, &pos, &err)) return fail("header");
-  std::string_view meta, coverage, crashes, corpus, repros, rounds;
-  if (!NextSection(data, &pos, &meta, &err)) return fail("meta section");
-  if (!NextSection(data, &pos, &coverage, &err)) {
-    return fail("coverage section");
-  }
-  if (!NextSection(data, &pos, &crashes, &err)) {
-    return fail("crashes section");
-  }
-  if (!NextSection(data, &pos, &corpus, &err)) return fail("corpus section");
-  if (!NextSection(data, &pos, &repros, &err)) return fail("repros section");
-  if (!NextSection(data, &pos, &rounds, &err)) return fail("rounds section");
-  if (pos != data.size()) return fail("trailing bytes after last section");
-
   std::vector<size_t> name_to_call;
   {
-    ByteReader r(meta);
+    ByteReader r(sections.meta);
     uint64_t executed = 0;
     if (!r.Str(&out->name) || !r.U64(&out->fingerprint) ||
         !r.U64(&executed) || !r.F64(&out->wall_seconds)) {
@@ -648,21 +678,21 @@ ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
   }
 
   {
-    ByteReader r(coverage);
+    ByteReader r(sections.coverage);
     if (!ReadBlockIds(&r, &out->coverage) || !r.AtEnd()) {
       return fail("coverage ids");
     }
   }
 
   {
-    ByteReader r(crashes);
+    ByteReader r(sections.crashes);
     if (!ReadCrashMap(&r, &out->crashes) || !r.AtEnd()) {
       return fail("crash counts");
     }
   }
 
   {
-    ByteReader r(corpus);
+    ByteReader r(sections.corpus);
     size_t n = 0;
     if (!r.Size(&n)) return fail("corpus count");
     out->corpus.resize(n);
@@ -675,7 +705,7 @@ ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
   }
 
   {
-    ByteReader r(repros);
+    ByteReader r(sections.repros);
     if (!ReadReproMap(&r, name_to_call, &out->crash_reproducers, &err) ||
         !r.AtEnd()) {
       return fail("reproducers");
@@ -683,7 +713,7 @@ ParseSuite(std::string_view data, const SpecLibrary& lib, SuiteSnapshot* out)
   }
 
   {
-    ByteReader r(rounds);
+    ByteReader r(sections.rounds);
     size_t n = 0;
     if (!r.Size(&n)) return fail("round count");
     out->rounds.resize(n);
@@ -741,22 +771,20 @@ SerializeManifest(const SessionManifest& manifest)
   PutVarint(static_cast<uint64_t>(manifest.rounds_completed), &payload);
   PutVarint(static_cast<uint64_t>(manifest.stale_rounds), &payload);
   PutVarint(manifest.suites.size(), &payload);
-  for (const auto& [fingerprint, name] : manifest.suites) {
-    PutVarint(fingerprint, &payload);
-    PutString(name, &payload);
-  }
   std::string out = FileHeader();
   PutSection(payload, &out);
   return out;
 }
 
 util::Status
-ParseManifest(std::string_view data, SessionManifest* out)
+ParseSession(std::string_view data, SessionManifest* manifest,
+             std::vector<SuiteSections>* suites)
 {
-  *out = SessionManifest{};
+  *manifest = SessionManifest{};
+  suites->clear();
   std::string err;
   auto fail = [&err](const std::string& context) {
-    return util::Status::Error("session manifest: " + context +
+    return util::Status::Error("session file: " + context +
                                (err.empty() ? "" : ": " + err));
   };
 
@@ -777,186 +805,49 @@ ParseManifest(std::string_view data, SessionManifest* out)
   size_t pos = 0;
   std::string_view payload;
   if (!ReadFileHeader(data, &pos, &err)) return fail("header");
-  if (!NextSection(data, &pos, &payload, &err)) return fail("section");
-  if (pos != data.size()) return fail("trailing bytes after the section");
+  if (!NextSection(data, &pos, &payload, &err)) return fail("manifest");
 
   ByteReader r(payload);
-  uint64_t carry = 0, distill = 0, rounds = 0, stale = 0;
-  if (!r.U64(&out->seed) || !r.Str(&out->schedule) ||
-      !r.U64(&out->seed_stride) || !r.U64(&carry) || !r.U64(&distill) ||
-      !r.U64(&rounds) || !r.U64(&stale)) {
-    return fail("truncated fields");
+  uint64_t carry = 0, distill = 0, rounds = 0, stale = 0, suite_count = 0;
+  if (!r.U64(&manifest->seed) || !r.Str(&manifest->schedule) ||
+      !r.U64(&manifest->seed_stride) || !r.U64(&carry) || !r.U64(&distill) ||
+      !r.U64(&rounds) || !r.U64(&stale) || !r.U64(&suite_count)) {
+    return fail("truncated manifest fields");
   }
-  if (out->schedule != "hash-chain" && out->schedule != "arithmetic") {
-    return fail("unknown schedule '" + out->schedule + "'");
+  if (!r.AtEnd()) return fail("trailing bytes after the manifest fields");
+  if (manifest->schedule != "hash-chain" &&
+      manifest->schedule != "arithmetic") {
+    return fail("unknown schedule '" + manifest->schedule + "'");
   }
   if (carry > 1 || distill > 1) return fail("corpus flags out of range");
   if (rounds > INT_MAX || stale > INT_MAX) {
     return fail("round counters above INT_MAX");
   }
-  out->carry_corpus = carry == 1;
-  out->distill = distill == 1;
-  out->rounds_completed = static_cast<int>(rounds);
-  out->stale_rounds = static_cast<int>(stale);
+  manifest->carry_corpus = carry == 1;
+  manifest->distill = distill == 1;
+  manifest->rounds_completed = static_cast<int>(rounds);
+  manifest->stale_rounds = static_cast<int>(stale);
 
-  size_t n = 0;
-  if (!r.Size(&n)) return fail("suite count");
-  out->suites.resize(n);
-  for (auto& [fingerprint, name] : out->suites) {
-    if (!r.U64(&fingerprint) || !r.Str(&name)) return fail("suite entry");
-  }
-  if (!r.AtEnd()) return fail("trailing bytes after the suites");
-  return util::Status::Ok();
-}
-
-std::string
-SerializeDelta(const SuiteDelta& delta, const SpecLibrary& lib)
-{
-  // Programs are encoded first so the name table ahead of them is
-  // complete (first-use order keeps the record a fixpoint).
-  NameTable names;
-  std::string progs;
-  PutReproMap(delta.new_reproducers, lib, &names, &progs);
-  if (delta.corpus_unchanged) {
-    PutVarint(0, &progs);
-  } else {
-    PutVarint(delta.corpus.size() + 1, &progs);
-    for (const SuiteDelta::CorpusEntry& entry : delta.corpus) {
-      if (entry.kept_index >= 0) {
-        PutVarint(static_cast<uint64_t>(entry.kept_index) + 1, &progs);
-      } else {
-        PutVarint(0, &progs);
-        PutProg(entry.prog, lib, &names, &progs);
-      }
+  // Suites are appended as they unframe, never sized from the count up
+  // front: a damaged count runs out of sections, not out of memory.
+  for (uint64_t i = 0; i < suite_count; ++i) {
+    SuiteSections sections;
+    if (!NextSuiteSections(data, &pos, &sections, &err)) {
+      return fail(util::Format("suite %llu",
+                               static_cast<unsigned long long>(i)));
     }
-  }
-
-  std::string out;
-  PutRound(delta.report, &out);
-  PutBlockIds(delta.new_coverage, &out);
-  PutCrashMap(delta.crash_increments, &out);
-  PutNameTable(names, &out);
-  out += progs;
-  return out;
-}
-
-util::Status
-ParseDelta(std::string_view data, const SpecLibrary& lib, SuiteDelta* out)
-{
-  *out = SuiteDelta{};
-  std::string err;
-  auto fail = [&err](const std::string& context) {
-    return util::Status::Error("journal delta: " + context +
-                               (err.empty() ? "" : ": " + err));
-  };
-
-  ByteReader r(data);
-  if (!ReadRound(&r, &out->report)) return fail("round record");
-  if (!ReadBlockIds(&r, &out->new_coverage)) return fail("coverage delta");
-  if (!ReadCrashMap(&r, &out->crash_increments)) {
-    return fail("crash increments");
-  }
-  std::vector<size_t> name_to_call;
-  if (!ReadNameTable(&r, lib, &name_to_call, &err)) return fail("name table");
-  if (!ReadReproMap(&r, name_to_call, &out->new_reproducers, &err)) {
-    return fail("new reproducers");
-  }
-
-  uint64_t tag = 0;
-  if (!r.U64(&tag) || (tag > 0 && tag - 1 > r.Remaining())) {
-    return fail("corpus count");
-  }
-  out->corpus_unchanged = tag == 0;
-  if (tag > 0) out->corpus.resize(static_cast<size_t>(tag - 1));
-  for (SuiteDelta::CorpusEntry& entry : out->corpus) {
-    if (!r.U64(&tag)) return fail("corpus entry");
-    if (tag == 0) {
-      if (!ReadProg(&r, name_to_call, &entry.prog, &err)) {
-        return fail("corpus program");
-      }
-    } else if (tag - 1 > static_cast<uint64_t>(INT_MAX)) {
-      return fail("kept index above INT_MAX");
-    } else {
-      entry.kept_index = static_cast<int>(tag - 1);
+    ByteReader meta(sections.meta);
+    uint64_t fingerprint = 0;
+    std::string name;
+    if (!meta.Str(&name) || !meta.U64(&fingerprint)) {
+      return fail(util::Format("suite %llu identity",
+                               static_cast<unsigned long long>(i)));
     }
+    manifest->suites.emplace_back(fingerprint, std::move(name));
+    suites->push_back(sections);
   }
-  if (!r.AtEnd()) return fail("trailing bytes");
+  if (pos != data.size()) return fail("trailing bytes after the last suite");
   return util::Status::Ok();
-}
-
-std::string
-SerializeJournalHeader(const JournalHeader& header)
-{
-  std::string payload;
-  PutVarint(header.fingerprint, &payload);
-  PutString(header.suite_name, &payload);
-  PutVarint(static_cast<uint64_t>(header.base_rounds), &payload);
-  std::string out = FileHeader();
-  PutSection(payload, &out);
-  return out;
-}
-
-std::string
-FrameJournalRecord(std::string_view payload)
-{
-  std::string out;
-  PutSection(payload, &out);
-  return out;
-}
-
-util::Status
-ScanJournal(std::string_view data, JournalScan* out)
-{
-  *out = JournalScan{};
-  std::string err;
-  auto fail = [&err](const std::string& context) {
-    return util::Status::Error("suite journal: " + context +
-                               (err.empty() ? "" : ": " + err));
-  };
-
-  size_t pos = 0;
-  std::string_view binding;
-  if (!ReadFileHeader(data, &pos, &err)) return fail("header");
-  if (!NextSection(data, &pos, &binding, &err)) return fail("suite binding");
-  ByteReader r(binding);
-  uint64_t base = 0;
-  if (!r.U64(&out->header.fingerprint) || !r.Str(&out->header.suite_name) ||
-      !r.U64(&base) || base > INT_MAX || !r.AtEnd()) {
-    return fail("suite binding fields");
-  }
-  out->header.base_rounds = static_cast<int>(base);
-  out->header_end = pos;
-
-  // Records: everything from here on is a torn-tail candidate, never a
-  // Status error — the caller knows which records the manifest committed.
-  while (pos < data.size()) {
-    std::string_view payload;
-    if (!NextSection(data, &pos, &payload, &err)) {
-      out->tail_error = util::Format("record %zu: %s",
-                                     out->records.size() + 1, err.c_str());
-      break;
-    }
-    out->records.emplace_back(std::string(payload), pos);
-  }
-  return util::Status::Ok();
-}
-
-util::Status
-ReadFileToString(const std::string& path, std::string* out)
-{
-  // Delegates to the fileio layer so reads share its errno-to-Status
-  // mapping (ENOSPC vs EIO vs EACCES named in the message) and its
-  // "fileio.read" fault-injection seam.
-  return util::ReadFileToString(path, out);
-}
-
-util::Status
-WriteStringToFile(const std::string& path, const std::string& content)
-{
-  // Never truncate the live file in place: a crash mid-write would
-  // destroy the only good copy. The atomic helper leaves either the old
-  // or the new file, whatever the instant of the crash.
-  return util::AtomicWriteFile(path, content);
 }
 
 }  // namespace kernelgpt::fuzzer

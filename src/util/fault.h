@@ -1,13 +1,13 @@
 /// \file
 /// Deterministic, seed-driven fault injection — the substrate every
 /// crash/recovery test in this repo is built on. A FaultPlan maps site
-/// names (e.g. "fileio.append", "orchestrator.worker") to rules that say
-/// WHEN a fault fires (on the Nth matching call, or with a seeded
-/// probability) and WHAT it does (throw, return a util::Status, simulate
-/// an errno failure, simulate a process crash, or really _exit). Sites
-/// are declared with the KERNELGPT_FAULT_POINT macros threaded through
-/// the hot seams: snapshot/journal IO, orchestrator worker bodies,
-/// backend queries, and spec-generation tasks.
+/// names (e.g. "fileio.atomic_write", "orchestrator.worker") to rules
+/// that say WHEN a fault fires (on the Nth matching call, or with a
+/// seeded probability) and WHAT it does (throw, return a util::Status,
+/// simulate an errno failure, simulate a process crash, or really
+/// _exit). Sites are declared with the KERNELGPT_FAULT_POINT macros
+/// threaded through the hot seams: snapshot IO, orchestrator worker
+/// bodies, backend queries, and spec-generation tasks.
 ///
 /// Determinism: nth-call rules count only calls whose (site, detail) pair
 /// matches the rule, so a rule scoped by detail (a file path, a campaign
@@ -28,7 +28,7 @@
 /// grammar — rules separated by ';', key=value fields by ',':
 ///
 ///   seed=42;
-///   site=fileio.append,kind=errno,errno=ENOSPC,nth=2,times=1,match=tenant_a;
+///   site=fileio.atomic_write,kind=errno,errno=ENOSPC,nth=2,match=tenant_a;
 ///   site=orchestrator.worker,kind=throw,p=0.25
 ///
 /// Fields: site (required), kind (throw|status|errno|crash|exit; default

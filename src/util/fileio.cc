@@ -12,8 +12,8 @@
 
 /// Declares one of fileio's injectable failure seams. An injected errno
 /// fault is routed through the same ErrnoStatus mapping as a real
-/// syscall failure, so "ENOSPC while appending the journal" reads the
-/// same in a recovery log whether a disk or a test produced it.
+/// syscall failure, so "ENOSPC while replacing the session file" reads
+/// the same in a recovery log whether a disk or a test produced it.
 #define KERNELGPT_FILEIO_FAULT(site, verb, path)                          \
   do {                                                                    \
     if (__builtin_expect(::kernelgpt::util::FaultInjector::Armed(), 0)) { \
@@ -151,27 +151,6 @@ AtomicWriteFile(const std::string& path, std::string_view content)
     return status;
   }
   SyncParentDir(path);
-  return Status::Ok();
-}
-
-Status
-AppendFileDurable(const std::string& path, std::string_view content)
-{
-  KERNELGPT_FILEIO_FAULT("fileio.append", "cannot append to", path);
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return ErrnoStatus("cannot open for append", path, errno);
-  if (!WriteAll(fd, content)) {
-    Status status = ErrnoStatus("append failed", path, errno);
-    ::close(fd);
-    return status;
-  }
-  if (::fsync(fd) != 0) {
-    Status status = ErrnoStatus("fsync failed", path, errno);
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
   return Status::Ok();
 }
 

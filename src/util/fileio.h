@@ -1,7 +1,7 @@
 /// \file
 /// Durable file I/O for the snapshot layer: crash-safe whole-file
-/// replacement (write-tmp, fsync, rename) and synced appends, plus the
-/// CRC32 checksum the journal uses to frame its records. A process killed
+/// replacement (write-tmp, fsync, rename) and whole-file reads, plus the
+/// CRC32 checksum that frames every snapshot section. A process killed
 /// at any instant leaves either the old file or the new file on disk,
 /// never a torn mixture — the invariant the Session persistence layer is
 /// built on.
@@ -19,8 +19,8 @@
 namespace kernelgpt::util {
 
 /// CRC32 (IEEE 802.3 polynomial, table-driven) over a byte range.
-/// Deterministic across platforms; used to checksum journal records so a
-/// torn or bit-flipped entry is detected instead of parsed.
+/// Deterministic across platforms; used to checksum snapshot sections so
+/// a truncated or bit-flipped section is detected instead of parsed.
 uint32_t Crc32(const void* data, size_t len);
 uint32_t Crc32(std::string_view s);
 
@@ -36,17 +36,11 @@ uint32_t Crc32(std::string_view s);
 /// exercises.
 Status AtomicWriteFile(const std::string& path, std::string_view content);
 
-/// Appends `content` to `path` (creating it if missing) and fsyncs before
-/// returning, so an acknowledged append survives a crash. Appends are not
-/// atomic: a crash mid-write can leave a torn tail, which is why journal
-/// records are length-prefixed and checksummed.
-Status AppendFileDurable(const std::string& path, std::string_view content);
-
 /// Reads the whole of `path` into `*out` (binary, no translation).
 Status ReadFileToString(const std::string& path, std::string* out);
 
 /// Maps a failing syscall to a Status whose message names the errno
-/// class symbolically — "cannot append 'x': ENOSPC (No space left on
+/// class symbolically — "cannot replace 'x': ENOSPC (No space left on
 /// device)" — so recovery logs can distinguish a full disk from a dying
 /// one from a permission problem. Every fileio call site reports through
 /// this, as do injected errno faults (util/fault.h), so real and

@@ -5,15 +5,16 @@
 //    fleet converges bit-identically to the fault-free run;
 //  - a simulated crash in the widest kill-mid-save window (tmp durable,
 //    rename pending) is recovered by rebuild + Resume, bit-identically;
-//  - a transient ENOSPC on the journal keeps the round loop alive
-//    (pending-save backlog + degraded report) and heals on the next
-//    save, leaving the directory resumable;
+//  - a transient ENOSPC on a save keeps the round loop alive (degraded
+//    report, durability lagging) and heals on the next save, leaving the
+//    directory resumable;
 //  - a permanently failing tenant is quarantined while its sibling
 //    finishes bit-identically to a fault-free run;
 //  - the supervisor thread count changes neither the report rendering
 //    nor any tenant's final state, with and without an armed plan;
 //  - the $KERNELGPT_FAULT_PLAN env path (the CI soak gate) converges to
-//    the fault-free result under a bounded mixed fault plan.
+//    the fault-free result under a bounded mixed fault plan whose disk
+//    fault fires on a tenant's autosave.
 
 #include <gtest/gtest.h>
 
@@ -250,14 +251,13 @@ TEST_F(FleetTest, TransientSaveFailureDegradesAndHeals)
   ASSERT_TRUE(clean.AddSession("alpha", MakeTenant(kSeedA, clean_dir)).ok());
   ASSERT_TRUE(clean.Run().AllComplete());
 
-  // Round 2's journal append (the tenant's first incremental save) hits
-  // ENOSPC once. The round loop must keep going with the delta queued in
-  // the pending backlog, the degradation must be reported, and the next
-  // autosave must commit everything.
+  // Round 2's autosave hits ENOSPC once. The round loop must keep going
+  // with the round not yet durable, the degradation must be reported,
+  // and the next autosave must commit everything.
   ASSERT_TRUE(util::FaultInjector::Instance()
                   .ArmFromSpec(
-                      "site=fileio.append,kind=errno,errno=ENOSPC,"
-                      "match=degrade_faulty/alpha")
+                      "site=fileio.atomic_write,kind=errno,errno=ENOSPC,"
+                      "nth=2,match=degrade_faulty/alpha")
                   .ok());
   Fleet faulty(FleetOptions().WithTargetRounds(3).WithEnvPlan(false));
   ASSERT_TRUE(faulty.AddSession("alpha", MakeTenant(kSeedA, slow_dir)).ok());
@@ -271,7 +271,7 @@ TEST_F(FleetTest, TransientSaveFailureDegradesAndHeals)
 
   // Fuzzing state never depended on the disk.
   ExpectSameState(StateOf(faulty, "alpha"), StateOf(clean, "alpha"), "alpha");
-  // And the backlog drained: every round is durable and resumable.
+  // And durability caught up: every round is durable and resumable.
   EXPECT_EQ(faulty.FindSession("alpha")->pending_rounds(), 0);
   auto probe = MakeTenant(kSeedA, slow_dir)();
   ASSERT_NE(probe, nullptr);
@@ -355,7 +355,8 @@ TEST_F(FleetTest, EnvPlanSoakConvergesToTheFaultFreeResult)
   // The CI soak gate exports KERNELGPT_FAULT_PLAN and reruns this test;
   // without one, arm the same bounded mixed plan the gate uses. Bounded
   // windows (nth/times, no p=) guarantee the retries absorb every fault
-  // regardless of scheduling, so convergence is a hard invariant.
+  // regardless of scheduling, so convergence is a hard invariant. The
+  // faulty tenants autosave, so the plan's disk rule has a save to fail.
   const char* env_plan = std::getenv("KERNELGPT_FAULT_PLAN");
   ASSERT_TRUE(util::FaultInjector::Instance()
                   .ArmFromSpec(env_plan && *env_plan
@@ -363,14 +364,31 @@ TEST_F(FleetTest, EnvPlanSoakConvergesToTheFaultFreeResult)
                                    : "seed=7;"
                                      "site=orchestrator.worker,kind=throw,"
                                      "nth=1,times=2;"
-                                     "site=fileio.append,kind=errno,"
+                                     "site=fileio.atomic_write,kind=errno,"
                                      "errno=ENOSPC,nth=1,times=1")
                   .ok());
   Fleet faulty(FleetOptions().WithTargetRounds(3).WithEnvPlan(true));
-  ASSERT_TRUE(faulty.AddSession("alpha", MakeTenant(kSeedA)).ok());
-  ASSERT_TRUE(faulty.AddSession("beta", MakeTenant(kSeedB)).ok());
+  ASSERT_TRUE(faulty
+                  .AddSession("alpha",
+                              MakeTenant(kSeedA, ScratchDir("soak/alpha")))
+                  .ok());
+  ASSERT_TRUE(
+      faulty.AddSession("beta", MakeTenant(kSeedB, ScratchDir("soak/beta")))
+          .ok());
   FleetReport report = faulty.Run();
   EXPECT_TRUE(report.AllComplete()) << report.Render();
+
+  // The disk rule fired once, on one tenant's autosave, and that tenant
+  // reported the degradation.
+  EXPECT_EQ(util::FaultInjector::Instance().FiredCount("fileio.atomic_write"),
+            1u);
+  bool reported_enospc = false;
+  for (const TenantReport& tenant : report.tenants) {
+    for (const std::string& line : tenant.degraded) {
+      reported_enospc |= line.find("ENOSPC") != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(reported_enospc) << report.Render();
 
   ExpectSameState(StateOf(faulty, "alpha"), StateOf(clean, "alpha"), "alpha");
   ExpectSameState(StateOf(faulty, "beta"), StateOf(clean, "beta"), "beta");

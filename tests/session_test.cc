@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "drivers/corpus.h"
@@ -24,6 +25,7 @@
 #include "fuzzer/generator.h"
 #include "fuzzer/mutator.h"
 #include "fuzzer/session.h"
+#include "util/fileio.h"
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
@@ -78,6 +80,23 @@ class SessionTest : public ::testing::Test {
         ::testing::TempDir() + "kernelgpt_session_test/" + leaf;
     std::filesystem::remove_all(dir);
     return dir;
+  }
+
+  static std::string MustRead(const std::string& path) {
+    std::string bytes;
+    const util::Status status = util::ReadFileToString(path, &bytes);
+    EXPECT_TRUE(status.ok()) << status.message();
+    return bytes;
+  }
+
+  /// The names of the files in `dir`, sorted.
+  static std::vector<std::string> FileNames(const std::string& dir) {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
   }
 
   static void ExpectSameProgs(const std::vector<Prog>& a,
@@ -224,19 +243,28 @@ TEST_F(SessionTest, VersionMismatchIsRejectedWithBothVersionsNamed)
   expect_mismatch(ParseSuite(data, lib, &suite), "v99", "suite");
 
   SessionManifest manifest;
+  std::vector<SuiteSections> sections;
   data = SerializeManifest(manifest);
   ASSERT_EQ(data[4], kSnapshotVersion);
   data[4] = 99;
-  expect_mismatch(ParseManifest(data, &manifest), "v99", "manifest");
+  expect_mismatch(ParseSession(data, &manifest, &sections), "v99",
+                  "session file");
 
-  JournalScan scan;
-  data = SerializeJournalHeader(JournalHeader{});
-  ASSERT_EQ(data[4], kSnapshotVersion);
-  data[4] = 99;
-  expect_mismatch(ScanJournal(data, &scan), "v99", "journal");
+  // A v4 directory, whose manifest committed a per-suite journal, is
+  // refused at that manifest by Resume, which leaves the file as it was.
+  ASSERT_EQ(kSnapshotVersion, 5);
+  const std::string dir = ScratchDir("v4");
+  std::filesystem::create_directories(dir);
+  data = SerializeManifest(manifest);
+  data[4] = 4;
+  ASSERT_TRUE(util::AtomicWriteFile(dir + "/session.manifest", data).ok());
+  Session resumed = MakeSession(SessionOptions());
+  ASSERT_TRUE(resumed.RegisterSuite("dm", &lib).ok());
+  expect_mismatch(resumed.Resume(dir), "v4", "v4 manifest");
+  EXPECT_EQ(resumed.rounds_completed(), 0);
+  EXPECT_EQ(MustRead(dir + "/session.manifest"), data);
 
   // A v3 directory is refused at its manifest, which was still text.
-  ASSERT_EQ(kSnapshotVersion, 4);
   const std::string v3 =
       "kernelgpt-session v3\n"
       "seed 7\n"
@@ -249,7 +277,8 @@ TEST_F(SessionTest, VersionMismatchIsRejectedWithBothVersionsNamed)
       "suites 1\n"
       "suite 0 1234567890abcdef dm\n"
       "end\n";
-  expect_mismatch(ParseManifest(v3, &manifest), "v3", "text manifest");
+  expect_mismatch(ParseSession(v3, &manifest, &sections), "v3",
+                  "text manifest");
 }
 
 TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
@@ -306,22 +335,22 @@ TEST_F(SessionTest, CorruptSnapshotsReturnStatusNotCrash)
       << status.message();
 
   SessionManifest manifest;
-  EXPECT_FALSE(ParseManifest("", &manifest).ok());  // Empty input.
+  std::vector<SuiteSections> sections;
+  EXPECT_FALSE(ParseSession("", &manifest, &sections).ok());  // Empty input.
   // A CRC-valid round counter above INT_MAX (what a negative int
   // encodes) is damage, not a count to wrap.
   manifest.schedule = "hash-chain";
   manifest.rounds_completed = -1;
-  EXPECT_FALSE(ParseManifest(SerializeManifest(manifest), &manifest).ok());
-  // A file of another kind is never misread as a manifest: a suite file
-  // has more sections; a journal has more sections, or a binding section
-  // (even one naming a schedule) too short for the manifest's fields.
-  EXPECT_FALSE(ParseManifest(good, &manifest).ok());
-  JournalHeader header;
-  header.suite_name = "hash-chain";
-  const std::string journal = SerializeJournalHeader(header);
-  EXPECT_FALSE(ParseManifest(journal, &manifest).ok());
   EXPECT_FALSE(
-      ParseManifest(journal + FrameJournalRecord("x"), &manifest).ok());
+      ParseSession(SerializeManifest(manifest), &manifest, &sections).ok());
+  // A suite file is never misread as a session file.
+  EXPECT_FALSE(ParseSession(good, &manifest, &sections).ok());
+  // A manifest that counts a suite the file does not hold is truncated.
+  manifest = SessionManifest{};
+  manifest.schedule = "hash-chain";
+  manifest.suites.emplace_back(0, "dm");
+  EXPECT_FALSE(
+      ParseSession(SerializeManifest(manifest), &manifest, &sections).ok());
 }
 
 TEST_F(SessionTest, FailedResumeLeavesTheSessionUntouched)
@@ -339,13 +368,30 @@ TEST_F(SessionTest, FailedResumeLeavesTheSessionUntouched)
   ASSERT_TRUE(saved.Run().ok());
   ASSERT_TRUE(saved.Save(dir).ok());
 
-  // Corrupt the SECOND suite file: the first parses fine, but the
+  // Rewrite the file with the SECOND suite's trend records dropped, every
+  // section still checksum-valid: the first suite decodes fine, but the
   // failed resume must not leak its state into the live session.
-  ASSERT_TRUE(WriteStringToFile(dir + "/suite_1.snap", "garbage\n").ok());
+  const std::string path = dir + "/session.manifest";
+  const std::string file = MustRead(path);
+  SessionManifest manifest;
+  std::vector<SuiteSections> sections;
+  ASSERT_TRUE(ParseSession(file, &manifest, &sections).ok());
+  SuiteSnapshot first, second;
+  ASSERT_TRUE(ParseSuite(sections[0], dm, &first).ok());
+  ASSERT_TRUE(ParseSuite(sections[1], hpet, &second).ok());
+  second.rounds.clear();
+  std::string damaged = SerializeManifest(manifest);
+  AppendSuite(first, dm, &damaged);
+  AppendSuite(second, hpet, &damaged);
+  ASSERT_TRUE(util::AtomicWriteFile(path, damaged).ok());
+
   Session resumed = MakeSession(options);
   ASSERT_TRUE(resumed.RegisterSuite("dm", &dm).ok());
   ASSERT_TRUE(resumed.RegisterSuite("hpet", &hpet).ok());
-  EXPECT_FALSE(resumed.Resume(dir).ok());
+  util::Status status = resumed.Resume(dir);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("holds 0 rounds"), std::string::npos)
+      << status.message();
   EXPECT_EQ(resumed.rounds_completed(), 0);
   EXPECT_EQ(resumed.Find("dm")->coverage.Count(), 0u);
   EXPECT_TRUE(resumed.Find("dm")->corpus.empty());
@@ -459,9 +505,8 @@ TEST_F(SessionTest, ResumedSessionIsBitIdenticalToUninterruptedRun)
   ASSERT_TRUE(first.Run().ok());
   ASSERT_TRUE(first.Save(dir).ok());
 
-  std::string base;
-  ASSERT_TRUE(ReadFileToString(dir + "/suite_0.snap", &base).ok());
-  EXPECT_EQ(base.substr(0, 4), "KGPB");  // Save writes the one codec.
+  // Save writes the one codec.
+  EXPECT_EQ(MustRead(dir + "/session.manifest").substr(0, 4), "KGPB");
 
   Session resumed = MakeSession(session_options());
   ASSERT_TRUE(resumed.RegisterSuite("dm", &lib).ok());
@@ -498,13 +543,14 @@ TEST_F(SessionTest, SaveResumeSaveRoundTripsBitIdentically)
   ASSERT_TRUE(second.Resume(dir_a).ok());
   ASSERT_TRUE(second.Save(dir_b).ok());
 
-  for (const char* file :
-       {"session.manifest", "suite_0.snap", "suite_0.journal"}) {
-    std::string a, b;
-    ASSERT_TRUE(ReadFileToString(dir_a + "/" + file, &a).ok());
-    ASSERT_TRUE(ReadFileToString(dir_b + "/" + file, &b).ok());
-    EXPECT_EQ(a, b) << file << " changed across Save -> Resume -> Save";
+  // Each directory holds the one file, and the two files are the same.
+  for (const std::string& dir : {dir_a, dir_b}) {
+    EXPECT_EQ(FileNames(dir), std::vector<std::string>{"session.manifest"})
+        << dir;
   }
+  EXPECT_EQ(MustRead(dir_a + "/session.manifest"),
+            MustRead(dir_b + "/session.manifest"))
+      << "session file changed across Save -> Resume -> Save";
 }
 
 TEST_F(SessionTest, ResumeRejectsMismatchedConfigurationAndDriftedSuites)
@@ -600,13 +646,9 @@ TEST_F(SessionTest, AnySuiteNameSavesAndResumesBitIdentically)
   ASSERT_TRUE(status.ok()) << status.message();
   ExpectSameState(*second.Find(name), *first.Find(name), "resumed");
   ASSERT_TRUE(second.Save(dir_b).ok());
-  for (const char* file :
-       {"session.manifest", "suite_0.snap", "suite_0.journal"}) {
-    std::string a, b;
-    ASSERT_TRUE(ReadFileToString(dir_a + "/" + file, &a).ok());
-    ASSERT_TRUE(ReadFileToString(dir_b + "/" + file, &b).ok());
-    EXPECT_EQ(a, b) << file << " changed across Save -> Resume -> Save";
-  }
+  EXPECT_EQ(MustRead(dir_a + "/session.manifest"),
+            MustRead(dir_b + "/session.manifest"))
+      << "session file changed across Save -> Resume -> Save";
 }
 
 TEST_F(SessionTest, CoveragePlateauStopsTheSchedule)

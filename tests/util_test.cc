@@ -308,14 +308,14 @@ TEST(FaultTest, ParsesFullGrammar)
   FaultPlan plan;
   ASSERT_TRUE(FaultInjector::ParsePlan(
                   "seed=42;"
-                  "site=fileio.append,kind=errno,errno=ENOSPC,nth=2,times=3,"
-                  "match=tenant_a,msg=disk full;"
+                  "site=fileio.atomic_write,kind=errno,errno=ENOSPC,nth=2,"
+                  "times=3,match=tenant_a,msg=disk full;"
                   "site=orchestrator.worker,kind=crash,p=0.25",
                   &plan)
                   .ok());
   EXPECT_EQ(plan.seed, 42u);
   ASSERT_EQ(plan.rules.size(), 2u);
-  EXPECT_EQ(plan.rules[0].site, "fileio.append");
+  EXPECT_EQ(plan.rules[0].site, "fileio.atomic_write");
   EXPECT_EQ(plan.rules[0].kind, FaultKind::kErrno);
   EXPECT_EQ(plan.rules[0].error_number, ENOSPC);
   EXPECT_EQ(plan.rules[0].nth, 2);
@@ -439,12 +439,13 @@ TEST(FaultTest, InjectedErrnoReadsLikeARealSyscallFailure)
 {
   ScopedDisarm guard;
   ASSERT_TRUE(FaultInjector::Instance()
-                  .ArmFromSpec("site=fileio.append,kind=errno,errno=ENOSPC")
+                  .ArmFromSpec(
+                      "site=fileio.atomic_write,kind=errno,errno=ENOSPC")
                   .ok());
   const std::string path =
       (std::filesystem::temp_directory_path() / "kernelgpt_fault_probe.log")
           .string();
-  Status status = AppendFileDurable(path, "x");
+  Status status = AtomicWriteFile(path, "x");
   ASSERT_FALSE(status.ok());
   // Routed through the same ErrnoStatus mapping as a real failure: the
   // message names the errno class, the path, and the strerror text.
