@@ -9,10 +9,12 @@
 #include <thread>
 
 #include "drivers/corpus.h"
+#include "drivers/model_render.h"
 #include "ksrc/body_analysis.h"
 #include "ksrc/clexer.h"
 #include "ksrc/cparser.h"
 #include "ksrc/definition_index.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace kernelgpt::ksrc {
@@ -758,6 +760,124 @@ TEST(AnalysisCacheTest, ConcurrentFirstTouchAgreesOnEveryPointer)
   for (size_t j = 0; j < structs.size(); ++j) {
     ASSERT_NE(groups[0][j], nullptr);
   }
+}
+
+// -- Pinned output -----------------------------------------------------------
+
+/// Every rendered corpus file as (path, source), in BuildIndex order.
+std::vector<std::pair<std::string, std::string>>
+CorpusSources()
+{
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const drivers::DeviceSpec& d : corpus.devices()) {
+    out.emplace_back("drivers/" + d.id + ".c", drivers::RenderDeviceSource(d));
+  }
+  for (const drivers::SocketSpec& s : corpus.sockets()) {
+    out.emplace_back("net/" + s.id + ".c", drivers::RenderSocketSource(s));
+  }
+  return out;
+}
+
+uint64_t
+HashText(uint64_t h, std::string_view text)
+{
+  return util::HashCombine(h, util::StableHash(text.data(), text.size()));
+}
+
+uint64_t
+HashToken(uint64_t h, const CToken& t)
+{
+  h = util::HashCombine(h, static_cast<uint64_t>(t.kind));
+  h = HashText(h, t.text);
+  h = util::HashCombine(h, t.number);
+  h = util::HashCombine(h, static_cast<uint64_t>(t.line));
+  h = util::HashCombine(h, t.begin);
+  return util::HashCombine(h, t.end);
+}
+
+uint64_t
+HashFile(uint64_t h, const CFile& f)
+{
+  h = HashText(h, f.path);
+  for (const CMacro& m : f.macros) {
+    h = HashText(h, m.name);
+    h = HashText(h, m.value_text);
+    h = util::HashCombine(h, m.value.has_value());
+    h = util::HashCombine(h, m.value.value_or(0));
+    h = util::HashCombine(h, static_cast<uint64_t>(m.line));
+  }
+  for (const CEnum& e : f.enums) {
+    h = HashText(h, e.name);
+    for (const CEnumerator& en : e.enumerators) {
+      h = HashText(h, en.name);
+      h = util::HashCombine(h, en.value);
+    }
+    h = util::HashCombine(h, static_cast<uint64_t>(e.line));
+  }
+  for (const CStructDef& s : f.structs) {
+    h = HashText(h, s.name);
+    h = util::HashCombine(h, s.is_union);
+    for (const CStructField& field : s.fields) {
+      h = HashText(h, field.type_text);
+      h = HashText(h, field.name);
+      h = util::HashCombine(h, static_cast<uint64_t>(field.array_len));
+      h = HashText(h, field.array_len_text);
+      h = util::HashCombine(h, field.is_pointer);
+      h = HashText(h, field.comment);
+    }
+    h = HashText(h, s.comment);
+    h = util::HashCombine(h, static_cast<uint64_t>(s.line));
+  }
+  for (const CVarDef& v : f.vars) {
+    h = HashText(h, v.type_name);
+    h = HashText(h, v.name);
+    h = util::HashCombine(h, v.is_static);
+    for (const CInitEntry& entry : v.init) {
+      h = HashText(h, entry.field);
+      h = HashText(h, entry.value_text);
+    }
+    h = util::HashCombine(h, static_cast<uint64_t>(v.line));
+  }
+  for (const CFunction& fn : f.functions) {
+    h = HashText(h, fn.return_type);
+    h = HashText(h, fn.name);
+    for (const CParam& p : fn.params) {
+      h = HashText(h, p.type_text);
+      h = HashText(h, p.name);
+    }
+    h = HashText(h, fn.body_text);
+    for (const CToken& t : fn.body_tokens) h = HashToken(h, t);
+    h = util::HashCombine(h, fn.body_tokens.size());
+    h = HashText(h, fn.comment);
+    h = util::HashCombine(h, fn.is_static);
+    h = util::HashCombine(h, static_cast<uint64_t>(fn.line));
+  }
+  for (const std::string& d : f.diagnostics) h = HashText(h, d);
+  return h;
+}
+
+// Every token CLex returns and every entity CParse returns over the 69
+// rendered corpus files, hashed. The constant was recorded before tokens
+// became views into their file's source; the lexer and the parser must
+// keep producing exactly this output.
+TEST(KsrcTest, CorpusIndexIsPinned)
+{
+  const auto sources = CorpusSources();
+  uint64_t h = 0;
+  size_t tokens = 0, bytes = 0;
+  for (const auto& [path, source] : sources) {
+    for (const CToken& t : CLex(source)) {
+      h = HashToken(h, t);
+      ++tokens;
+    }
+    h = HashFile(h, CParse(source, path));
+    bytes += source.size();
+  }
+  EXPECT_EQ(sources.size(), 69u);
+  EXPECT_EQ(tokens, 87039u);
+  EXPECT_EQ(bytes, 495376u);
+  EXPECT_EQ(h, 14592266321747583542ULL);
 }
 
 }  // namespace
