@@ -56,6 +56,18 @@ BM_CParseDriver(benchmark::State& state)
 }
 BENCHMARK(BM_CParseDriver);
 
+/// The whole kernel-source index: render, lex and parse all 69 corpus
+/// files, fill the lookup maps and resolve the macros.
+void
+BM_BuildIndex(benchmark::State& state)
+{
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(corpus.BuildIndex());
+  }
+}
+BENCHMARK(BM_BuildIndex)->Unit(benchmark::kMillisecond);
+
 void
 BM_SyzlangRoundTrip(benchmark::State& state)
 {

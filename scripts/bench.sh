@@ -154,7 +154,7 @@ echo "== running hot-path benchmarks =="
 # (and is meaningless on 1-CPU containers), so it would poison the
 # trajectory file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline|BM_Generate' \
+  --benchmark_filter='BM_FuzzThroughput|BM_NetStackThroughput|BM_NetStateTransition|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_KernelBoot|BM_SnapshotSaveLoad|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_FullGenerationPipeline|BM_Generate|BM_BuildIndex|BM_CParseDriver' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -183,6 +183,10 @@ def items_per_sec(name):
 def ns_per_item(name):
     b = means.get(name)
     return round(1e9 / b["items_per_second"], 2) if b and b["items_per_second"] else None
+
+def mb_per_sec(name):
+    b = means.get(name)
+    return round(b["bytes_per_second"] / 1e6, 2) if b and b.get("bytes_per_second") else None
 
 def ms_per_iteration(name):
     b = means.get(name)
@@ -290,6 +294,13 @@ result = {
     # loaded module), wall time per context.
     "spec_generation": {
         "ms_per_context": ms_per_iteration("BM_FullGenerationPipeline"),
+    },
+    # Kernel-source index: Corpus::BuildIndex (render, lex and parse all
+    # 69 corpus files, index them, resolve macros), wall time per index;
+    # and CParse throughput over one rendered driver file.
+    "ksrc": {
+        "build_index_ms": ms_per_iteration("BM_BuildIndex"),
+        "cparse_mb_per_s": mb_per_sec("BM_CParseDriver"),
     },
     # Between-campaign corpus distillation: dedup + replay + greedy
     # cover + crash minimization, per merged-corpus program.

@@ -1,6 +1,7 @@
 #include "ksrc/body_analysis.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/strings.h"
@@ -10,10 +11,10 @@ namespace kernelgpt::ksrc {
 namespace {
 
 /// C keywords and kernel helpers that are never "interesting" callees.
-const std::unordered_set<std::string>&
+const std::unordered_set<std::string_view>&
 BoringCallees()
 {
-  static const std::unordered_set<std::string> kSet = {
+  static const std::unordered_set<std::string_view> kSet = {
       "if",     "for",      "while",  "switch", "return", "sizeof",
       "break",  "continue", "case",   "goto",   "do",     "else",
       "memset", "memcpy",   "strlen", "strcmp", "strncpy", "likely",
@@ -22,18 +23,23 @@ BoringCallees()
   return kSet;
 }
 
+/// The text of tokens [begin, end), space-separated, string literals
+/// with their quotes.
 std::string
 JoinTokens(const std::vector<CToken>& tokens, size_t begin, size_t end)
 {
-  std::vector<std::string> parts;
+  std::string out;
   for (size_t i = begin; i < end && i < tokens.size(); ++i) {
+    if (i > begin) out += ' ';
     if (tokens[i].kind == CTokKind::kString) {
-      parts.push_back("\"" + tokens[i].text + "\"");
+      out += '"';
+      out += tokens[i].text;
+      out += '"';
     } else {
-      parts.push_back(tokens[i].text);
+      out += tokens[i].text;
     }
   }
-  return util::Join(parts, " ");
+  return out;
 }
 
 /// Returns the index just past the matching closing token.
@@ -160,7 +166,7 @@ std::vector<CmdModification>
 FindCmdModifications(const CFunction& fn)
 {
   // Pattern: IDENT '=' MODIFIER '(' IDENT ')' ';'
-  static const std::unordered_set<std::string> kModifiers = {
+  static const std::unordered_set<std::string_view> kModifiers = {
       "_IOC_NR", "_IOC_TYPE", "_IOC_SIZE", "DRM_IOCTL_NR",
   };
   const auto& toks = fn.body_tokens;
@@ -174,9 +180,9 @@ FindCmdModifications(const CFunction& fn)
     if (toks[i + 4].kind != CTokKind::kIdent) continue;
     if (!toks[i + 5].Is(")")) continue;
     CmdModification mod;
-    mod.dest = toks[i].text;
-    mod.op = toks[i + 2].text;
-    mod.src = toks[i + 4].text;
+    mod.dest = std::string(toks[i].text);
+    mod.op = std::string(toks[i + 2].text);
+    mod.src = std::string(toks[i + 4].text);
     out.push_back(std::move(mod));
   }
   return out;
@@ -191,7 +197,7 @@ FindCalls(const CFunction& fn)
     if (!IsCallAt(toks, i)) continue;
     size_t end = SkipBalanced(toks, i + 1, "(", ")");
     CallSite call;
-    call.callee = toks[i].text;
+    call.callee = std::string(toks[i].text);
     call.text = JoinTokens(toks, i, end);
     call.is_return = i > 0 && toks[i - 1].IsIdent("return");
     // Split args at top-level commas.
@@ -237,7 +243,7 @@ std::string
 FirstCallee(const std::vector<CToken>& tokens)
 {
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (IsCallAt(tokens, i)) return tokens[i].text;
+    if (IsCallAt(tokens, i)) return std::string(tokens[i].text);
   }
   return "";
 }

@@ -7,11 +7,19 @@
 /// matching"). Function bodies keep their token stream so that downstream
 /// analyses (baseline rules and the simulated LLM) can inspect them at
 /// whatever depth their capability profile allows.
+///
+/// Lifetime: a CFile owns its source text through a shared pointer, and
+/// every token in it (`CFunction::body_tokens`) views that text. Copies of
+/// the file share it, so a copied or moved CFile, or a DefinitionIndex
+/// holding it, keeps every view valid. A CFunction or a token copied out
+/// of the file is valid only while some copy of the file lives. All other
+/// fields are owned strings.
 
 #ifndef KERNELGPT_KSRC_CAST_H_
 #define KERNELGPT_KSRC_CAST_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -97,7 +105,8 @@ struct CFunction {
   std::string name;
   std::vector<CParam> params;
   std::string body_text;         ///< Body between braces, braces excluded.
-  std::vector<CToken> body_tokens;  ///< Tokenized body (comments kept).
+  /// Tokenized body (comments kept), viewing the file's source.
+  std::vector<CToken> body_tokens;
   std::string comment;           ///< Leading doc comment.
   bool is_static = false;
   int line = 0;
@@ -106,6 +115,8 @@ struct CFunction {
 /// One parsed source file of the synthetic kernel.
 struct CFile {
   std::string path;
+  /// The parsed text, shared by every copy; the tokens view it.
+  std::shared_ptr<const std::string> source;
   std::vector<CMacro> macros;
   std::vector<CEnum> enums;
   std::vector<CStructDef> structs;

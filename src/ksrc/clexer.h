@@ -15,10 +15,11 @@ namespace kernelgpt::ksrc {
 /// comments are preserved as kComment tokens (textual information matters
 /// to the analysis LLM, per the paper's L-3 discussion). The stream ends
 /// with kEof.
+///
+/// Every token's text views `source`, so the tokens are valid only while
+/// `source` lives unchanged; lexing a temporary does not compile.
 std::vector<CToken> CLex(const std::string& source);
-
-/// Like CLex but drops comments; used by structural passes.
-std::vector<CToken> CLexNoComments(const std::string& source);
+std::vector<CToken> CLex(std::string&& source) = delete;
 
 }  // namespace kernelgpt::ksrc
 

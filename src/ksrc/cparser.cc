@@ -1,6 +1,7 @@
 #include "ksrc/cparser.h"
 
 #include <cctype>
+#include <initializer_list>
 
 #include "ksrc/clexer.h"
 #include "util/strings.h"
@@ -22,31 +23,51 @@ constexpr uint64_t kIocWrite = 1;
 constexpr uint64_t kIocRead = 2;
 
 /// Strips comment markers from a raw comment token.
-std::string
-CleanComment(const std::string& raw)
+std::string_view
+CleanComment(std::string_view s)
 {
-  std::string s = raw;
-  if (util::StartsWith(s, "/*")) s = s.substr(2);
-  if (util::EndsWith(s, "*/")) s = s.substr(0, s.size() - 2);
-  if (util::StartsWith(s, "//")) s = s.substr(2);
-  return std::string(util::Trim(s));
+  if (util::StartsWith(s, "/*")) s.remove_prefix(2);
+  if (util::EndsWith(s, "*/")) s.remove_suffix(2);
+  if (util::StartsWith(s, "//")) s.remove_prefix(2);
+  return util::Trim(s);
+}
+
+/// `parts` joined by single spaces.
+std::string
+JoinWords(const std::vector<std::string_view>& parts)
+{
+  std::string out;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (i) out += ' ';
+    out += parts[i];
+  }
+  return out;
 }
 
 /// Structural parser over a comment-free token stream. Comments are
 /// collected separately and re-attached to declarations by line number:
 /// the synthetic corpus renders doc comments on the line above a
 /// declaration and field comments on the same line as the field.
+///
+/// The tokens view `out->source`, which the parser's output keeps.
 class CParserImpl {
  public:
-  CParserImpl(const std::string& source, CFile* out)
-      : source_(source), out_(out) {
-    for (CToken& t : CLex(source)) {
-      if (t.kind == CTokKind::kComment) {
-        comments_.push_back(std::move(t));
-      } else {
-        tokens_.push_back(std::move(t));
+  explicit CParserImpl(CFile* out)
+      : source_(*out->source), tokens_(CLex(source_)), out_(out) {
+    // Records each comment's text in the line map and compacts the other
+    // tokens in place. The EOF token carries the last line.
+    comment_on_line_.resize(static_cast<size_t>(tokens_.back().line) + 1);
+    size_t kept = 0;
+    for (const CToken& t : tokens_) {
+      if (t.kind != CTokKind::kComment) {
+        tokens_[kept++] = t;
+        continue;
       }
+      // The first comment on a line is the one attached to it.
+      std::string_view& slot = comment_on_line_[static_cast<size_t>(t.line)];
+      if (slot.empty()) slot = t.text;
     }
+    tokens_.resize(kept);
   }
 
   void Run() {
@@ -62,7 +83,7 @@ class CParserImpl {
         continue;
       }
       Diag(util::Format("line %d: skipping unexpected token '%s'", t.line,
-                        t.text.c_str()));
+                        std::string(t.text).c_str()));
       Advance();
     }
   }
@@ -88,22 +109,22 @@ class CParserImpl {
     out_->diagnostics.push_back(std::move(message));
   }
 
-  /// Comment starting exactly on `line`, cleaned of markers.
-  std::string CommentOnLine(int line) const {
-    for (const CToken& c : comments_) {
-      if (c.line == line) return CleanComment(c.text);
+  /// The first comment whose token ends on `line`, cleaned of markers.
+  std::string_view CommentOnLine(int line) const {
+    if (line < 0 || static_cast<size_t>(line) >= comment_on_line_.size()) {
+      return {};
     }
-    return "";
+    return CleanComment(comment_on_line_[static_cast<size_t>(line)]);
   }
 
   /// Doc comment immediately above a declaration at `line` (within two
   /// lines, to allow for multi-line block comments).
-  std::string DocCommentAbove(int line) const {
+  std::string_view DocCommentAbove(int line) const {
     for (int delta = 1; delta <= 3; ++delta) {
-      std::string c = CommentOnLine(line - delta);
+      std::string_view c = CommentOnLine(line - delta);
       if (!c.empty()) return c;
     }
-    return "";
+    return {};
   }
 
   void SkipTopLevel() {
@@ -124,7 +145,7 @@ class CParserImpl {
 
   // -- Directives ----------------------------------------------------------
 
-  void ParseDirective(const std::string& text, int line) {
+  void ParseDirective(std::string_view text, int line) {
     std::string_view body = util::Trim(text);
     if (!util::StartsWith(body, "#")) return;
     body.remove_prefix(1);
@@ -150,11 +171,10 @@ class CParserImpl {
   /// Evaluates trivially-constant macro bodies (literals, parenthesized
   /// literals, references to earlier macros). _IOC forms need struct sizes
   /// and are resolved later by the definition index.
-  std::optional<uint64_t> EvalSimple(const std::string& value) {
-    std::string inner(util::Trim(value));
+  std::optional<uint64_t> EvalSimple(std::string_view value) {
+    std::string_view inner = util::Trim(value);
     while (inner.size() >= 2 && inner.front() == '(' && inner.back() == ')') {
-      inner = std::string(
-          util::Trim(std::string_view(inner).substr(1, inner.size() - 2)));
+      inner = util::Trim(inner.substr(1, inner.size() - 2));
     }
     if (auto lit = ParseUint(inner)) return lit;
     for (const CMacro& m : out_->macros) {
@@ -163,7 +183,7 @@ class CParserImpl {
     return std::nullopt;
   }
 
-  static std::optional<uint64_t> ParseUint(const std::string& text) {
+  static std::optional<uint64_t> ParseUint(std::string_view text) {
     if (text.empty()) return std::nullopt;
     uint64_t value = 0;
     bool any = false;
@@ -210,13 +230,13 @@ class CParserImpl {
       if (Peek(1).kind == CTokKind::kIdent && Peek(2).Is("{")) {
         int line = Peek().line;
         Advance();  // struct/union keyword
-        std::string name = Advance().text;
+        std::string_view name = Advance().text;
         return ParseStructBody(name, is_union, line);
       }
     }
 
     // Parse: <type tokens> NAME followed by '(', '=', ';' or '['.
-    std::vector<std::string> type_tokens;
+    std::vector<std::string_view> type_tokens;
     std::string name;
     int line = Peek().line;
     while (!AtEof()) {
@@ -225,7 +245,7 @@ class CParserImpl {
         const CToken& nxt = Peek(1);
         if (t.kind == CTokKind::kIdent &&
             (nxt.Is("(") || nxt.Is("=") || nxt.Is(";") || nxt.Is("["))) {
-          name = Advance().text;
+          name = std::string(Advance().text);
           break;
         }
         type_tokens.push_back(Advance().text);
@@ -238,7 +258,7 @@ class CParserImpl {
       pos_ = save;
       return false;
     }
-    std::string type_text = util::Join(type_tokens, " ");
+    std::string type_text = JoinWords(type_tokens);
 
     if (Peek().Is("(")) return ParseFunction(type_text, name, is_static, line);
     return ParseVariable(type_text, name, is_static, line);
@@ -249,7 +269,7 @@ class CParserImpl {
     Advance();  // enum
     CEnum e;
     e.line = line;
-    if (Peek().kind == CTokKind::kIdent) e.name = Advance().text;
+    if (Peek().kind == CTokKind::kIdent) e.name = std::string(Advance().text);
     if (!Peek().Is("{")) return false;
     Advance();
     uint64_t next_value = 0;
@@ -260,7 +280,7 @@ class CParserImpl {
       }
       if (Peek().kind != CTokKind::kIdent) return false;
       CEnumerator en;
-      en.name = Advance().text;
+      en.name = std::string(Advance().text);
       if (Peek().Is("=")) {
         Advance();
         if (Peek().kind == CTokKind::kNumber) {
@@ -279,11 +299,11 @@ class CParserImpl {
     return true;
   }
 
-  bool ParseStructBody(const std::string& name, bool is_union, int line) {
+  bool ParseStructBody(std::string_view name, bool is_union, int line) {
     CStructDef def;
-    def.name = name;
+    def.name = std::string(name);
     def.is_union = is_union;
-    def.comment = DocCommentAbove(line);
+    def.comment = std::string(DocCommentAbove(line));
     def.line = line;
     if (!Peek().Is("{")) return false;
     Advance();
@@ -291,7 +311,7 @@ class CParserImpl {
       CStructField field;
       int field_line = Peek().line;
       if (!ParseStructField(&field)) return false;
-      field.comment = CommentOnLine(field_line);
+      field.comment = std::string(CommentOnLine(field_line));
       def.fields.push_back(std::move(field));
     }
     if (!Peek().Is("}")) return false;
@@ -302,7 +322,7 @@ class CParserImpl {
   }
 
   bool ParseStructField(CStructField* out) {
-    std::vector<std::string> type_tokens;
+    std::vector<std::string_view> type_tokens;
     for (;;) {
       const CToken& t = Peek();
       if (t.Is("*")) {
@@ -313,12 +333,12 @@ class CParserImpl {
       if (t.kind != CTokKind::kIdent) return false;
       const CToken& nxt = Peek(1);
       if (nxt.Is(";") || nxt.Is("[")) {
-        out->name = Advance().text;
+        out->name = std::string(Advance().text);
         break;
       }
       type_tokens.push_back(Advance().text);
     }
-    out->type_text = util::Join(type_tokens, " ");
+    out->type_text = JoinWords(type_tokens);
     if (Peek().Is("[")) {
       Advance();
       if (Peek().Is("]")) {
@@ -326,7 +346,7 @@ class CParserImpl {
       } else if (Peek().kind == CTokKind::kNumber) {
         out->array_len = static_cast<int64_t>(Advance().number);
       } else if (Peek().kind == CTokKind::kIdent) {
-        out->array_len_text = Advance().text;
+        out->array_len_text = std::string(Advance().text);
         out->array_len = -1;
       } else {
         return false;
@@ -382,7 +402,7 @@ class CParserImpl {
         Advance();
         if (Peek().kind != CTokKind::kIdent) return false;
         CInitEntry entry;
-        entry.field = Advance().text;
+        entry.field = std::string(Advance().text);
         if (!Peek().Is("=")) return false;
         Advance();
         entry.value_text = CollectValueText({",", "}"});
@@ -401,27 +421,33 @@ class CParserImpl {
     return true;
   }
 
-  /// Collects raw token text until one of `stops` at nesting depth 0.
-  std::string CollectValueText(const std::vector<std::string>& stops) {
-    std::vector<std::string> parts;
+  /// Collects raw token text, space-separated, until one of `stops` at
+  /// nesting depth 0. String literals get their quotes back.
+  std::string CollectValueText(std::initializer_list<std::string_view> stops) {
+    std::string out;
+    bool first = true;
     int depth = 0;
     while (!AtEof()) {
       const CToken& t = Peek();
       if (depth == 0 && t.kind == CTokKind::kPunct) {
-        for (const auto& s : stops) {
-          if (t.text == s) return util::Join(parts, " ");
+        for (std::string_view s : stops) {
+          if (t.text == s) return out;
         }
       }
       if (t.Is("(") || t.Is("{") || t.Is("[")) ++depth;
       if (t.Is(")") || t.Is("}") || t.Is("]")) --depth;
+      if (!first) out += ' ';
+      first = false;
       if (t.kind == CTokKind::kString) {
-        parts.push_back("\"" + t.text + "\"");
+        out += '"';
+        out += t.text;
+        out += '"';
       } else {
-        parts.push_back(t.text);
+        out += t.text;
       }
       Advance();
     }
-    return util::Join(parts, " ");
+    return out;
   }
 
   bool ParseFunction(const std::string& return_type, const std::string& name,
@@ -430,20 +456,20 @@ class CParserImpl {
     fn.return_type = return_type;
     fn.name = name;
     fn.is_static = is_static;
-    fn.comment = DocCommentAbove(line);
+    fn.comment = std::string(DocCommentAbove(line));
     fn.line = line;
 
     if (!Peek().Is("(")) return false;
     Advance();
-    std::vector<std::string> current;
+    std::vector<std::string_view> current;
     bool current_has_ptr = false;
     auto flush_param = [&]() {
       if (current.empty()) return;
       CParam p;
-      p.name = current.back();
+      p.name = std::string(current.back());
       current.pop_back();
       if (current_has_ptr) current.push_back("*");
-      p.type_text = util::Join(current, " ");
+      p.type_text = JoinWords(current);
       fn.params.push_back(std::move(p));
       current.clear();
       current_has_ptr = false;
@@ -492,16 +518,25 @@ class CParserImpl {
         }
       }
     }
-    fn.body_text = source_.substr(body_begin, body_end - body_begin);
-    fn.body_tokens.assign(tokens_.begin() + static_cast<long>(body_tok_begin),
-                          tokens_.begin() + static_cast<long>(pos_) - 1);
+    if (braces > 0) {
+      // The source ends inside the body: keep the signature alone.
+      Diag(util::Format("line %d: body of function '%s' is unterminated", line,
+                        fn.name.c_str()));
+    } else {
+      // Tokens are views, so this copies no text. The closing brace stays
+      // behind.
+      fn.body_text = source_.substr(body_begin, body_end - body_begin);
+      fn.body_tokens.assign(tokens_.begin() + static_cast<long>(body_tok_begin),
+                            tokens_.begin() + static_cast<long>(pos_) - 1);
+    }
     out_->functions.push_back(std::move(fn));
     return true;
   }
 
   const std::string& source_;
   std::vector<CToken> tokens_;
-  std::vector<CToken> comments_;
+  /// By line: the raw text of the first comment token ending there.
+  std::vector<std::string_view> comment_on_line_;
   size_t pos_ = 0;
   CFile* out_;
 };
@@ -554,12 +589,12 @@ CFile::FindMacro(const std::string& name) const
 }
 
 CFile
-CParse(const std::string& source, const std::string& path)
+CParse(std::string source, const std::string& path)
 {
   CFile file;
   file.path = path;
-  CParserImpl impl(source, &file);
-  impl.Run();
+  file.source = std::make_shared<const std::string>(std::move(source));
+  CParserImpl(&file).Run();
   return file;
 }
 

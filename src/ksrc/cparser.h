@@ -16,8 +16,13 @@ namespace kernelgpt::ksrc {
 ///   - struct/union type definitions with scalar/array/pointer members,
 ///   - variable definitions with designated initializers,
 ///   - function definitions (bodies retained as token streams).
-/// Unrecognized top-level constructs are skipped with a diagnostic.
-CFile CParse(const std::string& source, const std::string& path = "");
+/// Unrecognized top-level constructs are skipped with a diagnostic, and a
+/// function whose body the source ends inside keeps an empty body. Any
+/// bytes are accepted; the parser never throws on them.
+///
+/// The file takes ownership of `source` (CFile::source), which its tokens
+/// view.
+CFile CParse(std::string source, const std::string& path = "");
 
 /// Evaluates Linux's _IO/_IOR/_IOW/_IOWR ioctl-number macros.
 /// `size` is the size of the argument type in bytes.

@@ -76,9 +76,9 @@ Lookup(const std::vector<CFile>& files, const Map& map,
 }  // namespace
 
 void
-DefinitionIndex::AddSource(const std::string& source, const std::string& path)
+DefinitionIndex::AddSource(std::string source, const std::string& path)
 {
-  AddFile(CParse(source, path));
+  AddFile(CParse(std::move(source), path));
 }
 
 void
@@ -472,7 +472,7 @@ DefinitionIndex::AnalyzeFunction(const CFunction& fn) const
   facts->cmd_modifications = FindCmdModifications(fn);
   for (const CToken& t : fn.body_tokens) {
     if (t.kind != CTokKind::kIdent) continue;
-    const CVarDef* var = FindVar(t.text);
+    const CVarDef* var = FindVar(std::string(t.text));
     if (var && !var->init.empty()) facts->dispatch_tables.push_back(var);
   }
   return facts;

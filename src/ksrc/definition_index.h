@@ -72,7 +72,10 @@ struct FunctionFacts {
 /// Lookups by name are answered from per-kind maps that `AddFile` fills,
 /// so they cost one hash probe instead of a scan over every file. The
 /// maps hold (file, entity) positions rather than pointers, so a copied
-/// or moved index stays valid.
+/// or moved index stays valid. A copy shares each file's source text
+/// (CFile::source) with the original, and the text lives until the last
+/// index or CFile that shares it is gone, so every token of either index
+/// stays valid for as long as that index lives.
 ///
 /// `Facts` and `FlagGroupsOfStruct` fill a cache on first request. One
 /// mutex guards it, so once the index is built any number of threads may
@@ -85,8 +88,8 @@ class DefinitionIndex {
  public:
   DefinitionIndex() = default;
 
-  /// Parses `source` and adds the file to the index.
-  void AddSource(const std::string& source, const std::string& path);
+  /// Parses `source` and adds the file, which keeps the text, to the index.
+  void AddSource(std::string source, const std::string& path);
 
   /// Adds an already-parsed file. For structs, variables and macros the
   /// first file that defines a name wins, and within it the first entity.

@@ -35,7 +35,7 @@ FindLevelGuard(const CFunction& fn)
     if (toks[i].IsIdent("if") && toks[i + 1].Is("(") &&
         toks[i + 2].IsIdent("level") && toks[i + 3].Is("!=") &&
         toks[i + 4].kind == CTokKind::kIdent && toks[i + 5].Is(")")) {
-      return toks[i + 4].text;
+      return std::string(toks[i + 4].text);
     }
   }
   return "";
@@ -59,7 +59,7 @@ ScanConstraints(const CFunction& fn, const std::string& var)
           toks[j].text == var && toks[j + 1].Is("."))) {
       continue;
     }
-    std::string field = toks[j + 2].text;
+    std::string field(toks[j + 2].text);
     size_t k = j + 3;
     FieldConstraint c;
     c.field = field;
@@ -80,7 +80,7 @@ ScanConstraints(const CFunction& fn, const std::string& var)
       int64_t lo = static_cast<int64_t>(toks[k + 1].number);
       // Look for the matching upper bound.
       for (size_t m = k + 2; m + 4 < toks.size() && m < k + 12; ++m) {
-        if (toks[m].Is("||") && toks[m + 1].IsIdent(var.c_str()) &&
+        if (toks[m].Is("||") && toks[m + 1].IsIdent(var) &&
             toks[m + 2].Is(".") && toks[m + 3].text == field &&
             toks[m + 4].Is(">")) {
           if (m + 5 < toks.size() &&
@@ -119,7 +119,7 @@ ScanOutWrites(const CFunction& fn, const std::string& var)
       // is a genuine assignment).
       bool seen = false;
       for (const auto& name : out) seen = seen || name == toks[i + 2].text;
-      if (!seen) out.push_back(toks[i + 2].text);
+      if (!seen) out.emplace_back(toks[i + 2].text);
     }
   }
   return out;
@@ -689,7 +689,7 @@ SimulatedBackend::AnalyzeSocketCreate(const std::string& fn_name,
     if (toks[i].IsIdent("sock") && toks[i + 1].Is("->") &&
         toks[i + 2].IsIdent("type") && toks[i + 3].Is("!=") &&
         toks[i + 4].kind == CTokKind::kIdent) {
-      result.type_macro = toks[i + 4].text;
+      result.type_macro = std::string(toks[i + 4].text);
     }
     // if ( protocol != N )
     if (toks[i].IsIdent("protocol") && toks[i + 1].Is("!=") &&

@@ -7,6 +7,7 @@
 #include <optional>
 #include <random>
 #include <thread>
+#include <type_traits>
 
 #include "drivers/corpus.h"
 #include "drivers/model_render.h"
@@ -90,38 +91,85 @@ class DmIndexTest : public ::testing::Test {
   DefinitionIndex index_;
 };
 
+// CLex accepts a named string and refuses a temporary, whose tokens
+// would view freed memory.
+template <typename T, typename = void>
+struct LexAccepts : std::false_type {};
+template <typename T>
+struct LexAccepts<T, std::void_t<decltype(CLex(std::declval<T>()))>>
+    : std::true_type {};
+static_assert(LexAccepts<const std::string&>::value);
+static_assert(LexAccepts<std::string&>::value);
+static_assert(!LexAccepts<std::string>::value);
+static_assert(!LexAccepts<const char*>::value);
+
+/// The texts of `source`'s tokens, EOF excluded.
+std::vector<std::string>
+LexTexts(const std::string& source)
+{
+  std::vector<std::string> out;
+  for (const CToken& t : CLex(source)) {
+    if (t.kind != CTokKind::kEof) out.emplace_back(t.text);
+  }
+  return out;
+}
+
 TEST(CLexerTest, KeepsCommentsAndDirectives)
 {
-  auto toks = CLex("#define A 1\n/* hi */ int x;");
+  const std::string source = "#define A 1\n/* hi */ int x;";
+  auto toks = CLex(source);
   ASSERT_GE(toks.size(), 5u);
   EXPECT_EQ(toks[0].kind, CTokKind::kDirective);
   EXPECT_EQ(toks[1].kind, CTokKind::kComment);
-}
-
-TEST(CLexerTest, NoCommentsVariantDropsComments)
-{
-  auto toks = CLexNoComments("/* hi */ int x;");
-  for (const auto& t : toks) EXPECT_NE(t.kind, CTokKind::kComment);
+  EXPECT_EQ(toks[1].text, "/* hi */");
 }
 
 TEST(CLexerTest, MultiCharOperators)
 {
-  auto toks = CLexNoComments("a->b == c;");
-  EXPECT_TRUE(toks[1].Is("->"));
-  EXPECT_TRUE(toks[3].Is("=="));
+  for (const char* op :
+       {"<<=", ">>=", "...", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+        "->", "++", "--", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%="}) {
+    const std::string source = std::string("a") + op + "b";
+    auto toks = CLex(source);
+    ASSERT_EQ(toks.size(), 4u) << op;
+    EXPECT_TRUE(toks[1].Is(op)) << op;
+    EXPECT_EQ(toks[1].begin, 1u) << op;
+    EXPECT_EQ(toks[2].text, "b") << op;
+  }
+  // Longest match first, and no operator the list lacks.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"&&=", {"&&", "="}},      {"||=", {"||", "="}},
+          {"..", {".", "."}},        {"....", {"...", "."}},
+          {"<<<", {"<<", "<"}},      {">>>=", {">>", ">="}},
+          {"<==", {"<=", "="}},      {"===", {"==", "="}},
+          {"!==", {"!=", "="}},      {"->>", {"->", ">"}},
+          {"+++", {"++", "+"}},      {"---", {"--", "-"}},
+          {"-->", {"--", ">"}},      {"=>", {"=", ">"}},
+          {"*/", {"*", "/"}},        {"~=", {"~", "="}},
+          {"a->b == c;", {"a", "->", "b", "==", "c", ";"}},
+          {"x<", {"x", "<"}},        {"x.", {"x", "."}},
+          {"x..", {"x", ".", "."}},  {"x-", {"x", "-"}},
+      };
+  for (const auto& [source, texts] : cases) {
+    EXPECT_EQ(LexTexts(source), texts) << source;
+  }
 }
 
 TEST(CLexerTest, IntegerSuffixesSwallowed)
 {
-  auto toks = CLexNoComments("x = 10UL;");
-  bool found = false;
+  const std::string source = "x = 10UL; y = 0x1fULL;";
+  auto toks = CLex(source);
+  std::vector<uint64_t> numbers;
+  std::vector<std::string> texts;
   for (const auto& t : toks) {
     if (t.kind == CTokKind::kNumber) {
-      EXPECT_EQ(t.number, 10u);
-      found = true;
+      numbers.push_back(t.number);
+      texts.emplace_back(t.text);
     }
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(numbers, (std::vector<uint64_t>{10, 31}));
+  EXPECT_EQ(texts, (std::vector<std::string>{"10UL", "0x1fULL"}));
 }
 
 TEST(CLexerTest, OffsetsSliceSource)
@@ -436,6 +484,37 @@ TEST(CParserTest, MacroArrayLen)
   EXPECT_EQ(s->fields[0].array_len_text, "LEN");
 }
 
+// A source that ends inside a function body keeps the signature with an
+// empty body and says so; it used to throw std::length_error when the
+// body's opening brace was the last token.
+TEST(CParserTest, UnterminatedFunctionBodyIsEmptyWithADiagnostic)
+{
+  for (const char* source :
+       {"long f(int a) {", "long f(int a) { x", "long f(int a) { if (a) { b; }",
+        "long f(int a) {\n\treturn g(a);\n"}) {
+    CFile f;
+    ASSERT_NO_THROW(f = CParse(source)) << source;
+    ASSERT_EQ(f.functions.size(), 1u) << source;
+    const CFunction& fn = f.functions[0];
+    EXPECT_EQ(fn.name, "f");
+    ASSERT_EQ(fn.params.size(), 1u);
+    EXPECT_EQ(fn.params[0].name, "a");
+    EXPECT_TRUE(fn.body_text.empty()) << source;
+    EXPECT_TRUE(fn.body_tokens.empty()) << source;
+    EXPECT_EQ(f.diagnostics,
+              std::vector<std::string>{
+                  "line 1: body of function 'f' is unterminated"})
+        << source;
+  }
+  // A terminated body is unaffected, down to its last token.
+  CFile f = CParse("long f(int a) { return a; }");
+  ASSERT_EQ(f.functions.size(), 1u);
+  EXPECT_EQ(f.functions[0].body_text, " return a; ");
+  ASSERT_EQ(f.functions[0].body_tokens.size(), 3u);
+  EXPECT_TRUE(f.functions[0].body_tokens[2].Is(";"));
+  EXPECT_TRUE(f.diagnostics.empty());
+}
+
 TEST(CParserTest, PositionalInitializerTable)
 {
   CFile f = CParse(
@@ -550,7 +629,7 @@ ScanDispatchTables(const DefinitionIndex& index, const CFunction& fn)
   std::vector<const CVarDef*> out;
   for (const CToken& t : fn.body_tokens) {
     if (t.kind != CTokKind::kIdent) continue;
-    const CVarDef* var = index.FindVar(t.text);
+    const CVarDef* var = index.FindVar(std::string(t.text));
     if (var && !var->init.empty()) out.push_back(var);
   }
   return out;
@@ -878,6 +957,77 @@ TEST(KsrcTest, CorpusIndexIsPinned)
   EXPECT_EQ(tokens, 87039u);
   EXPECT_EQ(bytes, 495376u);
   EXPECT_EQ(h, 14592266321747583542ULL);
+}
+
+// -- Self-fuzz ---------------------------------------------------------------
+
+/// Checks that `tokens` lie in `source` in order and that each token's
+/// text is its own slice of `source`: [begin, end), or what lies between
+/// the quotes for a string literal.
+void
+ExpectTokensSliceSource(const std::vector<CToken>& tokens,
+                        const std::string& source)
+{
+  size_t last_end = 0;
+  for (const CToken& t : tokens) {
+    ASSERT_LE(t.begin, t.end);
+    ASSERT_LE(t.end, source.size());
+    ASSERT_GE(t.begin, last_end);
+    last_end = t.end;
+    size_t first = t.begin;
+    size_t size = t.end - t.begin;
+    if (t.kind == CTokKind::kString) {
+      // The closing quote is missing when the source ends inside.
+      const bool closed = size >= 2 && t.text.size() == size - 2;
+      ++first;
+      size = closed ? size - 2 : size - 1;
+    }
+    ASSERT_EQ(t.text.data(), source.data() + first);
+    ASSERT_EQ(t.text.size(), size);
+  }
+}
+
+// Seeded truncations and byte edits of the corpus sources: the lexer's
+// tokens slice the source, and the parser never throws and returns tokens
+// that slice the text the file keeps.
+TEST(KsrcTest, SelfFuzzLexAndParseOfEditedCorpus)
+{
+  const auto sources = CorpusSources();
+  // Bytes the grammar reacts to, plus any byte at all.
+  constexpr char kSyntax[] = "{}()[];,.=<>&|+-*/!^%#\\\"'\n_0xX";
+  util::Rng rng(23);
+  size_t truncated = 0, unterminated = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string source = sources[rng.Below(sources.size())].second;
+    const uint64_t how = rng.Below(3);  // Truncate, edit, or both.
+    if (how != 1) {
+      source.resize(rng.Below(source.size() + 1));
+      ++truncated;
+    }
+    if (how != 0 && !source.empty()) {
+      for (uint64_t edits = 1 + rng.Below(4); edits > 0; --edits) {
+        char& c = source[rng.Below(source.size())];
+        // sizeof counts the terminating NUL, which is drawn too.
+        c = rng.Chance(0.5) ? kSyntax[rng.Below(sizeof(kSyntax))]
+                            : static_cast<char>(rng.Below(256));
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ExpectTokensSliceSource(CLex(source), source);
+    CFile file;
+    ASSERT_NO_THROW(file = CParse(source, "fuzz.c"));
+    ASSERT_NE(file.source, nullptr);
+    ASSERT_EQ(*file.source, source);
+    for (const CFunction& fn : file.functions) {
+      ExpectTokensSliceSource(fn.body_tokens, *file.source);
+    }
+    for (const std::string& d : file.diagnostics) {
+      unterminated += d.find("is unterminated") != std::string::npos;
+    }
+  }
+  // The run reaches the cases it is for.
+  EXPECT_GT(truncated, 1000u);
+  EXPECT_GT(unterminated, 0u);
 }
 
 }  // namespace
