@@ -177,6 +177,14 @@ TEST(CLexerTest, OffsetsSliceSource)
   std::string src = "int foo;";
   auto toks = CLex(src);
   EXPECT_EQ(src.substr(toks[1].begin, toks[1].end - toks[1].begin), "foo");
+  // A char literal cut off after a backslash ends with the source.
+  const std::string cut = "c = '\\";
+  auto cut_toks = CLex(cut);
+  ASSERT_EQ(cut_toks.size(), 4u);
+  EXPECT_EQ(cut_toks[2].kind, CTokKind::kCharLit);
+  EXPECT_EQ(cut_toks[2].text, "'\\");
+  EXPECT_EQ(cut_toks[2].end, cut.size());
+  EXPECT_EQ(cut_toks[3].begin, cut.size());
 }
 
 TEST_F(DmIndexTest, ParsesStructWithCommentsAndArrays)
